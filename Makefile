@@ -27,16 +27,18 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Race-detector pass over every package. The concurrency hot spots (parallel
-# FLOW iterations, the batched metric engine, the SPT growers, the telemetry
-# funnel, the flow-refinement pair pool) get the real exercise; the rest is
-# cheap insurance. The pair pool and the min-cut kernel it drives are
-# schedule-sensitive (worker counts change claim interleavings, not results),
-# so they get a second, repeated pass to shake out orderings the first run
-# happened not to hit.
+# Race-detector pass over every package. The concurrency hot spots (FLOW's
+# iteration pool and event sequencer, the batched metric engine, the SPT
+# growers, the telemetry funnel, the flow-refinement pair pool) get the real
+# exercise; the rest is cheap insurance. The pair pool and the min-cut kernel
+# it drives are schedule-sensitive (worker counts change claim interleavings,
+# not results), so they get a second, repeated pass to shake out orderings
+# the first run happened not to hit. So do the FLOW tests, pinned to two
+# workers: the iteration pool serves every FLOW caller.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/maxflow/ ./internal/flowrefine/
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Flow' ./internal/htp/
 
 # Full pre-merge gate: build, vet, htpvet, staticcheck, unit tests, race pass.
 check: build vet lint staticcheck test race
@@ -71,7 +73,7 @@ verify-quick:
 # flow-refinement stage, and the paper-table benchmarks. EXPERIMENTS.md
 # quotes these files.
 bench:
-	$(GO) test -run=NONE -bench='Alg2Scaling|Alg3Scaling|MultilevelScaling|FlowRefine' -benchmem -timeout 3600s . \
+	$(GO) test -run=NONE -bench='Alg2Scaling|Alg3Scaling|FlowSchedule|MultilevelScaling|FlowRefine' -benchmem -timeout 3600s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_alg2.json
 	$(GO) test -run=NONE -bench='Table1|Table2|Table3' -benchmem -timeout 1800s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_tables.json

@@ -216,6 +216,29 @@ func BenchmarkAlg3Scaling(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowSchedule measures Algorithm 1 as `htpart -algo flow -n 4`
+// runs it on c7552, with FLOW's iteration pool one worker wide (procs1:
+// GOMAXPROCS 1, the iterations run inline one after another) and two wide
+// (procs2). The result is identical; on two CPUs the four iterations run
+// in two waves instead of four.
+func BenchmarkFlowSchedule(b *testing.B) {
+	h := circuit(b, "c7552")
+	spec := paperSpec(b, h)
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("c7552/procs%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < b.N; i++ {
+				res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1,
+					Inject: repro.InjectOptions{Workers: 1}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.Cost, "cost")
+			}
+		})
+	}
+}
+
 // BenchmarkFlowRefine measures the flow-based pairwise refinement stage
 // alone (DESIGN.md §5k): each iteration clones an FM-refined V-cycle result
 // and runs one full RefineCtx pass over it, so the timing isolates corridor

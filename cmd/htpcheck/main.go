@@ -212,8 +212,7 @@ func solve(ctx context.Context, algo string, h *hypergraph.Hypergraph, spec hier
 	plus := strings.HasSuffix(algo, "+")
 	switch base {
 	case "flow":
-		opt := htp.FlowOptions{Iterations: iters, Seed: seed, Parallel: true,
-			Inject: inject.Options{Workers: workers}}
+		opt := htp.FlowOptions{Iterations: iters, Seed: seed, Inject: inject.Options{Workers: workers}}
 		if plus {
 			res, _, err := htp.FlowPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
 			return res, err

@@ -126,6 +126,11 @@ func run(addr string, cfg server.Config, tracePath string, drain time.Duration) 
 	}
 	s.Start()
 
+	// Catch signals before the listener can answer a health check: a
+	// supervisor that sees the daemon healthy may send SIGTERM at once, and
+	// that must drain, not kill.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() {
@@ -139,8 +144,6 @@ func run(addr string, cfg server.Config, tracePath string, drain time.Duration) 
 	cfg.Logger.Info("htpd listening", "addr", addr,
 		"workers", cfg.Workers, "queue", cfg.MaxQueue, "journal", cfg.JournalPath)
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		// Listener died on its own; still drain the pool before exiting.

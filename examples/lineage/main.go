@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1, Parallel: true})
+	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

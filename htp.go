@@ -87,7 +87,8 @@ var (
 // "htp.solver.salvages" — for long-running services.
 
 // Observer consumes solver trace events. Implementations need no locking:
-// solvers emit from one goroutine, funnelling parallel work first.
+// solvers deliver events one call at a time, and FLOW delivers its
+// concurrent iterations' events in iteration order.
 type Observer = obs.Observer
 
 // TraceEvent is one telemetry record; TraceKind names its type
@@ -206,7 +207,9 @@ type RefineOptions = fm.RefineOptions
 
 // Flow runs the network-flow constructive algorithm (Algorithm 1): N
 // iterations of spreading-metric computation plus metric-guided top-down
-// construction, returning the best partition.
+// construction, returning the best partition. The iterations run
+// concurrently on min(GOMAXPROCS, N) workers; the result is the same at
+// any GOMAXPROCS.
 func Flow(h *Hypergraph, spec Spec, opt FlowOptions) (*Result, error) {
 	return htp.Flow(h, spec, opt)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/anytime"
 	"repro/internal/inject"
+	"repro/internal/obs"
 )
 
 // ---- cancellation (tentpole: anytime contract) ----
@@ -32,29 +33,68 @@ func TestFlowCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// cancelOnRound records a trace and cancels once the first iteration has
+// reported `after` metric rounds: the first iteration's events reach the
+// observer as they happen at any GOMAXPROCS, so the cut lands mid-metric.
+type cancelOnRound struct {
+	eventLog
+	cancel context.CancelFunc
+	after  int
+}
+
+func (c *cancelOnRound) Event(e obs.Event) {
+	c.eventLog.Event(e)
+	if e.Kind == obs.KindMetricRound && e.Iter == 1 && e.Round == c.after {
+		c.cancel()
+	}
+}
+
 func TestFlowCtxCancelMidRunReturnsBestSoFar(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	h := fourClusters(t, rng, 4, 8, 0.6)
 	spec := binarySpec(t, h, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Deterministic mid-run cancellation: iteration 0 runs to completion,
-	// the fault seam cancels the context as iteration 1 begins.
-	flowIterFault = func(iter int) {
-		if iter == 1 {
-			cancel()
+	for _, procs := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		rec := &cancelOnRound{cancel: cancel, after: 2}
+		var res *Result
+		var err error
+		withProcs(procs, func() {
+			res, err = FlowCtx(ctx, h, spec, FlowOptions{Iterations: 8, Observer: rec})
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: best-so-far expected, got error: %v", procs, err)
+		}
+		if res.Stop != anytime.StopCancelled {
+			t.Fatalf("GOMAXPROCS %d: Stop = %q, want %q", procs, res.Stop, anytime.StopCancelled)
+		}
+		if err := res.Partition.Validate(); err != nil {
+			t.Fatalf("GOMAXPROCS %d: best-so-far partition invalid: %v", procs, err)
+		}
+		// The interrupted first iteration salvaged one construction from its
+		// partial metric, and the result is no worse than that salvage.
+		salvaged := false
+		for _, e := range rec.events {
+			if e.Kind == obs.KindSalvage && e.Iter == 1 {
+				salvaged = e.Salvaged && e.Cost > 0 && res.Cost <= e.Cost
+			}
+		}
+		if !salvaged {
+			t.Fatalf("GOMAXPROCS %d: no usable salvage from iteration 1 (cost %g) in %d events",
+				procs, res.Cost, len(rec.events))
 		}
 	}
-	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(ctx, h, spec, FlowOptions{Iterations: 8})
-	if err != nil {
-		t.Fatalf("best-so-far expected, got error: %v", err)
-	}
-	if res.Stop != anytime.StopCancelled {
-		t.Fatalf("Stop = %q, want %q", res.Stop, anytime.StopCancelled)
-	}
-	if err := res.Partition.Validate(); err != nil {
-		t.Fatalf("best-so-far partition invalid: %v", err)
+}
+
+func TestFlowCtxRejectsNegativeCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	h := fourClusters(t, rng, 4, 4, 0.8)
+	spec := binarySpec(t, h, 2)
+	for _, opt := range []FlowOptions{{Iterations: -1}, {PartitionsPerMetric: -2}} {
+		res, err := FlowCtx(context.Background(), h, spec, opt)
+		if res != nil || !errors.Is(err, anytime.ErrInvalidSpec) {
+			t.Fatalf("%+v: got result %v, error %v; want an ErrInvalidSpec error", opt, res, err)
+		}
 	}
 }
 
@@ -113,14 +153,13 @@ func TestFlowCtxParallelMatchesSequentialUnderLiveContext(t *testing.T) {
 	h := fourClusters(t, rng, 4, 6, 0.7)
 	spec := binarySpec(t, h, 2)
 	opt := FlowOptions{Iterations: 4, Seed: 9}
-	ctx := context.Background()
-	seq, err := FlowCtx(ctx, h, spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallel = true
-	par, err := FlowCtx(ctx, h, spec, opt)
-	if err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	var seq, par *Result
+	var seqErr, parErr error
+	withProcs(1, func() { seq, seqErr = FlowCtx(ctx, h, spec, opt) })
+	withProcs(4, func() { par, parErr = FlowCtx(ctx, h, spec, opt) })
+	if err := errors.Join(seqErr, parErr); err != nil {
 		t.Fatal(err)
 	}
 	if seq.Cost != par.Cost {
@@ -159,7 +198,9 @@ func TestFlowParallelPanicContained(t *testing.T) {
 		}
 	}
 	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 4, Parallel: true})
+	var res *Result
+	var err error
+	withProcs(4, func() { res, err = FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 4}) })
 	if err != nil {
 		t.Fatalf("sibling iterations should still win, got error: %v", err)
 	}
@@ -184,7 +225,9 @@ func TestFlowAllIterationsPanicYieldsError(t *testing.T) {
 	spec := binarySpec(t, h, 2)
 	flowIterFault = func(int) { panic("every iteration dies") }
 	defer func() { flowIterFault = nil }()
-	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Parallel: true})
+	var res *Result
+	var err error
+	withProcs(4, func() { res, err = FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3}) })
 	if res != nil {
 		t.Fatalf("no iteration survived, yet got a result with cost %g", res.Cost)
 	}

@@ -51,7 +51,7 @@ func (o BuildOptions) withDefaults() BuildOptions {
 		o.Rng = rand.New(rand.NewSource(1))
 	}
 	if o.Engine == nil {
-		o.Engine = findCut
+		o.Engine = new(cutScratch).findCut
 	}
 	if o.CarveAttempts == 0 {
 		o.CarveAttempts = 4

@@ -15,6 +15,37 @@ import (
 	"repro/internal/pqueue"
 )
 
+// cutScratch is find_cut's working memory, kept across the calls of one
+// construction: BuildCtx installs a fresh scratch's findCut as its default
+// engine, and every carve reuses the buffers sized by the first (largest)
+// call. A reset heap is in the state New leaves it in, so reuse cannot
+// change a partition.
+type cutScratch struct {
+	in    []bool
+	cnt   []int32
+	heap  *pqueue.IndexedMinHeap
+	order []hypergraph.NodeID
+}
+
+// reset readies the buffers for a hypergraph of n nodes and nets nets.
+func (s *cutScratch) reset(n, nets int) {
+	if cap(s.in) < n {
+		s.in = make([]bool, n)
+		s.heap = pqueue.New(n)
+		s.order = make([]hypergraph.NodeID, 0, n)
+	} else {
+		s.in = s.in[:n]
+		clear(s.in)
+		s.heap.Reset()
+	}
+	if cap(s.cnt) < nets {
+		s.cnt = make([]int32, nets)
+	} else {
+		s.cnt = s.cnt[:nets]
+		clear(s.cnt)
+	}
+}
+
 // findCut separates a node set of size within [lb..ub] from h, growing a
 // region from a random seed in Prim order under the net lengths d (short
 // nets are absorbed first, so the growth frontier tends to follow long —
@@ -29,15 +60,14 @@ import (
 // reseeds on the next node (by index) that fits; nil is returned when every
 // node exceeds ub, since no non-empty subset can respect the bound. d is
 // indexed by net.
-func findCut(h *hypergraph.Hypergraph, d []float64, lb, ub int64, rng *rand.Rand) []hypergraph.NodeID {
+func (s *cutScratch) findCut(h *hypergraph.Hypergraph, d []float64, lb, ub int64, rng *rand.Rand) []hypergraph.NodeID {
 	n := h.NumNodes()
 	if n == 0 {
 		return nil
 	}
-	in := make([]bool, n)
-	cnt := make([]int32, h.NumNets())
-	heap := pqueue.New(n)
-	order := make([]hypergraph.NodeID, 0, n)
+	s.reset(n, h.NumNets())
+	in, cnt, heap := s.in, s.cnt, s.heap
+	order := s.order[:0]
 
 	var (
 		size    int64

@@ -26,7 +26,7 @@ func TestFindCutOversizedSeedReseeds(t *testing.T) {
 	const ub = 3
 	for trial := int64(0); trial < 64; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		piece := findCut(h, d, 2, ub, rng)
+		piece := new(cutScratch).findCut(h, d, 2, ub, rng)
 		if len(piece) == 0 {
 			t.Fatalf("trial %d: empty piece though three unit nodes fit", trial)
 		}
@@ -50,7 +50,7 @@ func TestFindCutAllNodesOversized(t *testing.T) {
 	h := b.MustBuild()
 	for trial := int64(0); trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		if piece := findCut(h, []float64{1}, 2, 3, rng); piece != nil {
+		if piece := new(cutScratch).findCut(h, []float64{1}, 2, 3, rng); piece != nil {
 			t.Fatalf("trial %d: got piece %v, want nil", trial, piece)
 		}
 	}

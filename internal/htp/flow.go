@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/anytime"
@@ -37,7 +39,7 @@ type Result struct {
 	// MaxFlow is the maximum, and Converged is the AND — one unconverged
 	// metric marks the whole run, while iterations that never produced
 	// stats (cancelled or crashed before the metric ran) are excluded from
-	// all of it. Identical between sequential and Parallel runs.
+	// all of it. Identical at any GOMAXPROCS.
 	MetricStats inject.Stats
 }
 
@@ -57,30 +59,25 @@ type FlowOptions struct {
 	Build BuildOptions
 	// Seed makes the whole run deterministic. Default 1.
 	Seed int64
-	// Parallel runs the N iterations on separate goroutines (each with its
-	// own derived seed, so results are identical to the sequential run).
-	// The iterations are embarrassingly parallel: each computes its own
-	// metric and partitions. Off by default.
-	Parallel bool
 	// Observer receives the run's trace events (see internal/obs):
 	// per-round and per-metric events tagged with their iteration,
 	// build-done and iter-done completions, best-so-far updates, salvage
 	// events, and exactly one terminal stop event. Inject.Observer is
 	// overridden by the run's iteration-tagged observer, like Inject.Rng.
-	// With Parallel set, events are funnelled through one goroutine, so
-	// the observer needs no locking. Nil disables telemetry at zero cost.
+	// Events arrive one call at a time and in the order a one-worker run
+	// emits them, however many iterations run at once, so the observer
+	// needs no locking. Nil disables telemetry at zero cost.
 	Observer obs.Observer
 	// Span nests the run's events in the caller's span tree: the run
-	// enters one span, each iteration mints a child (pre-drawn in
-	// canonical order, so IDs are independent of Parallel scheduling),
-	// and the metric engine nests below the iteration. Span IDs come
-	// from a plain counter, never the run's seeds, so tracing cannot
-	// perturb results. Zero value is fine.
+	// enters one span, each iteration and the metric engine below it get
+	// IDs reserved in canonical order (so IDs do not depend on which worker
+	// runs which iteration). Span IDs come from a plain counter, never the
+	// run's seeds, so tracing cannot perturb results. Zero value is fine.
 	Span obs.SpanScope
 	// Progress, if non-nil, is called with coarse progress snapshots
 	// (phase, round, best cost) at round-level frequency — a lightweight
-	// alternative to a full Observer for live display. Called from a
-	// single goroutine even when Parallel is set.
+	// alternative to a full Observer for live display. Called one call at
+	// a time, like Observer.
 	Progress obs.ProgressFunc
 }
 
@@ -115,10 +112,11 @@ type flowIterOut struct {
 
 // Flow runs Algorithm 1: N times, compute a spreading metric by stochastic
 // flow injection (Algorithm 2) and construct a hierarchical tree partition
-// from it (Algorithm 3); output the best valid partition found. With
-// opt.Parallel the iterations run concurrently and produce the same result
-// as the sequential schedule (per-iteration seeds are pre-drawn in order).
-// It is FlowCtx without cancellation.
+// from it (Algorithm 3); output the best valid partition found. The
+// iterations run concurrently on min(GOMAXPROCS, N) workers and produce the
+// same result at any GOMAXPROCS: per-iteration seeds are pre-drawn in order
+// and results are reduced in iteration order. It is FlowCtx without
+// cancellation.
 func Flow(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) (*Result, error) {
 	return FlowCtx(context.Background(), h, spec, opt)
 }
@@ -136,37 +134,47 @@ func Flow(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) (*Resu
 //   - A panic inside one iteration is contained: it becomes an error (with
 //     stack) in Result.Failures and sibling iterations still win. Only if
 //     every iteration fails does FlowCtx return an error.
+//
+// The N iterations run on a pool of min(GOMAXPROCS, N) workers that take
+// them in index order, so at most that many metric engines are alive at
+// once and the in-flight iterations are always the oldest unfinished ones.
+// With one worker the iterations run inline, one after another. When the
+// context fires, every in-flight iteration salvages from its partial metric.
 func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) (*Result, error) {
 	opt = opt.withDefaults()
+	if opt.Iterations < 0 || opt.PartitionsPerMetric < 0 {
+		return nil, fmt.Errorf("htp: flow needs non-negative counts, got %d iterations and %d partitions per metric: %w",
+			opt.Iterations, opt.PartitionsPerMetric, anytime.ErrInvalidSpec)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htp: flow not started: %w", errors.Join(anytime.ErrNoPartition, context.Cause(ctx)))
 	}
-	// Telemetry: one sink for the whole run. With Parallel the iteration
-	// goroutines all emit, so the sink goes behind a funnel and receives
-	// events from a single forwarding goroutine; sinks never need locks.
-	// All of this is skipped — sink stays nil, emission sites reduce to a
-	// nil check — when neither an Observer nor a Progress func is set.
+	workers := min(runtime.GOMAXPROCS(0), opt.Iterations)
+	// Telemetry: one sink for the whole run. All of this is skipped — sink
+	// stays nil, emission sites reduce to a nil check — when neither an
+	// Observer nor a Progress func is set.
 	sink := obs.Multi(opt.Observer, obs.ProgressObserver(opt.Progress))
 	var start time.Time
 	if sink != nil {
 		start = time.Now()
-		if opt.Parallel {
-			funnel := obs.NewFunnel(sink)
-			defer funnel.Close()
-			sink = funnel
-		}
 	}
 	// Span identity: the run enters one span (stamped on run-level events
-	// — best updates and the stop) and pre-mints one child span per
-	// iteration in canonical order, so span IDs are identical between
-	// sequential and Parallel runs. All skipped when telemetry is off.
+	// — best updates and the stop) and reserves two IDs per iteration, for
+	// the iteration and its metric engine, in canonical order, so span IDs
+	// do not depend on the schedule. Concurrent iterations emit through a
+	// sequencer, which hands their events to the sink in the one-worker
+	// order. All skipped when telemetry is off.
 	var scope obs.SpanScope
 	scope, sink = opt.Span.Enter(sink)
-	var iterSpans []obs.SpanID
+	var iterIDs []*obs.SpanCtx
+	var seq *obs.Sequencer
 	if sink != nil {
-		iterSpans = make([]obs.SpanID, opt.Iterations)
-		for i := range iterSpans {
-			iterSpans[i] = scope.Mint()
+		iterIDs = make([]*obs.SpanCtx, opt.Iterations)
+		for i := range iterIDs {
+			iterIDs[i] = scope.Ctx.Reserve(2)
+		}
+		if workers > 1 {
+			seq = obs.NewSequencer(sink, opt.Iterations)
 		}
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -193,24 +201,33 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 				out.panicErr = fmt.Errorf("htp: flow iteration %d panicked: %v\n%s", i, r, debug.Stack())
 			}
 		}()
+		iterSink := sink
+		if seq != nil {
+			// Runs before the recovery above, so a panicking sink is
+			// contained like any other fault of this iteration.
+			defer seq.Done(i)
+			iterSink = seq.Producer(i)
+		}
 		if flowIterFault != nil {
 			flowIterFault(i)
 		}
 		if ctx.Err() != nil {
 			return // cancelled before this iteration started
 		}
-		iterObs := obs.WithIter(sink, i+1)
+		iterObs := obs.WithIter(iterSink, i+1)
 		var it0 time.Time
 		var iterSpan obs.SpanID
+		var ids *obs.SpanCtx
 		if iterObs != nil {
-			iterSpan = iterSpans[i]
+			ids = iterIDs[i]
+			iterSpan = ids.NewSpan()
 			iterObs = obs.WithSpan(iterObs, iterSpan, scope.Parent)
 			it0 = time.Now()
 		}
 		injOpt := opt.Inject
 		injOpt.Rng = rand.New(rand.NewSource(seeds[i].inject))
 		injOpt.Observer = iterObs
-		injOpt.Span = obs.SpanScope{Ctx: scope.Ctx, Parent: iterSpan}
+		injOpt.Span = obs.SpanScope{Ctx: ids, Parent: iterSpan}
 		m, st, err := inject.ComputeMetricCtx(ctx, h, spec, injOpt)
 		if m != nil {
 			out.stats, out.ranMetric = st, true
@@ -236,6 +253,12 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 					}
 					obs.Emit(iterObs, ev)
 				}
+				return
+			}
+			if ctx.Err() != nil && errors.Is(err, context.Cause(ctx)) {
+				// The context fired between the check above and the metric's
+				// own entry check, so the metric never started: this
+				// iteration simply did not run.
 				return
 			}
 			out.injectErr = err
@@ -291,23 +314,27 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 		}
 	}
 
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		for i := 0; i < opt.Iterations; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runIter(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < opt.Iterations; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+	if workers <= 1 {
+		for i := 0; i < opt.Iterations && ctx.Err() == nil; i++ {
 			runIter(i)
 		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					i := int(next.Add(1) - 1)
+					if i >= opt.Iterations {
+						return
+					}
+					runIter(i)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 
 	best := &Result{Iterations: opt.Iterations}
@@ -350,8 +377,8 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 			best.Cost = outs[i].cost
 			if sink != nil {
 				// Best-so-far updates are emitted here, in canonical
-				// iteration order, so parallel and sequential runs trace the
-				// same improvement sequence.
+				// iteration order, so every schedule traces the same
+				// improvement sequence.
 				obs.Emit(sink, obs.Event{Kind: obs.KindBest, Iter: i + 1, Cost: best.Cost})
 			}
 		}

@@ -59,7 +59,7 @@ func TestFindCutSeparatesClique(t *testing.T) {
 			}
 		}
 	}
-	piece := findCut(h, d, 5, 5, rng)
+	piece := new(cutScratch).findCut(h, d, 5, 5, rng)
 	if len(piece) != 5 {
 		t.Fatalf("piece = %v", piece)
 	}
@@ -82,7 +82,7 @@ func TestFindCutRespectsHardUpperBound(t *testing.T) {
 	h := b.MustBuild()
 	d := []float64{1, 1}
 	for trial := 0; trial < 10; trial++ {
-		piece := findCut(h, d, 4, 5, rng)
+		piece := new(cutScratch).findCut(h, d, 4, 5, rng)
 		var size int64
 		for _, v := range piece {
 			size += h.NodeSize(v)
@@ -107,7 +107,7 @@ func TestFindCutDisconnected(t *testing.T) {
 	b.AddNet("", 1, 4, 5)
 	h := b.MustBuild()
 	d := []float64{1, 1, 1}
-	piece := findCut(h, d, 4, 4, rng)
+	piece := new(cutScratch).findCut(h, d, 4, 4, rng)
 	if len(piece) != 4 {
 		t.Fatalf("piece across components = %v", piece)
 	}

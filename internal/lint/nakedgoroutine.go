@@ -9,7 +9,7 @@ import (
 // spawned goroutine crashes the whole process, so every `go` statement must
 // recover — either directly (a top-level `defer func() { recover() }()` in
 // the goroutine body) or through a function reached within two calls that
-// does. One call deep covers the parallel FLOW iterations (runIter's first
+// does. One call deep covers FLOW's iteration pool (runIter's first
 // statement is the recovery defer); two deep covers the daemon's worker
 // pool, where the goroutine body is bookkeeping (`defer wg.Done();
 // s.worker()`), the worker is a dispatch loop, and the recovery defer lives

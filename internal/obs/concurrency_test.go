@@ -62,6 +62,57 @@ func TestFunnelSerializesConcurrentEmitters(t *testing.T) {
 	}
 }
 
+// orderSink records Iter/Round pairs; it takes no lock, so the race
+// detector reports any sink call that is not ordered after the previous one.
+type orderSink struct {
+	serialSink
+	seen [][2]int
+}
+
+func (s *orderSink) Event(e obs.Event) {
+	s.serialSink.Event(e)
+	s.seen = append(s.seen, [2]int{e.Iter, e.Round})
+}
+
+// TestSequencerDeliversInProducerOrder: producers emit concurrently and
+// finish in arbitrary order, yet the sink sees producer 0's events, then
+// producer 1's, and so on, one call at a time.
+func TestSequencerDeliversInProducerOrder(t *testing.T) {
+	const (
+		producers   = 6
+		perProducer = 300
+	)
+	for trial := 0; trial < 20; trial++ {
+		sink := &orderSink{}
+		seq := obs.NewSequencer(sink, producers)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				o := seq.Producer(p)
+				for r := 0; r < perProducer; r++ {
+					o.Event(obs.Event{Kind: obs.KindMetricRound, Iter: p, Round: r})
+				}
+				seq.Done(p)
+			}(p)
+		}
+		wg.Wait()
+		if n := sink.overlaps.Load(); n != 0 {
+			t.Fatalf("sink entered concurrently %d times", n)
+		}
+		if len(sink.seen) != producers*perProducer {
+			t.Fatalf("sink saw %d events, want %d", len(sink.seen), producers*perProducer)
+		}
+		for k, got := range sink.seen {
+			if want := [2]int{k / perProducer, k % perProducer}; got != want {
+				t.Fatalf("trial %d: event %d is producer %d round %d, want producer %d round %d",
+					trial, k, got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+}
+
 // slowSink sleeps per event so the funnel buffer fills up.
 type slowSink struct{ serialSink }
 

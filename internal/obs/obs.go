@@ -12,12 +12,14 @@
 // order — so attaching an observer cannot change any computed result (the
 // golden-hash tests in internal/inject pin this).
 //
-// Concurrency: the solvers emit from one goroutine wherever they can (the
-// metric engine's coordinator, the sequential FLOW schedule). When FLOW
-// runs its iterations in parallel, it routes all events through a Funnel,
-// which forwards them from a single goroutine — so sinks never need
-// locking of their own. Sinks shipped here (JSONLSink, SlogSink) assume
-// that discipline; Collector carries its own mutex and is safe anywhere.
+// Concurrency: a sink receives one call at a time. The metric engine emits
+// from its coordinator goroutine only; FLOW runs its iterations
+// concurrently and routes their events through a Sequencer, which hands
+// them to the sink one call at a time in the order a one-at-a-time run
+// would emit them — so sinks never need locking of their own. Sinks
+// shipped here (JSONLSink, SlogSink) assume that discipline; Collector
+// carries its own mutex and is safe anywhere. A Funnel serializes emitters
+// that are not ordered, such as htpd's concurrent jobs.
 package obs
 
 import (
@@ -269,10 +271,9 @@ func newFunnel(sink Observer, n int, drop bool) *Funnel {
 		n = 256
 	}
 	f := &Funnel{ch: make(chan Event, n), done: make(chan struct{}), drop: drop}
-	//htpvet:allow nakedgoroutine -- vetted funnel forwarder: a panicking sink is a caller bug; containing it would silently drop the rest of the trace (re-audited for the interprocedural suite: the forwarder holds no locks and its drain loop carries its own ctxpoll allowance below)
+	//htpvet:allow nakedgoroutine -- vetted funnel forwarder: a panicking sink is a caller bug; containing it would silently drop the rest of the trace (re-audited for the interprocedural suite: the forwarder holds no locks, and its drain loop runs until Close, which no solver entry point reaches now that FLOW sequences its iterations instead)
 	go func() {
 		defer close(f.done)
-		//htpvet:allow ctxpoll -- the forwarder must drain the buffer until Close closes the channel: exiting on ctx instead would drop queued trace events and break completeness-by-backpressure
 		for e := range f.ch {
 			sink.Event(e)
 		}

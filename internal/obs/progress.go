@@ -22,9 +22,9 @@ type Progress struct {
 	Stop string
 }
 
-// ProgressFunc receives progress snapshots. It is invoked from a single
-// goroutine (the solvers funnel parallel emissions), at most once per
-// trace event — round-level frequency, cheap enough to render directly.
+// ProgressFunc receives progress snapshots. It is invoked one call at a
+// time (FLOW sequences its concurrent iterations' emissions), at most once
+// per trace event — round-level frequency, cheap enough to render directly.
 type ProgressFunc func(p Progress)
 
 // ProgressObserver adapts a ProgressFunc into an Observer by folding the

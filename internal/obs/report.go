@@ -22,7 +22,7 @@ type RunReport struct {
 	RefinePasses int `json:"refine_passes,omitempty"`
 	// PhaseMS attributes wall time to phases: "metric" and "build" from
 	// their done events, plus every named span ("refine", "gfm-bisect",
-	// ...). Parallel iterations overlap, so phase times can sum past
+	// ...). Concurrent iterations overlap, so phase times can sum past
 	// TotalMS — they attribute work, not the wall clock.
 	PhaseMS map[string]float64 `json:"phase_ms"`
 	// TotalMS is the whole-run wall time from the stop event.

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuits"
@@ -164,27 +165,26 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 		return events
 	}
 
-	t.Run("flow-sequential", func(t *testing.T) {
-		collect(t, func(sink obs.Observer) float64 {
-			res, err := htp.FlowCtx(context.Background(), h, spec,
-				htp.FlowOptions{Iterations: 3, PartitionsPerMetric: 2, Seed: 3, Observer: sink})
+	// FLOW sizes its iteration pool from GOMAXPROCS: 1 runs the iterations
+	// inline, one after another; 4 runs three of them at once.
+	flowAt := func(procs int, opt htp.FlowOptions) func(sink obs.Observer) float64 {
+		return func(sink obs.Observer) float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			opt.Observer = sink
+			res, err := htp.FlowCtx(context.Background(), h, spec, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Cost
-		})
+		}
+	}
+
+	t.Run("flow-sequential", func(t *testing.T) {
+		collect(t, flowAt(1, htp.FlowOptions{Iterations: 3, PartitionsPerMetric: 2, Seed: 3}))
 	})
 
 	t.Run("flow-parallel", func(t *testing.T) {
-		collect(t, func(sink obs.Observer) float64 {
-			res, err := htp.FlowCtx(context.Background(), h, spec,
-				htp.FlowOptions{Iterations: 3, Seed: 3, Parallel: true,
-					Inject: inject.Options{Workers: 2}, Observer: sink})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Cost
-		})
+		collect(t, flowAt(4, htp.FlowOptions{Iterations: 3, Seed: 3, Inject: inject.Options{Workers: 2}}))
 	})
 
 	t.Run("flow-cancel-salvage", func(t *testing.T) {

@@ -26,16 +26,42 @@ type SpanID uint64
 
 // SpanCtx mints the span IDs of one run (or one htpd job): a shared
 // counter, so IDs are unique within the trace that shares the SpanCtx.
-// Safe for concurrent minting (parallel FLOW iterations).
+// Safe for concurrent minting (concurrent FLOW iterations).
 type SpanCtx struct {
 	last atomic.Uint64
+	// root and end are set on a block made by Reserve: it hands out the IDs
+	// up to end, then mints from root.
+	root *SpanCtx
+	end  uint64
 }
 
 // NewSpanCtx returns a fresh minter; the first NewSpan returns 1.
 func NewSpanCtx() *SpanCtx { return &SpanCtx{} }
 
 // NewSpan mints the next span ID.
-func (c *SpanCtx) NewSpan() SpanID { return SpanID(c.last.Add(1)) }
+func (c *SpanCtx) NewSpan() SpanID {
+	id := c.last.Add(1)
+	if c.root != nil && id > c.end {
+		return c.root.NewSpan()
+	}
+	return SpanID(id)
+}
+
+// Reserve takes the next n IDs from the run's counter now and returns a
+// minter that hands them out in order, then falls back to the counter.
+// FLOW reserves each iteration's IDs in canonical order before any
+// iteration starts, so span IDs do not depend on which worker reaches an
+// iteration first.
+func (c *SpanCtx) Reserve(n int) *SpanCtx {
+	root := c
+	if c.root != nil {
+		root = c.root
+	}
+	end := root.last.Add(uint64(n))
+	b := &SpanCtx{root: root, end: end}
+	b.last.Store(end - uint64(n))
+	return b
+}
 
 // SpanScope is the span context a caller threads into a solver layer's
 // Options: the run's minter plus the span the layer should nest under.

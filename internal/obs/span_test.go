@@ -17,6 +17,23 @@ func TestSpanCtxMintsMonotone(t *testing.T) {
 	}
 }
 
+func TestSpanCtxReserve(t *testing.T) {
+	c := NewSpanCtx()
+	c.NewSpan()       // 1
+	a := c.Reserve(2) // 2, 3
+	b := a.Reserve(1) // 4: a block reserves from the run's counter
+	if s := c.NewSpan(); s != 5 {
+		t.Fatalf("counter after reserving 3 IDs minted %d, want 5", s)
+	}
+	got := []SpanID{b.NewSpan(), a.NewSpan(), a.NewSpan(), a.NewSpan(), b.NewSpan()}
+	want := []SpanID{4, 2, 3, 6, 7} // exhausted blocks fall back to the counter
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("minted %v, want %v", got, want)
+		}
+	}
+}
+
 func TestSpanScopeEnter(t *testing.T) {
 	// Disabled path: no minting, no observer.
 	var zero SpanScope

@@ -53,7 +53,7 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Iters is FLOW's iteration count N on the first ladder rung.
 	// Default 2 (a service trades iterations for latency; the deadline
-	// budget, not N, bounds the run).
+	// budget, not N, bounds the run). Negative values are rejected.
 	Iters int `json:"iters,omitempty"`
 	// BudgetMS is the job's deadline budget in milliseconds; the
 	// degradation ladder divides it across its rungs. 0 means the server

@@ -144,6 +144,10 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		dump.Seed = j.Spec.Seed
 		dump.Stop = string(out.res.Stop)
 	}
+	// The dump is on disk before the state below tells clients the job is
+	// done. The only second call, from the runner's panic recovery, carries
+	// no result, so it cannot overwrite the first call's dump.
+	s.persistResult(j, dump)
 
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -201,7 +205,6 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		errMsg = out.err.Error()
 	}
 	s.journalState(j, state, out.stage, stopReason, cost, errMsg)
-	s.persistResult(j, dump)
 
 	// The job-level terminal stop: exactly one per job stream, after the
 	// rung-level stops were suppressed. Reason follows the anytime

@@ -343,6 +343,9 @@ func (s *Server) buildJob(id string, spec JobSpec) (*Job, error) {
 	if spec.Height < 1 || spec.Height > hierarchy.MaxDumpHeight {
 		return nil, fmt.Errorf("height %d out of range [1, %d]", spec.Height, hierarchy.MaxDumpHeight)
 	}
+	if spec.Iters < 0 {
+		return nil, fmt.Errorf("iters %d is negative", spec.Iters)
+	}
 	h, err := hypergraph.ReadFrom(strings.NewReader(spec.Netlist))
 	if err != nil {
 		return nil, fmt.Errorf("parsing netlist: %w", err)

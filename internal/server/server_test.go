@@ -323,6 +323,7 @@ func TestBadRequests(t *testing.T) {
 		"empty netlist":   {Netlist: "   "},
 		"bad netlist":     {Netlist: "this is not hmetis"},
 		"negative height": {Netlist: ringNetlist(t, 8), Height: -3},
+		"negative iters":  {Netlist: ringNetlist(t, 8), Iters: -1},
 	} {
 		resp := submitJob(t, ts, spec)
 		resp.Body.Close()

@@ -1,9 +1,10 @@
 // Facade tests for the related-formulation APIs (ratio cut and fixed-tree
-// mapping) and the parallel FLOW switch.
+// mapping) and FLOW's concurrent iterations.
 package repro_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -61,15 +62,18 @@ func TestParallelFlowFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
+	// FLOW sizes its iteration pool from GOMAXPROCS; the result must not
+	// depend on it.
+	flowAt := func(procs int) *repro.Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	par, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := flowAt(1), flowAt(3)
 	if seq.Cost != par.Cost {
-		t.Fatalf("parallel %g != sequential %g", par.Cost, seq.Cost)
+		t.Fatalf("concurrent %g != one worker %g", par.Cost, seq.Cost)
 	}
 }
