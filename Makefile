@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck race check bench bench-ml benchdiff smoke-ml verify verify-quick loadtest chaos
+.PHONY: build test vet lint staticcheck race check bench bench-ml benchdiff bench-compile smoke-ml verify verify-quick loadtest chaos
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,14 @@ benchdiff:
 	$(GO) test -run=NONE -bench=Alg2Scaling -benchtime=1x -benchmem -timeout 900s . \
 		| $(GO) run ./cmd/benchjson -o /tmp/htp-bench-head.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -tolerance 0 BENCH_alg2.json /tmp/htp-bench-head.json
+
+# The benchmark under bench/ is a Go module of its own, so the root
+# `go build ./...` and `go test ./...` never compile it. This target keeps it
+# building against the internal APIs it calls, and checks that its traced
+# re-composition of the solver still matches htp.FlowCtx and
+# htp.MultilevelCtx bit for bit (~8 s).
+bench-compile:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 -run TestComposeMatchesProgram ./...
 
 # End-to-end large-instance smoke: stream-generate a 65536-gate netlist,
 # solve it with the multilevel V-cycle under a deadline, and (as htpart

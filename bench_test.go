@@ -10,8 +10,10 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro"
@@ -99,36 +101,18 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	h := circuit(b, "c1355")
 	spec := paperSpec(b, h)
-	b.Run("FLOW+", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, _, err := repro.FlowPlus(h, spec,
-				repro.FlowOptions{Iterations: 1, Seed: int64(i + 1)}, repro.RefineOptions{})
-			if err != nil {
-				b.Fatal(err)
+	for _, algo := range []string{"flow+", "rfm+", "gfm+"} {
+		b.Run(strings.ToUpper(algo), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{Algo: algo,
+					Seed: int64(i + 1), Flow: repro.FlowOptions{Iterations: 1}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.Cost, "cost")
 			}
-			b.ReportMetric(res.Cost, "cost")
-		}
-	})
-	b.Run("RFM+", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, _, err := repro.RFMPlus(h, spec,
-				repro.RFMOptions{Seed: int64(i + 1)}, repro.RefineOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Cost, "cost")
-		}
-	})
-	b.Run("GFM+", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, _, err := repro.GFMPlus(h, spec,
-				repro.GFMOptions{Seed: int64(i + 1)}, repro.RefineOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Cost, "cost")
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFigure2Flow measures FLOW rediscovering the worked example's

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/circuits"
-	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -258,47 +257,25 @@ func table2and3() {
 		spec := specFor(h)
 		r := row{name: cs.Name}
 
-		t0 := time.Now()
 		fopt := flowOpts(n)
 		fopt.PartitionsPerMetric = 2
-		fres, err := htp.FlowCtx(runCtx, h, spec, fopt)
-		if err != nil {
-			fatal(err)
+		run := func(algo string) (cost, improv float64) {
+			res, initial, err := htp.PipelineCtx(runCtx, h, spec, htp.Pipeline{Algo: algo, Seed: *seed, Flow: fopt, Observer: observer})
+			if err != nil {
+				fatal(err)
+			}
+			certify(cs.Name+"/"+algo, res)
+			return res.Cost, improvement(initial, res.Cost)
 		}
-		certify(cs.Name+"/flow", fres)
+		t0 := time.Now()
+		r.flow, _ = run("flow")
 		r.flowCPU = time.Since(t0).Seconds()
-		r.flow = fres.Cost
-
-		rres, err := htp.RFMCtx(runCtx, h, spec, htp.RFMOptions{Seed: *seed, Observer: observer})
-		if err != nil {
-			fatal(err)
-		}
-		r.rfm = certify(cs.Name+"/rfm", rres).Cost
-		gres, err := htp.GFMCtx(runCtx, h, spec, htp.GFMOptions{Seed: *seed, Observer: observer})
-		if err != nil {
-			fatal(err)
-		}
-		r.gfm = certify(cs.Name+"/gfm", gres).Cost
-
+		r.rfm, _ = run("rfm")
+		r.gfm, _ = run("gfm")
 		// "+" variants refine fresh runs of the constructives.
-		fp, fi, err := htp.FlowPlusCtx(runCtx, h, spec, fopt, fm.RefineOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		certify(cs.Name+"/flow+", fp)
-		r.flowP, r.flowI = fp.Cost, improvement(fi, fp.Cost)
-		rp, ri, err := htp.RFMPlusCtx(runCtx, h, spec, htp.RFMOptions{Seed: *seed, Observer: observer}, fm.RefineOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		certify(cs.Name+"/rfm+", rp)
-		r.rfmP, r.rfmI = rp.Cost, improvement(ri, rp.Cost)
-		gp, gi, err := htp.GFMPlusCtx(runCtx, h, spec, htp.GFMOptions{Seed: *seed, Observer: observer}, fm.RefineOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		certify(cs.Name+"/gfm+", gp)
-		r.gfmP, r.gfmI = gp.Cost, improvement(gi, gp.Cost)
+		r.flowP, r.flowI = run("flow+")
+		r.rfmP, r.rfmI = run("rfm+")
+		r.gfmP, r.gfmI = run("gfm+")
 		rows = append(rows, r)
 	}
 

@@ -38,7 +38,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fm"
+	"repro/internal/flowrefine"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -74,7 +74,7 @@ func main() {
 		metricsOut = flag.String("metrics-dump", "", "write the final process metrics snapshot (Prometheus text exposition, incl. htp.* counters) to this file")
 		ml         = flag.Bool("multilevel", false, "solve via the multilevel V-cycle: coarsen, run -algo on the coarsest level, uncoarsen with per-level refinement")
 		coarsenTgt = flag.Int("coarsen-target", 300, "with -multilevel: node count at which coarsening stops")
-		flowRef    = flag.Bool("flow-refine", false, "run flow-based pairwise refinement after the solve (with -multilevel: as the finest uncoarsening stage); every accepted move batch is re-certified by internal/verify")
+		flowRef    = flag.Bool("flow-refine", false, "run flow-based pairwise refinement as the last step (with -multilevel: on the finest level, after uncoarsening); every accepted move batch is re-certified by internal/verify")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -154,21 +154,21 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "spec: C=%v K=%v w=%v\n", spec.Capacity, spec.Branch, spec.Weight)
 
-	base := strings.TrimSuffix(*algo, "+")
 	plus := strings.HasSuffix(*algo, "+")
 	algoLabel := *algo
 	if *ml {
 		algoLabel = "multilevel(" + *algo + ")"
 	}
+	var flowRefine *flowrefine.Options
 	if *flowRef {
 		algoLabel += "+flowrefine"
+		flowRefine = &flowrefine.Options{Workers: *workers, Certify: verify.Certifier()}
 	}
 
 	start := time.Now()
 	var res *htp.Result
 	var initial float64
-	switch {
-	case *ml:
+	if *ml {
 		// The V-cycle owns iteration/metric defaults tuned for the coarse
 		// level; the flat-FLOW flag defaults (-n 4) would override them, so
 		// only explicitly-set values are forwarded.
@@ -186,67 +186,24 @@ func main() {
 		if perMetricSet {
 			mo.Flow.PartitionsPerMetric = *perMetric
 		}
-		if *flowRef {
-			mo.FlowRefine = true
-			mo.FlowRefineOpt.Certify = verify.Certifier()
+		if flowRefine != nil {
+			mo.FlowRefine, mo.FlowRefineOpt = true, *flowRefine
 		}
 		res, err = htp.MultilevelCtx(ctx, h, spec, mo)
 		if res != nil {
 			initial = res.Cost
 		}
-	default:
-		switch base {
-		case "flow":
-			opt := htp.FlowOptions{Iterations: *iters, PartitionsPerMetric: *perMetric, Seed: *seed,
-				Inject: inject.Options{Workers: *workers}, Observer: observer, Progress: progressFn}
-			if plus {
-				res, initial, err = htp.FlowPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			} else {
-				res, err = htp.FlowCtx(ctx, h, spec, opt)
-				if res != nil {
-					initial = res.Cost
-				}
-			}
-		case "rfm":
-			// RFM/GFM take no ProgressFunc of their own; fold it into the sink.
-			opt := htp.RFMOptions{Seed: *seed,
-				Observer: obs.Multi(observer, obs.ProgressObserver(progressFn))}
-			if plus {
-				res, initial, err = htp.RFMPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			} else {
-				res, err = htp.RFMCtx(ctx, h, spec, opt)
-				if res != nil {
-					initial = res.Cost
-				}
-			}
-		case "gfm":
-			opt := htp.GFMOptions{Seed: *seed,
-				Observer: obs.Multi(observer, obs.ProgressObserver(progressFn))}
-			if plus {
-				res, initial, err = htp.GFMPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			} else {
-				res, err = htp.GFMCtx(ctx, h, spec, opt)
-				if res != nil {
-					initial = res.Cost
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown algorithm %q", *algo)
-		}
-	}
-	// Flat solvers get flow refinement as a post-pass over the final result
-	// (the multilevel path runs it inside uncoarsening instead).
-	if err == nil && *flowRef && !*ml && res != nil && res.Partition != nil {
-		var frerr error
-		res.Cost, _, _, frerr = htp.FlowRefineCtx(ctx, res.Partition, htp.FlowRefineOptions{
-			Seed:     *seed,
-			Workers:  *workers,
-			Certify:  verify.Certifier(),
-			Observer: observer,
+	} else {
+		// Flat: the constructor, FM for "+", then flow refinement (seeded
+		// with the run seed) as the pipeline's last step.
+		res, initial, err = htp.PipelineCtx(ctx, h, spec, htp.Pipeline{
+			Algo:       *algo,
+			Seed:       *seed,
+			Flow:       htp.FlowOptions{Iterations: *iters, PartitionsPerMetric: *perMetric, Inject: inject.Options{Workers: *workers}},
+			FlowRefine: flowRefine,
+			Observer:   observer,
+			Progress:   progressFn,
 		})
-		if frerr != nil {
-			err = frerr
-		}
 	}
 	if *progress {
 		fmt.Fprint(os.Stderr, "\n") // terminate the live line before results

@@ -22,11 +22,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/circuits"
-	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -199,6 +197,7 @@ func checkSuite(ctx context.Context, quick bool, seed int64, iters, workers int)
 // the multilevel V-cycle with its own coarse-stage iteration defaults; "mlf"
 // is "ml" plus the flow-based pairwise refinement stage on the finest level,
 // with every accepted move batch re-certified in-line by internal/verify.
+// Every other name is a flat pipeline.
 func solve(ctx context.Context, algo string, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, iters, workers int) (*htp.Result, error) {
 	if algo == "ml" || algo == "mlf" {
 		mo := htp.MultilevelOptions{Seed: seed, Workers: workers}
@@ -208,32 +207,9 @@ func solve(ctx context.Context, algo string, h *hypergraph.Hypergraph, spec hier
 		}
 		return htp.MultilevelCtx(ctx, h, spec, mo)
 	}
-	base := strings.TrimSuffix(algo, "+")
-	plus := strings.HasSuffix(algo, "+")
-	switch base {
-	case "flow":
-		opt := htp.FlowOptions{Iterations: iters, Seed: seed, Inject: inject.Options{Workers: workers}}
-		if plus {
-			res, _, err := htp.FlowPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			return res, err
-		}
-		return htp.FlowCtx(ctx, h, spec, opt)
-	case "rfm":
-		opt := htp.RFMOptions{Seed: seed}
-		if plus {
-			res, _, err := htp.RFMPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			return res, err
-		}
-		return htp.RFMCtx(ctx, h, spec, opt)
-	case "gfm":
-		opt := htp.GFMOptions{Seed: seed}
-		if plus {
-			res, _, err := htp.GFMPlusCtx(ctx, h, spec, opt, fm.RefineOptions{})
-			return res, err
-		}
-		return htp.GFMCtx(ctx, h, spec, opt)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", algo)
+	res, _, err := htp.PipelineCtx(ctx, h, spec, htp.Pipeline{Algo: algo, Seed: seed,
+		Flow: htp.FlowOptions{Iterations: iters, Inject: inject.Options{Workers: workers}}})
+	return res, err
 }
 
 func fatal(err error) {

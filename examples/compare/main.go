@@ -5,9 +5,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"repro"
@@ -38,9 +40,15 @@ func main() {
 	fmt.Printf("spreading metric: LP value %.1f; %d injections over %d rounds (converged=%v)\n\n",
 		m.Value(), stats.Injections, stats.Rounds, stats.Converged)
 
-	run := func(name string, f func() (*repro.Result, float64, error)) {
+	// Each variant is one pipeline: a constructor, plus the FM step for "+".
+	for i, algo := range []string{"gfm", "rfm", "flow", "gfm+", "rfm+", "flow+"} {
+		if i == 3 {
+			fmt.Println()
+		}
+		name := strings.ToUpper(algo)
 		t0 := time.Now()
-		res, initial, err := f()
+		res, initial, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{
+			Algo: algo, Seed: *seed, Flow: repro.FlowOptions{Iterations: 4}})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
@@ -55,36 +63,4 @@ func main() {
 			fmt.Printf("%-6s cost %7.0f  %38s %5.2fs\n", name, res.Cost, "", el)
 		}
 	}
-
-	run("GFM", func() (*repro.Result, float64, error) {
-		r, err := repro.GFM(h, spec, repro.GFMOptions{Seed: *seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, r.Cost, nil
-	})
-	run("RFM", func() (*repro.Result, float64, error) {
-		r, err := repro.RFM(h, spec, repro.RFMOptions{Seed: *seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, r.Cost, nil
-	})
-	run("FLOW", func() (*repro.Result, float64, error) {
-		r, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: *seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, r.Cost, nil
-	})
-	fmt.Println()
-	run("GFM+", func() (*repro.Result, float64, error) {
-		return repro.GFMPlus(h, spec, repro.GFMOptions{Seed: *seed}, repro.RefineOptions{})
-	})
-	run("RFM+", func() (*repro.Result, float64, error) {
-		return repro.RFMPlus(h, spec, repro.RFMOptions{Seed: *seed}, repro.RefineOptions{})
-	})
-	run("FLOW+", func() (*repro.Result, float64, error) {
-		return repro.FlowPlus(h, spec, repro.FlowOptions{Iterations: 4, Seed: *seed}, repro.RefineOptions{})
-	})
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/anytime"
 	"repro/internal/circuits"
+	"repro/internal/flowrefine"
 	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
@@ -41,12 +42,12 @@ import (
 
 // ---- Anytime contract (internal/anytime) ----
 //
-// Every solver has a *Ctx variant taking a context.Context. When the
-// context is cancelled or its deadline passes, iterative solvers return the
-// best valid partition found so far — Result.Stop records why the run
-// ended — and error (wrapping ErrNoPartition) only when nothing valid
-// exists yet. The context-free entry points delegate to
-// context.Background().
+// Every solver has a *Ctx variant taking a context.Context; PipelineCtx
+// has only that form. When the context is cancelled or its deadline
+// passes, iterative solvers return the best valid partition found so far
+// — Result.Stop records why the run ended — and error (wrapping
+// ErrNoPartition) only when nothing valid exists yet. The context-free
+// entry points delegate to context.Background().
 
 // StopReason records why a solver run ended.
 type StopReason = anytime.Stop
@@ -78,8 +79,8 @@ var (
 // ---- Telemetry (internal/obs) ----
 //
 // Every solver option struct (FlowOptions, InjectOptions, RFMOptions,
-// GFMOptions, RefineOptions, TreeMapOptions) carries an Observer field;
-// FlowOptions additionally takes a ProgressFunc. Telemetry is observe-only
+// GFMOptions, RefineOptions, TreeMapOptions, Pipeline) carries an Observer
+// field; FlowOptions and Pipeline additionally take a ProgressFunc. Telemetry is observe-only
 // and zero-cost when disabled: with a nil Observer the solvers pay one nil
 // check per round and allocate nothing, and attaching one cannot change
 // any computed result. Runs also tick expvar process counters —
@@ -221,16 +222,18 @@ func FlowCtx(ctx context.Context, h *Hypergraph, spec Spec, opt FlowOptions) (*R
 	return htp.FlowCtx(ctx, h, spec, opt)
 }
 
-// FlowPlus is Flow followed by FM refinement (the paper's FLOW+); it also
-// returns the pre-refinement cost.
-func FlowPlus(h *Hypergraph, spec Spec, opt FlowOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.FlowPlus(h, spec, opt, ref)
-}
+// Pipeline is the construct-then-refine composition: a constructor named
+// as the CLIs name it ("flow", "rfm" or "gfm"; a "+" suffix adds the
+// hierarchical FM refinement of the paper's Table 3), then, when
+// FlowRefine is set, flow-based pairwise refinement.
+type Pipeline = htp.Pipeline
 
-// FlowPlusCtx is FlowPlus under a context; an interrupted refinement keeps
-// the best cost reached.
-func FlowPlusCtx(ctx context.Context, h *Hypergraph, spec Spec, opt FlowOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.FlowPlusCtx(ctx, h, spec, opt, ref)
+// PipelineCtx runs a Pipeline and returns the result together with the
+// constructed (pre-refinement) cost. The whole run traces as one span with
+// exactly one terminal stop carrying the final cost; cancellation during
+// refinement keeps the best cost reached.
+func PipelineCtx(ctx context.Context, h *Hypergraph, spec Spec, p Pipeline) (*Result, float64, error) {
+	return htp.PipelineCtx(ctx, h, spec, p)
 }
 
 // BuildFromMetric runs the metric-guided top-down construction alone
@@ -250,7 +253,7 @@ func BuildFromMetricCtx(ctx context.Context, h *Hypergraph, spec Spec, m *Spread
 	return htp.BuildCtx(ctx, h, spec, m.D, opt)
 }
 
-// RFM runs the top-down recursive FM baseline; RFMPlus adds refinement.
+// RFM runs the top-down recursive FM baseline.
 func RFM(h *Hypergraph, spec Spec, opt RFMOptions) (*Result, error) {
 	return htp.RFM(h, spec, opt)
 }
@@ -260,17 +263,7 @@ func RFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt RFMOptions) (*Res
 	return htp.RFMCtx(ctx, h, spec, opt)
 }
 
-// RFMPlus is RFM followed by FM refinement (RFM+).
-func RFMPlus(h *Hypergraph, spec Spec, opt RFMOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.RFMPlus(h, spec, opt, ref)
-}
-
-// RFMPlusCtx is RFMPlus under a context.
-func RFMPlusCtx(ctx context.Context, h *Hypergraph, spec Spec, opt RFMOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.RFMPlusCtx(ctx, h, spec, opt, ref)
-}
-
-// GFM runs the bottom-up grouping baseline; GFMPlus adds refinement.
+// GFM runs the bottom-up grouping baseline.
 func GFM(h *Hypergraph, spec Spec, opt GFMOptions) (*Result, error) {
 	return htp.GFM(h, spec, opt)
 }
@@ -280,23 +273,9 @@ func GFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt GFMOptions) (*Res
 	return htp.GFMCtx(ctx, h, spec, opt)
 }
 
-// GFMPlus is GFM followed by FM refinement (GFM+).
-func GFMPlus(h *Hypergraph, spec Spec, opt GFMOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.GFMPlus(h, spec, opt, ref)
-}
-
-// GFMPlusCtx is GFMPlus under a context.
-func GFMPlusCtx(ctx context.Context, h *Hypergraph, spec Spec, opt GFMOptions, ref RefineOptions) (*Result, float64, error) {
-	return htp.GFMPlusCtx(ctx, h, spec, opt, ref)
-}
-
 // MultilevelOptions tunes the multilevel V-cycle: coarsening, the
 // coarse-level construction strategy, and per-level refinement.
 type MultilevelOptions = htp.MultilevelOptions
-
-// CoarseStage is the pluggable coarse-level constructor of the multilevel
-// pipeline; FLOW, RFM, GFM and custom constructors all fit.
-type CoarseStage = htp.CoarseStage
 
 // Multilevel runs the multilevel V-cycle — deterministic heavy-edge
 // coarsening, a coarse-level construction by the configured strategy
@@ -328,10 +307,10 @@ func RefineCtx(ctx context.Context, p *Partition, opt RefineOptions) (cost, impr
 // FlowRefineOptions tunes flow-based pairwise refinement; see
 // internal/flowrefine for the corridor construction, acceptance rule, and
 // determinism contract.
-type FlowRefineOptions = htp.FlowRefineOptions
+type FlowRefineOptions = flowrefine.Options
 
 // FlowRefineStats reports what a flow refinement run did.
-type FlowRefineStats = htp.FlowRefineStats
+type FlowRefineStats = flowrefine.Stats
 
 // FlowRefine improves a partition in place by flow-based pairwise
 // refinement: adjacent block pairs are re-cut with corridor min-cuts, and
@@ -350,7 +329,7 @@ func FlowRefineCtx(ctx context.Context, p *Partition, opt FlowRefineOptions) (co
 	if opt.Certify == nil {
 		opt.Certify = verify.Certifier()
 	}
-	return htp.FlowRefineCtx(ctx, p, opt)
+	return flowrefine.RefineCtx(ctx, p, opt)
 }
 
 // ---- Spreading metrics and bounds (internal/metric, internal/inject) ----

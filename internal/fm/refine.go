@@ -18,7 +18,7 @@ type RefineOptions struct {
 	Rng *rand.Rand
 	// Observer receives one refine-pass event per pass (cost after the
 	// pass) and a terminal "refine" span with the total elapsed time. The
-	// *Plus solvers forward their run observer here automatically. Nil
+	// "+" pipelines (htp.Pipeline) forward their run observer here. Nil
 	// disables telemetry at zero cost.
 	Observer obs.Observer
 	// Span nests the refinement's events in the caller's span tree (one

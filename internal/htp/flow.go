@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/anytime"
-	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/hypergraph"
 	"repro/internal/inject"
@@ -439,50 +438,4 @@ func salvageBuild(out *flowIterOut, h *hypergraph.Hypergraph, spec hierarchy.Spe
 		return
 	}
 	out.partition, out.cost = p, p.Cost()
-}
-
-// FlowPlus runs Flow and then the FM-based hierarchical refinement of [9]
-// (the paper's FLOW+). It returns the refined result plus the pre-refinement
-// cost for improvement reporting.
-func FlowPlus(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	return FlowPlusCtx(context.Background(), h, spec, opt, ref)
-}
-
-// FlowPlusCtx is FlowPlus under a context. Refinement is itself anytime —
-// it improves the partition in place and every intermediate state is valid
-// — so an interrupted refinement simply returns the best cost reached.
-func FlowPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	// The composed run owns the terminal stop: the constructive stage's own
-	// stop is suppressed and one stop is emitted after refinement, keeping
-	// the exactly-one-stop-last trace contract for "+" runs too.
-	sink := obs.Multi(opt.Observer, obs.ProgressObserver(opt.Progress))
-	var scope obs.SpanScope
-	scope, sink = opt.Span.Enter(sink)
-	var start time.Time
-	if sink != nil {
-		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
-		opt.Progress = nil
-		opt.Span = scope // constructive stage nests under the "+" run span
-	}
-	res, err := FlowCtx(ctx, h, spec, opt)
-	if err != nil {
-		emitStop(sink, "error", 0, start, err)
-		return nil, 0, err
-	}
-	initial := res.Cost
-	if ref.Rng == nil {
-		ref.Rng = rand.New(rand.NewSource(opt.withDefaults().Seed + 7))
-	}
-	if ref.Observer == nil {
-		ref.Observer = sink
-		ref.Span = scope
-	}
-	cost, _ := fm.RefineHierarchicalCtx(ctx, res.Partition, ref)
-	res.Cost = cost
-	if stop := anytime.FromContext(ctx); stop != "" {
-		res.Stop = stop
-	}
-	emitStop(sink, string(res.Stop), res.Cost, start, nil)
-	return res, initial, nil
 }

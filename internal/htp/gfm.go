@@ -22,8 +22,8 @@ type GFMOptions struct {
 	// FM forwards options to the bottom-level bisection.
 	FM fm.BiOptions
 	// Observer receives gfm-bisect/gfm-merge span, build-done, and
-	// terminal stop trace events (see internal/obs); GFMPlus forwards it
-	// to refinement. Nil disables telemetry at zero cost.
+	// terminal stop trace events (see internal/obs). Nil disables
+	// telemetry at zero cost.
 	Observer obs.Observer
 	// Span nests the run's events in the caller's span tree (one span
 	// for the whole GFM run). Zero value is fine.
@@ -321,44 +321,4 @@ func greedyMerge(ctx context.Context, h *hypergraph.Hypergraph, groups []gfmGrou
 		newGroupOf[v] = remap[find(groupOf[v])]
 	}
 	return out, newGroupOf, nil
-}
-
-// GFMPlus is GFM followed by the hierarchical FM refinement (GFM+).
-func GFMPlus(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt GFMOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	return GFMPlusCtx(context.Background(), h, spec, opt, ref)
-}
-
-// GFMPlusCtx is GFMPlus under a context; an interrupted refinement returns
-// the best cost reached (every intermediate refinement state is valid).
-func GFMPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt GFMOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	// The composed run owns the terminal stop (see FlowPlusCtx).
-	sink := opt.Observer
-	var scope obs.SpanScope
-	scope, sink = opt.Span.Enter(sink)
-	var start time.Time
-	if sink != nil {
-		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
-		opt.Span = scope
-	}
-	res, err := GFMCtx(ctx, h, spec, opt)
-	if err != nil {
-		emitStop(sink, "error", 0, start, err)
-		return nil, 0, err
-	}
-	initial := res.Cost
-	if ref.Rng == nil {
-		ref.Rng = rand.New(rand.NewSource(opt.Seed + 7))
-	}
-	if ref.Observer == nil {
-		ref.Observer = sink
-		ref.Span = scope
-	}
-	cost, _ := fm.RefineHierarchicalCtx(ctx, res.Partition, ref)
-	res.Cost = cost
-	if stop := anytime.FromContext(ctx); stop != "" {
-		res.Stop = stop
-	}
-	emitStop(sink, string(res.Stop), res.Cost, start, nil)
-	return res, initial, nil
 }

@@ -1,6 +1,7 @@
 package htp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,21 +9,11 @@ import (
 
 	"repro/internal/anytime"
 	"repro/internal/flowrefine"
-	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/hypergraph"
 	"repro/internal/multilevel"
 	"repro/internal/obs"
 )
-
-// CoarseStage constructs a hierarchical partition of the (coarsest-level)
-// hypergraph. It is the pluggable "construct at level L" stage of the
-// multilevel pipeline: FLOW, RFM, GFM and their "+" variants all fit this
-// signature, as does any custom constructor. The stage must honour ctx and
-// follow the anytime Result contract; its Observer events flow into the
-// multilevel run's trace (terminal stops suppressed — the composed run
-// emits its own).
-type CoarseStage func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error)
 
 // MultilevelOptions tunes the V-cycle: coarsening, the coarse-level
 // construction strategy, and per-level refinement on the way back down.
@@ -34,11 +25,12 @@ type MultilevelOptions struct {
 	// min(totalSize/CoarsenTarget, (C_0+1)/2) — clusters stay well under
 	// the leaf capacity so the coarse instance keeps packing freedom.
 	MaxClusterSize int64
-	// Strategy names the coarse-level constructor: "flow" (default),
-	// "flow+", "rfm", "rfm+", "gfm", or "gfm+". Ignored when Stage is set.
+	// Strategy names the coarse-level constructor as Pipeline.Algo does:
+	// "flow" (default), "flow+", "rfm", "rfm+", "gfm", or "gfm+". The "+"
+	// variants run the hierarchical FM step on the coarsest level before
+	// uncoarsening begins — cheap there, and it hands the descent a better
+	// starting point.
 	Strategy string
-	// Stage overrides Strategy with a custom coarse-level constructor.
-	Stage CoarseStage
 	// Flow / RFM / GFM forward options to the corresponding strategy. A
 	// zero Seed is replaced by the run Seed; Observer/Progress fields are
 	// overridden by the run's sink.
@@ -53,11 +45,12 @@ type MultilevelOptions struct {
 	// FlowRefine never costs more than the same run without it.
 	FlowRefine bool
 	// FlowRefineOpt tunes the flow-refine stage when FlowRefine is set.
-	// Zero fields are defaulted; Seed defaults to the run Seed (+29),
-	// Workers to the run Workers, and Observer/Span to the run's sink and
-	// uncoarsen span. Callers that want each accepted move batch
-	// re-certified set Certify (internal/verify's Certifier does this for
-	// every wired CLI/server path).
+	// Zero fields are defaulted; Seed defaults to the uncoarsening seed
+	// (the run Seed + 11) + 29 and Workers to the run Workers. Observer and
+	// Span are the run's: the stage traces as a sibling of uncoarsen.
+	// Callers that want each accepted move batch re-certified set Certify
+	// (internal/verify's Certifier does this for every wired CLI/server
+	// path).
 	FlowRefineOpt flowrefine.Options
 	// Workers parallelizes the coarsener's rating phase. Results are
 	// bit-identical at any value. It is deliberately NOT forwarded to
@@ -76,9 +69,10 @@ type MultilevelOptions struct {
 	// Progress mirrors FlowOptions.Progress.
 	Progress obs.ProgressFunc
 	// Span nests the run's events in the caller's span tree: the V-cycle
-	// enters one run span with coarsen/construct/uncoarsen child spans,
-	// per-level spans below those, and the coarse strategy's own tree
-	// below construct. Zero value is fine.
+	// enters one run span with coarsen/construct/uncoarsen (and, with
+	// FlowRefine, flow-refine) child spans, per-level spans below those,
+	// and the coarse strategy's own tree below construct. Zero value is
+	// fine.
 	Span obs.SpanScope
 }
 
@@ -98,60 +92,26 @@ func (o MultilevelOptions) withDefaults() MultilevelOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
+	// The coarse graph has few nodes but — on netlists with long-range
+	// connections — its net count still grows with the fine instance:
+	// cross-links never become intra-cluster, so every shortest-path tree
+	// costs O(fine pins). The flat defaults (4 metric+build cycles, metric
+	// run to convergence) multiply that by a large, n-dependent round
+	// count. The coarse FLOW stage instead computes ONE metric with a
+	// bounded sweep budget and amortizes it over two partition
+	// constructions; uncoarsening refinement recovers more than extra
+	// metric precision buys. Measured at n=65536 this is 2.4x faster than
+	// two converged cycles with ~35% better final cost.
+	if o.Flow.Iterations == 0 {
+		o.Flow.Iterations = 1
+		if o.Flow.PartitionsPerMetric == 0 {
+			o.Flow.PartitionsPerMetric = 2
+		}
+	}
+	if o.Flow.Inject.MaxRounds == 0 {
+		o.Flow.Inject.MaxRounds = 24
+	}
 	return o
-}
-
-// stage resolves the coarse-level constructor. The "+" variants run the
-// full-sweep hierarchical FM refinement on the coarsest level before
-// uncoarsening begins — cheap there, and it hands the descent a better
-// starting point.
-func (o MultilevelOptions) stage() (CoarseStage, error) {
-	if o.Stage != nil {
-		return o.Stage, nil
-	}
-	refOpt := func() fm.RefineOptions { return fm.RefineOptions{} }
-	switch o.Strategy {
-	case "flow":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			fo := o.Flow
-			fo.Observer, fo.Progress = observer, nil
-			return FlowCtx(ctx, h, spec, fo)
-		}, nil
-	case "flow+":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			fo := o.Flow
-			fo.Observer, fo.Progress = observer, nil
-			res, _, err := FlowPlusCtx(ctx, h, spec, fo, refOpt())
-			return res, err
-		}, nil
-	case "rfm":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			ro := o.RFM
-			ro.Observer = observer
-			return RFMCtx(ctx, h, spec, ro)
-		}, nil
-	case "rfm+":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			ro := o.RFM
-			ro.Observer = observer
-			res, _, err := RFMPlusCtx(ctx, h, spec, ro, refOpt())
-			return res, err
-		}, nil
-	case "gfm":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			gg := o.GFM
-			gg.Observer = observer
-			return GFMCtx(ctx, h, spec, gg)
-		}, nil
-	case "gfm+":
-		return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			gg := o.GFM
-			gg.Observer = observer
-			res, _, err := GFMPlusCtx(ctx, h, spec, gg, refOpt())
-			return res, err
-		}, nil
-	}
-	return nil, fmt.Errorf("htp: unknown multilevel strategy %q: %w", o.Strategy, anytime.ErrInvalidSpec)
 }
 
 // Multilevel runs the multilevel V-cycle: coarsen h with deterministic
@@ -192,7 +152,10 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 				v, h.NodeSize(hypergraph.NodeID(v)), spec.Capacity[0], anytime.ErrOversizedNode)
 		}
 	}
-	stage, err := opt.stage()
+	// The coarse stage is the flat pipeline without flow refinement, which
+	// runs on the finest level instead, after uncoarsening.
+	construct, steps, err := Pipeline{Algo: opt.Strategy, Seed: opt.Seed,
+		Flow: opt.Flow, RFM: opt.RFM, GFM: opt.GFM}.stages()
 	if err != nil {
 		return nil, err
 	}
@@ -247,42 +210,8 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 	}
 
 	// Coarse-level construction. The strategy traces into the run's sink
-	// with its terminal stop suppressed; the composed run emits exactly one
-	// stop, after uncoarsening.
-	if opt.Strategy == "flow" || opt.Strategy == "flow+" {
-		if opt.Flow.Seed == 0 {
-			opt.Flow.Seed = opt.Seed
-		}
-		// The coarse graph has few nodes but — on netlists with long-range
-		// connections — its net count still grows with the fine instance:
-		// cross-links never become intra-cluster, so every shortest-path
-		// tree costs O(fine pins). The flat defaults (4 metric+build
-		// cycles, metric run to convergence) multiply that by a large,
-		// n-dependent round count. The coarse stage instead computes ONE
-		// metric with a bounded sweep budget and amortizes it over two
-		// partition constructions; uncoarsening refinement recovers more
-		// than extra metric precision buys. Measured at n=65536 this is
-		// 2.4x faster than two converged cycles with ~35% better final
-		// cost.
-		if opt.Flow.Iterations == 0 {
-			opt.Flow.Iterations = 1
-			if opt.Flow.PartitionsPerMetric == 0 {
-				opt.Flow.PartitionsPerMetric = 2
-			}
-		}
-		if opt.Flow.Inject.MaxRounds == 0 {
-			opt.Flow.Inject.MaxRounds = 24
-		}
-	}
-	if (opt.Strategy == "rfm" || opt.Strategy == "rfm+") && opt.RFM.Seed == 0 {
-		opt.RFM.Seed = opt.Seed
-	}
-	if (opt.Strategy == "gfm" || opt.Strategy == "gfm+") && opt.GFM.Seed == 0 {
-		opt.GFM.Seed = opt.Seed
-	}
-	// The construct phase owns one child span; the strategy's own span tree
-	// nests below it (its Options.Span must be set BEFORE the stage closure
-	// re-resolves and captures the receiver copy).
+	// with its terminal stop suppressed, nested under the construct span;
+	// the composed run emits exactly one stop, after flow refinement.
 	var st0 time.Time
 	var constructSpan obs.SpanID
 	if sink != nil {
@@ -290,12 +219,6 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 		constructSpan = scope.Mint()
 	}
 	stageScope := obs.SpanScope{Ctx: scope.Ctx, Parent: constructSpan}
-	opt.Flow.Span, opt.RFM.Span, opt.GFM.Span = stageScope, stageScope, stageScope
-	if opt.Stage != nil {
-		stage = opt.Stage
-	} else if stage, err = opt.stage(); err != nil {
-		return nil, err
-	}
 	// Packing infeasibility at the coarsest level is survivable: cluster
 	// sizes there can form subset-sum instances that no carve resolves even
 	// with the builder's retry/backtrack pass. Every level finer roughly
@@ -304,10 +227,8 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 	// spec is feasible at all — so on a non-cancellation construction
 	// failure the engine drops the coarsest level and re-runs the stage one
 	// level finer. Uncoarsening then starts from whatever level solved.
-	// stageObs tags anything the strategy leaves unstamped (custom Stage
-	// implementations without span support) with the construct span.
-	stageObs := obs.WithSpan(obs.SuppressStop(sink), constructSpan, scope.Parent)
-	res, err := stage(ctx, stack.Coarsest(), spec, stageObs)
+	stageObs := obs.SuppressStop(sink)
+	res, _, err := compose(ctx, stack.Coarsest(), spec, construct, steps, stageObs, stageScope)
 	for err != nil && errors.Is(err, anytime.ErrNoPartition) && ctx.Err() == nil && len(stack.Levels) > 0 {
 		stack.Levels = stack.Levels[:len(stack.Levels)-1]
 		if sink != nil {
@@ -315,7 +236,7 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 				Active: stack.Coarsest().NumNodes(),
 				Detail: "coarsest level unpackable; retrying one level finer"})
 		}
-		res, err = stage(ctx, stack.Coarsest(), spec, stageObs)
+		res, _, err = compose(ctx, stack.Coarsest(), spec, construct, steps, stageObs, stageScope)
 	}
 	if err != nil {
 		emitStop(sink, "error", 0, start, err)
@@ -334,20 +255,12 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 		ut0 = time.Now()
 		uncoarsenSpan = scope.Mint()
 	}
-	uopt := multilevel.UncoarsenOptions{
+	p, cost, salvagedLevels, err := stack.Uncoarsen(ctx, res.Partition, res.Cost, multilevel.UncoarsenOptions{
 		MaxPasses: opt.RefinePasses,
 		Seed:      opt.Seed + 11,
 		Observer:  sink,
 		Span:      obs.SpanScope{Ctx: scope.Ctx, Parent: uncoarsenSpan},
-	}
-	if opt.FlowRefine {
-		fr := opt.FlowRefineOpt
-		if fr.Workers == 0 {
-			fr.Workers = opt.Workers
-		}
-		uopt.FlowRefine = &fr
-	}
-	p, cost, salvagedLevels, err := stack.Uncoarsen(ctx, res.Partition, res.Cost, uopt)
+	})
 	if err != nil {
 		emitStop(sink, "error", 0, start, err)
 		return nil, err
@@ -362,6 +275,19 @@ func MultilevelCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 		if sink != nil {
 			obs.Emit(sink, obs.Event{Kind: obs.KindSalvage, Salvaged: true, Cost: cost,
 				Detail: fmt.Sprintf("%d level(s) projected without refinement", salvagedLevels)})
+		}
+	}
+	// Flow refinement runs once, on the finest level, after the FM descent:
+	// the descent costs what the FM-only V-cycle costs, and the step only
+	// accepts batches that lower the exact hierarchical cost, so the result
+	// is never worse than FM-only uncoarsening with the same options.
+	if opt.FlowRefine && ctx.Err() == nil {
+		fr := opt.FlowRefineOpt
+		fr.Seed = cmp.Or(fr.Seed, opt.Seed+11+29)
+		fr.Workers = cmp.Or(fr.Workers, opt.Workers)
+		if cost, err = flowRefineStep(fr)(ctx, p, sink, scope); err != nil {
+			emitStop(sink, "error", 0, start, err)
+			return nil, err
 		}
 	}
 

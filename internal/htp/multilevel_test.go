@@ -112,32 +112,6 @@ func TestMultilevelStrategies(t *testing.T) {
 	}
 }
 
-// TestMultilevelCustomStage: the pluggable stage seam accepts an arbitrary
-// constructor.
-func TestMultilevelCustomStage(t *testing.T) {
-	in := multilevelInstance(t)
-	called := 0
-	res, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{
-		CoarsenTarget: 64, Seed: 5,
-		Stage: func(ctx context.Context, ch *hypergraph.Hypergraph, spec hierarchy.Spec, observer obs.Observer) (*Result, error) {
-			called++
-			if ch.NumNodes() >= in.h.NumNodes() {
-				t.Errorf("stage saw %d nodes, want coarsened below %d", ch.NumNodes(), in.h.NumNodes())
-			}
-			return GFMCtx(ctx, ch, spec, GFMOptions{Seed: 2, Observer: observer})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called != 1 {
-		t.Fatalf("stage called %d times", called)
-	}
-	if err := res.Partition.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMultilevelAnytime: a pre-expired context fails with ErrNoPartition;
 // a deadline landing mid-run either fails the same way or returns a valid
 // best-so-far partition with the deadline stop reason.

@@ -23,8 +23,7 @@ type RFMOptions struct {
 	// FixedLB mirrors BuildOptions.FixedLB.
 	FixedLB bool
 	// Observer receives build-done and terminal stop trace events (see
-	// internal/obs); RFMPlus forwards it to refinement. Nil disables
-	// telemetry at zero cost.
+	// internal/obs). Nil disables telemetry at zero cost.
 	Observer obs.Observer
 	// Span nests the run's events in the caller's span tree (one span
 	// for the whole RFM run). Zero value is fine.
@@ -82,46 +81,6 @@ func RFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 		emitStop(opt.Observer, string(res.Stop), res.Cost, t0, nil)
 	}
 	return res, nil
-}
-
-// RFMPlus is RFM followed by the hierarchical FM refinement (RFM+).
-func RFMPlus(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt RFMOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	return RFMPlusCtx(context.Background(), h, spec, opt, ref)
-}
-
-// RFMPlusCtx is RFMPlus under a context; an interrupted refinement returns
-// the best cost reached (every intermediate refinement state is valid).
-func RFMPlusCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt RFMOptions, ref fm.RefineOptions) (*Result, float64, error) {
-	// The composed run owns the terminal stop (see FlowPlusCtx).
-	sink := opt.Observer
-	var scope obs.SpanScope
-	scope, sink = opt.Span.Enter(sink)
-	var start time.Time
-	if sink != nil {
-		start = time.Now()
-		opt.Observer = obs.SuppressStop(sink)
-		opt.Span = scope
-	}
-	res, err := RFMCtx(ctx, h, spec, opt)
-	if err != nil {
-		emitStop(sink, "error", 0, start, err)
-		return nil, 0, err
-	}
-	initial := res.Cost
-	if ref.Rng == nil {
-		ref.Rng = rand.New(rand.NewSource(opt.Seed + 7))
-	}
-	if ref.Observer == nil {
-		ref.Observer = sink
-		ref.Span = scope
-	}
-	cost, _ := fm.RefineHierarchicalCtx(ctx, res.Partition, ref)
-	res.Cost = cost
-	if stop := anytime.FromContext(ctx); stop != "" {
-		res.Stop = stop
-	}
-	emitStop(sink, string(res.Stop), res.Cost, start, nil)
-	return res, initial, nil
 }
 
 // fmCarve separates a node set of size within [lb..ub] by seeding a region,

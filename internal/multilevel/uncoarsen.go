@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/flowrefine"
 	"repro/internal/fm"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
@@ -18,14 +17,6 @@ type UncoarsenOptions struct {
 	MaxPasses int
 	// Seed derives the per-level refinement orders. Default 1.
 	Seed int64
-	// FlowRefine, when non-nil, runs flow-based pairwise refinement on the
-	// finest level after the FM descent completes. Running it last — rather
-	// than per level — keeps the descent cost identical to the FM-only
-	// pipeline and makes the flow stage monotone: flowrefine only accepts
-	// batches that lower the exact hierarchical cost, so the result is
-	// never worse than FM-only uncoarsening with the same options. A nil
-	// Seed/Observer/Span inside are defaulted from this struct's.
-	FlowRefine *flowrefine.Options
 	// Observer receives the per-level KindLevel events and the refinement
 	// trace (refine-pass events, refine-boundary spans). Nil disables
 	// telemetry at zero cost.
@@ -123,23 +114,6 @@ func (s *Stack) Uncoarsen(ctx context.Context, cp *hierarchy.Partition, cost flo
 				Span: lvlSpan, Parent: opt.Span.Parent,
 				ElapsedMS: obs.Millis(time.Since(t0))})
 		}
-	}
-	if opt.FlowRefine != nil && ctx.Err() == nil {
-		fr := *opt.FlowRefine
-		if fr.Seed == 0 {
-			fr.Seed = opt.Seed + 29
-		}
-		if fr.Observer == nil {
-			fr.Observer = opt.Observer
-		}
-		if fr.Span == (obs.SpanScope{}) {
-			fr.Span = opt.Span
-		}
-		c, _, _, err := flowrefine.RefineCtx(ctx, p, fr)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		cost = c
 	}
 	return p, cost, salvaged, nil
 }

@@ -178,9 +178,10 @@ func (t iterTagger) Event(e Event) {
 }
 
 // SuppressStop filters terminal stop events out of the stream, forwarding
-// everything else to next. The "+" pipelines (FLOW+, RFM+, GFM+) wrap their
-// constructive stage with it and emit their own stop after refinement, so a
-// composed run still traces exactly one terminal stop, last. Returns nil
+// everything else to next. A construct-then-refine pipeline (htp.Pipeline)
+// wraps its constructor with it and emits its own stop after the last
+// refine step, so a composed run still traces exactly one terminal stop,
+// last. Returns nil
 // for a nil next so the disabled fast path survives wrapping.
 func SuppressStop(next Observer) Observer {
 	if next == nil {

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
-	"repro/internal/fm"
+	"repro/internal/flowrefine"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -141,8 +141,9 @@ func checkTraceInvariants(t *testing.T, events []obs.Event) {
 
 // TestTraceSchemaRoundTrip drives every solver shape through a JSONL sink
 // and re-decodes the traces. Across the runs — a converged FLOW run (both
-// schedules), a deadline-interrupted run with salvage, and a refined GFM+
-// run — every published event kind must appear at least once.
+// schedules), a deadline-interrupted run with salvage, a flow-refined
+// V-cycle, a refined GFM+ run and flat FLOW with flow refinement — every
+// published event kind must appear at least once.
 func TestTraceSchemaRoundTrip(t *testing.T) {
 	h, spec := schemaInstance(t)
 	seen := map[obs.Kind]bool{}
@@ -223,7 +224,7 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 	t.Run("multilevel", func(t *testing.T) {
 		events := collect(t, func(sink obs.Observer) float64 {
 			res, err := htp.MultilevelCtx(context.Background(), h, spec,
-				htp.MultilevelOptions{CoarsenTarget: 32, Seed: 3, Observer: sink})
+				htp.MultilevelOptions{CoarsenTarget: 32, Seed: 3, FlowRefine: true, Observer: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,6 +253,17 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 		if !levels {
 			t.Fatalf("no level events in multilevel trace: %v", kinds(events))
 		}
+		// Flow refinement is a V-cycle step of its own, after uncoarsening:
+		// both spans hang off the run span.
+		phaseParent := map[string]obs.SpanID{}
+		for _, e := range events {
+			if e.Kind == obs.KindSpan {
+				phaseParent[e.Phase] = e.Parent
+			}
+		}
+		if p, ok := phaseParent["flow-refine"]; !ok || p != phaseParent["uncoarsen"] {
+			t.Fatalf("flow-refine span parent %d (present %v), want uncoarsen's parent %d", p, ok, phaseParent["uncoarsen"])
+		}
 
 		// Pin the wire names: span identity serializes as "span"/"parent"
 		// and both are omitted when unset.
@@ -277,13 +289,40 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 
 	t.Run("gfm-plus", func(t *testing.T) {
 		collect(t, func(sink obs.Observer) float64 {
-			res, _, err := htp.GFMPlusCtx(context.Background(), h, spec,
-				htp.GFMOptions{Seed: 3, Observer: sink}, fm.RefineOptions{})
+			res, _, err := htp.PipelineCtx(context.Background(), h, spec,
+				htp.Pipeline{Algo: "gfm+", Seed: 3, Observer: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Cost
 		})
+	})
+
+	t.Run("flat-flow-refine", func(t *testing.T) {
+		// Flow refinement runs as the pipeline's last step, so its events
+		// come before the one stop and nest under the run's span.
+		events := collect(t, func(sink obs.Observer) float64 {
+			res, _, err := htp.PipelineCtx(context.Background(), h, spec,
+				htp.Pipeline{Algo: "flow", Seed: 3, Flow: htp.FlowOptions{Iterations: 2},
+					FlowRefine: &flowrefine.Options{}, Observer: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Cost
+		})
+		root := events[len(events)-1].Span
+		refined := false
+		for _, e := range events {
+			if e.Kind == obs.KindSpan && e.Phase == "flow-refine" {
+				refined = true
+				if e.Parent != root {
+					t.Fatalf("flow-refine span %d nests under %d, want the run span %d", e.Span, e.Parent, root)
+				}
+			}
+		}
+		if !refined {
+			t.Fatalf("no flow-refine span in trace: %v", kinds(events))
+		}
 	})
 
 	for _, k := range obs.Kinds {

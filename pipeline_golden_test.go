@@ -1,0 +1,118 @@
+// Golden pins for every solver variant the CLIs expose: the exact cost and
+// a fingerprint of the leaf assignment for gfm, rfm, flow, their "+"
+// forms, the V-cycle (ml) and the flow-refined V-cycle (mlf) on c1355 and
+// c2670, plus the two flat flow-refine routes htpart runs. The settings
+// are htpcheck -suite's with every worker count at 1, so the values do not
+// depend on the machine's CPU count. A change that moves one of these
+// numbers changes what the program computes and must re-pin it on purpose.
+package repro_test
+
+import (
+	"context"
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"repro"
+	"repro/internal/verify"
+)
+
+// leafFingerprint is the FNV-64a hash of LeafOf, four little-endian bytes
+// per node.
+func leafFingerprint(p *repro.Partition) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, leaf := range p.LeafOf {
+		buf[0], buf[1], buf[2], buf[3] = byte(leaf), byte(leaf>>8), byte(leaf>>16), byte(leaf>>24)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// solveVariant runs one variant the way htpcheck -suite (and, for the
+// "-flow-refine" routes, htpart) does, at seed 1 and one worker.
+func solveVariant(t *testing.T, variant string, h *repro.Hypergraph, spec repro.Spec) *repro.Result {
+	t.Helper()
+	ctx := context.Background()
+	var res *repro.Result
+	var err error
+	switch variant {
+	case "ml", "mlf":
+		mo := repro.MultilevelOptions{Seed: 1, Workers: 1}
+		if variant == "mlf" {
+			mo.FlowRefine = true
+			mo.FlowRefineOpt.Certify = verify.Certifier()
+		}
+		res, err = repro.MultilevelCtx(ctx, h, spec, mo)
+	default:
+		algo, _, flowRefine := strings.Cut(variant, " -flow-refine")
+		p := repro.Pipeline{Algo: algo, Seed: 1,
+			Flow: repro.FlowOptions{Iterations: 2, Inject: repro.InjectOptions{Workers: 1}}}
+		if flowRefine {
+			p.FlowRefine = &repro.FlowRefineOptions{Workers: 1, Certify: verify.Certifier()}
+		}
+		res, _, err = repro.PipelineCtx(ctx, h, spec, p)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", variant, err)
+	}
+	return res
+}
+
+func TestVariantsGolden(t *testing.T) {
+	type pin struct {
+		cost float64
+		hash uint64
+	}
+	golden := map[string]map[string]pin{
+		"c1355": {
+			"gfm":               {5872, 0x2a730b2309c3115},
+			"rfm":               {4086, 0x225a9d71a20892a1},
+			"flow":              {4040, 0x6f6278fb6cbed2af},
+			"gfm+":              {4245, 0xd41248a55b48c111},
+			"rfm+":              {3752, 0xcbbfed061c026be8},
+			"flow+":             {3591, 0xebfb650ca58417a2},
+			"ml":                {4173, 0xcb1fa59f2256a4da},
+			"mlf":               {4137, 0x19284b0f405baaa8},
+			"flow -flow-refine": {3984, 0xda2a572a10e78240},
+			"gfm+ -flow-refine": {4235, 0xdcdd1dcbb2cc57e0},
+		},
+		"c2670": {
+			"gfm":   {8462, 0x7d3d632aeab5fe83},
+			"rfm":   {5358, 0x8406b4a2bed446f},
+			"flow":  {8180, 0xe5ba964da1e1fc29},
+			"gfm+":  {6202, 0xce407e5d1790f8eb},
+			"rfm+":  {5044, 0x1a99c849898d4d2b},
+			"flow+": {7344, 0xd159608f370bb530},
+			"ml":    {7073, 0xc38b1717bc739155},
+			"mlf":   {7035, 0xd64b7beb743b931d},
+		},
+	}
+	for _, circuit := range []string{"c1355", "c2670"} {
+		cs, err := repro.CircuitByName(circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := repro.GenerateCircuit(cs, 1)
+		spec, err := repro.BinaryTreeSpec(h.TotalSize(), 4, repro.GeometricWeights(4, 2), 1.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, variant := range []string{"gfm", "rfm", "flow", "gfm+", "rfm+", "flow+", "ml", "mlf",
+			"flow -flow-refine", "gfm+ -flow-refine"} {
+			want, ok := golden[circuit][variant]
+			if !ok {
+				continue
+			}
+			res := solveVariant(t, variant, h, spec)
+			if rep := verify.Result(res); !rep.OK() {
+				t.Fatalf("%s/%s failed certification: %v", circuit, variant, rep.Err())
+			}
+			got := pin{res.Cost, leafFingerprint(res.Partition)}
+			if got != want {
+				t.Errorf("%s/%s: cost %.0f hash %#x, want cost %.0f hash %#x",
+					circuit, variant, got.cost, got.hash, want.cost, want.hash)
+			}
+		}
+	}
+}
