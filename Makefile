@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck race check bench bench-ml benchdiff bench-compile smoke-ml verify verify-quick loadtest chaos
+.PHONY: build test vet fmtcheck lint staticcheck race check bench bench-ml benchdiff bench-compile smoke-ml verify verify-quick loadtest chaos
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails listing every file (bench/ and testdata/ included) whose
+# formatting gofmt would change.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # htpvet: the project's own analyzers (internal/lint) machine-check the
 # solver invariants — seeded determinism, context threading, the
@@ -40,8 +45,9 @@ race:
 	$(GO) test -race -count=2 ./internal/maxflow/ ./internal/flowrefine/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Flow' ./internal/htp/
 
-# Full pre-merge gate: build, vet, htpvet, staticcheck, unit tests, race pass.
-check: build vet lint staticcheck test race
+# Full pre-merge gate: build, gofmt, vet, htpvet, staticcheck, unit tests,
+# race pass.
+check: build fmtcheck vet lint staticcheck test race
 
 # Service-level load profile: a client fleet saturates an in-process htpd
 # (queue deliberately smaller than the offered load) and asserts the
@@ -87,8 +93,11 @@ bench-ml:
 # and diff allocation counts against the committed baseline. allocs/op is
 # deterministic even at -benchtime=1x (where ns/op is pure noise), so the
 # tolerance is zero: any new allocation on the metric hot path fails.
+# GOMAXPROCS=1 keeps the -N suffix off the benchmark names, so they match
+# the committed ones on any CPU count (the metric's default is one worker);
+# benchdiff fails when it compared nothing.
 benchdiff:
-	$(GO) test -run=NONE -bench=Alg2Scaling -benchtime=1x -benchmem -timeout 900s . \
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench=Alg2Scaling -benchtime=1x -benchmem -timeout 900s . \
 		| $(GO) run ./cmd/benchjson -o /tmp/htp-bench-head.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -tolerance 0 BENCH_alg2.json /tmp/htp-bench-head.json
 

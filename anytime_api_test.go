@@ -89,6 +89,39 @@ func TestFacadeDeadlineBestSoFar(t *testing.T) {
 	}
 }
 
+// GFM's first phase, the recursive FM bisection, takes most of its run time,
+// so a deadline must stop the bisection itself: the service's gfm rung hands
+// GFMCtx a deadline and must not run on into the next rung's budget. A live
+// context leaves the result unchanged.
+func TestFacadeGFMDeadlineStopsBisection(t *testing.T) {
+	h := repro.GenerateCircuit(repro.ScaledCircuit(16384), 1)
+	spec, err := repro.BinaryTreeSpec(h.TotalSize(), 4, repro.GeometricWeights(4, 2), 1.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	res, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{})
+	full := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 249469 {
+		t.Fatalf("GFM cost %g, want 249469", res.Cost)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 = time.Now()
+	_, err = repro.GFMCtx(ctx, h, spec, repro.GFMOptions{})
+	bounded := time.Since(t0)
+	if !errors.Is(err, repro.ErrNoPartition) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrNoPartition and DeadlineExceeded", err)
+	}
+	if bounded >= full/2 {
+		t.Fatalf("GFMCtx under a 50ms deadline took %v, unbounded %v: want under half", bounded, full)
+	}
+}
+
 func TestFacadeErrorTaxonomy(t *testing.T) {
 	// Oversized node: one node bigger than C_0.
 	b := repro.NewNetlistBuilder()
@@ -103,7 +136,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := repro.ComputeSpreadingMetric(h, spec, repro.InjectOptions{}); !errors.Is(err, repro.ErrOversizedNode) {
+	if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{}); !errors.Is(err, repro.ErrOversizedNode) {
 		t.Fatalf("want ErrOversizedNode, got: %v", err)
 	}
 
@@ -117,7 +150,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	// Infeasible tree mapping: capacity short of the design size.
 	small := repro.NewHostTree([]int64{1, 1})
 	small.AddEdge(0, 1, 1)
-	if _, err := repro.MapOntoTree(h, small, repro.TreeMapOptions{}); !errors.Is(err, repro.ErrInfeasible) {
+	if _, err := repro.MapOntoTreeCtx(context.Background(), h, small, repro.TreeMapOptions{}); !errors.Is(err, repro.ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got: %v", err)
 	}
 }

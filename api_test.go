@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -24,7 +25,7 @@ func TestEndToEndFlowPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 2, Seed: 5})
+	res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestEndToEndFlowPipeline(t *testing.T) {
 	}
 	// Refinement must not worsen and must keep validity.
 	before := res.Cost
-	after, improvement := repro.Refine(res.Partition, repro.RefineOptions{})
+	after, improvement := repro.RefineCtx(context.Background(), res.Partition, repro.RefineOptions{})
 	if after > before+1e-9 || improvement < 0 {
 		t.Fatalf("refinement worsened: %g -> %g", before, after)
 	}
@@ -54,15 +55,15 @@ func TestAllAlgorithmsAgreeOnValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 1, Seed: 2})
+	flow, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rfm, err := repro.RFM(h, spec, repro.RFMOptions{Seed: 2})
+	rfm, err := repro.RFMCtx(context.Background(), h, spec, repro.RFMOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gfm, err := repro.GFM(h, spec, repro.GFMOptions{Seed: 2})
+	gfm, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAllAlgorithmsAgreeOnValidity(t *testing.T) {
 func TestFigure2EndToEnd(t *testing.T) {
 	h, spec, _ := repro.Figure2()
 	// The exact LP bound is tight at 20 on the worked example.
-	lb, err := repro.ExactLowerBound(h, spec, 0)
+	lb, err := repro.ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 		t.Fatalf("LP bound = %g (converged=%v), want tight 20", lb.Value, lb.Converged)
 	}
 	// FLOW reaches the certified optimum.
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
+	res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestLowerBoundCertifiesAllAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := repro.Spec{Capacity: []int64{4, 8}, Weight: []float64{1, 2}, Branch: []int{2, 2}}
-	lb, err := repro.ExactLowerBound(h, spec, 0)
+	lb, err := repro.ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 9})
+	res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +190,11 @@ func TestPolishedCutsAblationImprovesOrMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 2, Seed: 4})
+	plain, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	polished, err := repro.Flow(h, spec, repro.FlowOptions{
+	polished, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{
 		Iterations: 2, Seed: 4, Build: repro.BuildOptions{PolishCuts: true}})
 	if err != nil {
 		t.Fatal(err)

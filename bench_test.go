@@ -69,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 		spec := paperSpec(b, h)
 		b.Run("FLOW/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 1, Seed: int64(i + 1)})
+				res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 1, Seed: int64(i + 1)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func BenchmarkTable2(b *testing.B) {
 		})
 		b.Run("RFM/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := repro.RFM(h, spec, repro.RFMOptions{Seed: int64(i + 1)})
+				res, err := repro.RFMCtx(context.Background(), h, spec, repro.RFMOptions{Seed: int64(i + 1)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkTable2(b *testing.B) {
 		})
 		b.Run("GFM/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := repro.GFM(h, spec, repro.GFMOptions{Seed: int64(i + 1)})
+				res, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{Seed: int64(i + 1)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFigure2Flow(b *testing.B) {
 	h, spec, _ := repro.Figure2()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 1, Seed: int64(i + 1)})
+		res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 1, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkFigure2Flow(b *testing.B) {
 func BenchmarkFigure2LowerBound(b *testing.B) {
 	h, spec, _ := repro.Figure2()
 	for i := 0; i < b.N; i++ {
-		lb, err := repro.ExactLowerBound(h, spec, 0)
+		lb, err := repro.ExactLowerBoundCtx(context.Background(), h, spec, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 		spec := paperSpec(b, h)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := repro.ComputeSpreadingMetric(h, spec, repro.InjectOptions{}); err != nil {
+				if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -165,7 +165,7 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := repro.ComputeSpreadingMetric(h, spec, repro.InjectOptions{Workers: w}); err != nil {
+					if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -177,20 +177,20 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 // BenchmarkAlg3Scaling measures the top-down construction alone across
 // sizes (the §3.3 claim that Algorithm 3 is cheap, ~O((n+p) log n)): the
 // spreading metric is computed once outside the timed loop and every
-// iteration rebuilds the partition from it via BuildFromMetric.
+// iteration rebuilds the partition from it via BuildFromMetricCtx.
 func BenchmarkAlg3Scaling(b *testing.B) {
 	for _, n := range []int{128, 512, 2048} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			cs := repro.CircuitSpec{Name: "scale", Gates: n, PIs: n / 16, POs: n / 16}
 			h := repro.GenerateCircuit(cs, 1)
 			spec := paperSpec(b, h)
-			m, _, err := repro.ComputeSpreadingMetric(h, spec, repro.InjectOptions{})
+			m, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := repro.BuildFromMetric(h, spec, m, repro.BuildOptions{})
+				p, err := repro.BuildFromMetricCtx(context.Background(), h, spec, m, repro.BuildOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -212,7 +212,7 @@ func BenchmarkFlowSchedule(b *testing.B) {
 		b.Run(fmt.Sprintf("c7552/procs%d", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1,
+				res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 4, Seed: 1,
 					Inject: repro.InjectOptions{Workers: 1}})
 				if err != nil {
 					b.Fatal(err)
@@ -232,14 +232,14 @@ func BenchmarkFlowRefine(b *testing.B) {
 	for _, name := range []string{"c1355", "c7552"} {
 		h := circuit(b, name)
 		spec := paperSpec(b, h)
-		base, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1})
+		base, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := base.Partition.Clone()
-				cost, _, _, err := repro.FlowRefine(p, repro.FlowRefineOptions{Seed: 1})
+				cost, _, _, err := repro.FlowRefineCtx(context.Background(), p, repro.FlowRefineOptions{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func BenchmarkAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := opt
 				o.Seed = int64(i + 1)
-				res, err := repro.Flow(h, spec, o)
+				res, err := repro.FlowCtx(context.Background(), h, spec, o)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,14 +279,14 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkRefinement(b *testing.B) {
 	h := circuit(b, "c1355")
 	spec := paperSpec(b, h)
-	base, err := repro.RFM(h, spec, repro.RFMOptions{Seed: 1})
+	base, err := repro.RFMCtx(context.Background(), h, spec, repro.RFMOptions{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := base.Partition.Clone()
-		repro.Refine(p, repro.RefineOptions{})
+		repro.RefineCtx(context.Background(), p, repro.RefineOptions{})
 	}
 }
 
@@ -306,7 +306,7 @@ func BenchmarkMultilevelScaling(b *testing.B) {
 		spec := paperSpec(b, h)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1}); err != nil {
+				if _, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,7 +12,10 @@
 // worse than baseline by more than the fraction) is a regression and the
 // exit status is 1. Improvements and disappearing/new benchmarks are
 // reported but never fail the gate: the committed baseline may cover more
-// rungs than a quick CI run re-measures.
+// rungs than a quick CI run re-measures. A run that compares no
+// (benchmark, metric) pair at all also exits 1: a gate that matched
+// nothing checked nothing (for instance when the current run's names carry
+// a -N GOMAXPROCS suffix the baseline's lack).
 package main
 
 import (
@@ -41,28 +44,45 @@ type Report struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command, returning the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		metrics   = flag.String("metric", "allocs/op", "comma-separated metrics to gate on")
-		tolerance = flag.Float64("tolerance", 0.0, "allowed relative regression (0.05 = +5%)")
+		metrics   = fs.String("metric", "allocs/op", "comma-separated metrics to gate on")
+		tolerance = fs.Float64("tolerance", 0.0, "allowed relative regression (0.05 = +5%)")
 	)
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-metric m1,m2] [-tolerance f] baseline.json current.json")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	base, err := readReport(flag.Arg(0))
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [-metric m1,m2] [-tolerance f] baseline.json current.json")
+		return 2
+	}
+	base, err := readReport(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 1
 	}
-	cur, err := readReport(flag.Arg(1))
+	cur, err := readReport(fs.Arg(1))
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 1
 	}
-	regressions := diff(os.Stdout, base, cur, strings.Split(*metrics, ","), *tolerance)
+	watch := strings.Split(*metrics, ",")
+	regressions, compared := diff(stdout, base, cur, watch, *tolerance)
+	if compared == 0 {
+		fmt.Fprintf(stderr, "benchdiff: no common benchmark carries the watched metrics %v: nothing compared\n", watch)
+		return 1
+	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond %.1f%%\n", regressions, *tolerance*100)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchdiff: %d metric(s) regressed beyond %.1f%%\n", regressions, *tolerance*100)
+		return 1
 	}
+	return 0
 }
 
 func readReport(path string) (*Report, error) {
@@ -78,16 +98,15 @@ func readReport(path string) (*Report, error) {
 }
 
 // diff prints the per-benchmark delta table for the watched metrics and
-// returns how many exceeded the tolerance. Comparison is by benchmark
-// name; the baseline drives the order.
-func diff(w io.Writer, base, cur *Report, watch []string, tolerance float64) int {
+// returns how many exceeded the tolerance and how many (benchmark, metric)
+// pairs it compared. Comparison is by benchmark name; the baseline drives
+// the order.
+func diff(w io.Writer, base, cur *Report, watch []string, tolerance float64) (regressions, compared int) {
 	curByName := map[string]Result{}
 	for _, r := range cur.Results {
 		curByName[r.Name] = r
 	}
 	baseNames := map[string]bool{}
-	regressions := 0
-	compared := 0
 	fmt.Fprintf(w, "%-44s %-12s %14s %14s %9s\n", "benchmark", "metric", "baseline", "current", "delta")
 	for _, b := range base.Results {
 		baseNames[b.Name] = true
@@ -126,13 +145,5 @@ func diff(w io.Writer, base, cur *Report, watch []string, tolerance float64) int
 			fmt.Fprintf(w, "%-44s %-12s %14s %14s %9s\n", c.Name, "-", "-", "-", "new")
 		}
 	}
-	if compared == 0 {
-		fmt.Fprintf(w, "warning: no common benchmarks carry the watched metrics %v\n", watch)
-	}
-	return regressions
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-	os.Exit(1)
+	return regressions, compared
 }

@@ -1,17 +1,18 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro"
 )
 
-// ExampleFlow partitions the paper's worked example and prints the cost it
-// finds — the LP-certified optimum.
-func ExampleFlow() {
+// ExampleFlowCtx partitions the paper's worked example and prints the cost
+// it finds — the LP-certified optimum.
+func ExampleFlowCtx() {
 	h, spec, _ := repro.Figure2()
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
+	res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -35,11 +36,11 @@ func ExampleBinaryTreeSpec() {
 	// w = [1 2]
 }
 
-// ExampleExactLowerBound certifies a partition against the spreading-metric
-// LP optimum (Lemma 2).
-func ExampleExactLowerBound() {
+// ExampleExactLowerBoundCtx certifies a partition against the
+// spreading-metric LP optimum (Lemma 2).
+func ExampleExactLowerBoundCtx() {
 	h, spec, _ := repro.Figure2()
-	lb, err := repro.ExactLowerBound(h, spec, 0)
+	lb, err := repro.ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -16,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	name := flag.String("circuit", "c1355", "ISCAS85-class circuit name")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
@@ -33,7 +34,7 @@ func main() {
 	}
 
 	// The spreading metric on its own: how much work did Algorithm 2 do?
-	m, stats, err := repro.ComputeSpreadingMetric(h, spec, repro.InjectOptions{})
+	m, stats, err := repro.ComputeSpreadingMetricCtx(ctx, h, spec, repro.InjectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 		}
 		name := strings.ToUpper(algo)
 		t0 := time.Now()
-		res, initial, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{
+		res, initial, err := repro.PipelineCtx(ctx, h, spec, repro.Pipeline{
 			Algo: algo, Seed: *seed, Flow: repro.FlowOptions{Iterations: 4}})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	h, spec, groups := repro.Figure2()
 	fmt.Printf("graph: %d nodes, %d unit edges\n", h.NumNodes(), h.NumNets())
 	fmt.Printf("hierarchy: C=%v, w=%v (Figure 2a)\n", spec.Capacity, spec.Weight)
@@ -38,14 +40,14 @@ func main() {
 
 	// Lemma 2: the exact LP optimum lower-bounds every partition; on this
 	// example it is tight, certifying optimality.
-	lb, err := repro.ExactLowerBound(h, spec, 0)
+	lb, err := repro.ExactLowerBoundCtx(ctx, h, spec, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exact LP lower bound (Lemma 2): %.2f, converged=%v\n", lb.Value, lb.Converged)
 
 	// FLOW rediscovers the optimum from scratch.
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
+	res, err := repro.FlowCtx(ctx, h, spec, repro.FlowOptions{Iterations: 8, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A mid-size design: the c2670-class synthetic netlist.
 	spec0, err := repro.CircuitByName("c2670")
 	if err != nil {
@@ -44,19 +46,19 @@ func main() {
 	}
 	var entries []entry
 
-	flow, err := repro.Flow(design, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
+	flow, err := repro.FlowCtx(ctx, design, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	entries = append(entries, entry{"FLOW", flow})
 
-	rfm, err := repro.RFM(design, spec, repro.RFMOptions{Seed: 1})
+	rfm, err := repro.RFMCtx(ctx, design, spec, repro.RFMOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	entries = append(entries, entry{"RFM", rfm})
 
-	gfm, err := repro.GFM(design, spec, repro.GFMOptions{Seed: 1})
+	gfm, err := repro.GFMCtx(ctx, design, spec, repro.GFMOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 
 	// Refine the winner with FM-based hierarchical improvement.
 	before := best.res.Cost
-	after, improved := repro.Refine(best.res.Partition, repro.RefineOptions{})
+	after, improved := repro.RefineCtx(ctx, best.res.Partition, repro.RefineOptions{})
 	fmt.Printf("\nbest constructive: %s (%.0f); after FM refinement: %.0f (saved %.0f, %.1f%%)\n",
 		best.name, before, after, improved, 100*improved/before)
 

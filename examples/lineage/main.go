@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,13 +21,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cs := repro.CircuitSpec{Name: "demo", Gates: 300, PIs: 24, POs: 12}
 	h := repro.GenerateCircuit(cs, 11)
 	fmt.Printf("netlist: %s\n\n", repro.ComputeNetlistStats(h))
 
 	// 1) Ratio cut: no size constraints at all; the objective finds the
 	// natural bottleneck.
-	rc := repro.RatioCut(h, repro.RatioCutOptions{})
+	rc := repro.RatioCutCtx(ctx, h, repro.RatioCutOptions{})
 	var sizeA int64
 	for v := 0; v < h.NumNodes(); v++ {
 		if rc.InA[v] {
@@ -47,7 +49,7 @@ func main() {
 	ht.AddEdge(1, 4, 1)
 	ht.AddEdge(2, 5, 1)
 	ht.AddEdge(2, 6, 1)
-	mapping, err := repro.MapOntoTree(h, ht, repro.TreeMapOptions{})
+	mapping, err := repro.MapOntoTreeCtx(ctx, h, ht, repro.TreeMapOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
+	res, err := repro.FlowCtx(ctx, h, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A netlist of two 4-gate blocks joined by one wire: the structure any
 	// hierarchy-finding partitioner should recover.
 	b := repro.NewNetlistBuilder()
@@ -39,7 +41,7 @@ func main() {
 	}
 	fmt.Printf("spec: C=%v K=%v w=%v\n", spec.Capacity, spec.Branch, spec.Weight)
 
-	res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
+	res, err := repro.FlowCtx(ctx, h, spec, repro.FlowOptions{Iterations: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -27,14 +28,14 @@ func TestFlowRefineNeverWorseThanFM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1})
+		ml, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: multilevel: %v", cs.Name, err)
 		}
 		if rep := verify.Result(ml); !rep.OK() {
 			t.Fatalf("%s: FM-only multilevel failed certification: %v", cs.Name, rep.Err())
 		}
-		mlf, err := repro.Multilevel(h, spec, repro.MultilevelOptions{
+		mlf, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{
 			Seed:       1,
 			FlowRefine: true,
 			FlowRefineOpt: repro.FlowRefineOptions{

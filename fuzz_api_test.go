@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,23 +36,23 @@ func FuzzSolvePipeline(f *testing.F) {
 			return // degenerate sizes; spec construction is tested elsewhere
 		}
 
-		gres, err := repro.GFM(h, spec, repro.GFMOptions{Seed: seed})
+		gres, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{Seed: seed})
 		if err == nil {
 			if rep := verify.Result(gres); !rep.OK() {
 				t.Fatalf("GFM result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.GFM(h, spec, repro.GFMOptions{Seed: seed})
+			again, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{Seed: seed})
 			if err != nil || again.Cost != gres.Cost {
 				t.Fatalf("GFM not deterministic: %.17g then %.17g (err %v)", gres.Cost, again.Cost, err)
 			}
 		}
 
-		fres, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 1, Seed: seed})
+		fres, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 1, Seed: seed})
 		if err == nil {
 			if rep := verify.Result(fres); !rep.OK() {
 				t.Fatalf("FLOW result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 1, Seed: seed})
+			again, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 1, Seed: seed})
 			if err != nil || again.Cost != fres.Cost {
 				t.Fatalf("FLOW not deterministic: %.17g then %.17g (err %v)", fres.Cost, again.Cost, err)
 			}
@@ -60,12 +61,12 @@ func FuzzSolvePipeline(f *testing.F) {
 		// The V-cycle route: a tiny CoarsenTarget forces real coarsening and
 		// uncoarsening even on fuzz-sized instances, so contraction, the
 		// coarse solve, projection, and boundary refinement all run.
-		mres, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
+		mres, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
 		if err == nil {
 			if rep := verify.Result(mres); !rep.OK() {
 				t.Fatalf("multilevel result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
+			again, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
 			if err != nil || again.Cost != mres.Cost {
 				t.Fatalf("multilevel not deterministic: %.17g then %.17g (err %v)", mres.Cost, again.Cost, err)
 			}
@@ -78,12 +79,12 @@ func FuzzSolvePipeline(f *testing.F) {
 		// routes succeed the refined cost may never exceed the plain one.
 		fopt := repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8, FlowRefine: true,
 			FlowRefineOpt: repro.FlowRefineOptions{Certify: verify.Certifier()}}
-		xres, err := repro.Multilevel(h, spec, fopt)
+		xres, err := repro.MultilevelCtx(context.Background(), h, spec, fopt)
 		if err == nil {
 			if rep := verify.Result(xres); !rep.OK() {
 				t.Fatalf("flow-refined result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.Multilevel(h, spec, fopt)
+			again, err := repro.MultilevelCtx(context.Background(), h, spec, fopt)
 			if err != nil || again.Cost != xres.Cost {
 				t.Fatalf("flow-refined multilevel not deterministic: %.17g then %.17g (err %v)", xres.Cost, again.Cost, err)
 			}

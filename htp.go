@@ -16,7 +16,7 @@
 //
 //	h := repro.GenerateCircuit(repro.ISCAS85Circuits[0], 1)
 //	spec, _ := repro.BinaryTreeSpec(h.TotalSize(), 4, repro.GeometricWeights(4, 2), 1.1)
-//	res, err := repro.Flow(h, spec, repro.FlowOptions{})
+//	res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{})
 //	// res.Partition holds the tree and leaf assignment; res.Cost the pin cost.
 package repro
 
@@ -42,12 +42,12 @@ import (
 
 // ---- Anytime contract (internal/anytime) ----
 //
-// Every solver has a *Ctx variant taking a context.Context; PipelineCtx
-// has only that form. When the context is cancelled or its deadline
-// passes, iterative solvers return the best valid partition found so far
-// — Result.Stop records why the run ended — and error (wrapping
-// ErrNoPartition) only when nothing valid exists yet. The context-free
-// entry points delegate to context.Background().
+// Every solver entry point takes a context.Context first and carries a Ctx
+// suffix. When the context is cancelled or its deadline passes, iterative
+// solvers return the best valid partition found so far — Result.Stop
+// records why the run ended — and error (wrapping ErrNoPartition) only when
+// nothing valid exists yet. Callers without a deadline pass
+// context.Background().
 
 // StopReason records why a solver run ended.
 type StopReason = anytime.Stop
@@ -194,7 +194,7 @@ type Result = htp.Result
 // FlowOptions tunes the paper's Algorithm 1.
 type FlowOptions = htp.FlowOptions
 
-// BuildOptions tunes the top-down construction (Algorithm 3) inside Flow.
+// BuildOptions tunes the top-down construction (Algorithm 3) inside FlowCtx.
 type BuildOptions = htp.BuildOptions
 
 // RFMOptions and GFMOptions tune the DAC'96 baselines.
@@ -206,18 +206,13 @@ type (
 // RefineOptions tunes the FM-based hierarchical refinement.
 type RefineOptions = fm.RefineOptions
 
-// Flow runs the network-flow constructive algorithm (Algorithm 1): N
+// FlowCtx runs the network-flow constructive algorithm (Algorithm 1): N
 // iterations of spreading-metric computation plus metric-guided top-down
 // construction, returning the best partition. The iterations run
 // concurrently on min(GOMAXPROCS, N) workers; the result is the same at
-// any GOMAXPROCS.
-func Flow(h *Hypergraph, spec Spec, opt FlowOptions) (*Result, error) {
-	return htp.Flow(h, spec, opt)
-}
-
-// FlowCtx is Flow under a context: on cancellation or deadline it returns
-// the best valid partition found so far with Result.Stop set, erroring
-// (wrapping ErrNoPartition) only when no iteration produced one.
+// any GOMAXPROCS. On cancellation or deadline it returns the best valid
+// partition found so far with Result.Stop set, erroring (wrapping
+// ErrNoPartition) only when no iteration produced one.
 func FlowCtx(ctx context.Context, h *Hypergraph, spec Spec, opt FlowOptions) (*Result, error) {
 	return htp.FlowCtx(ctx, h, spec, opt)
 }
@@ -236,39 +231,24 @@ func PipelineCtx(ctx context.Context, h *Hypergraph, spec Spec, p Pipeline) (*Re
 	return htp.PipelineCtx(ctx, h, spec, p)
 }
 
-// BuildFromMetric runs the metric-guided top-down construction alone
+// BuildFromMetricCtx runs the metric-guided top-down construction alone
 // (Algorithm 3): carve the hierarchy from a spreading metric already in
-// hand. Flow composes this with ComputeSpreadingMetric; exposing the
+// hand. FlowCtx composes this with ComputeSpreadingMetricCtx; exposing the
 // construction separately lets callers reuse one (possibly expensive)
 // metric across several Build configurations, and lets benchmarks time
-// Algorithm 3 without the dominating Algorithm 2 in front of it.
-func BuildFromMetric(h *Hypergraph, spec Spec, m *SpreadingMetric, opt BuildOptions) (*Partition, error) {
-	return htp.Build(h, spec, m.D, opt)
-}
-
-// BuildFromMetricCtx is BuildFromMetric under a context. A half-built
-// partition is not a valid one, so cancellation returns an error wrapping
-// ErrNoPartition and the context cause rather than a partial tree.
+// Algorithm 3 without the dominating Algorithm 2 in front of it. A
+// half-built partition is not a valid one, so cancellation returns an error
+// wrapping ErrNoPartition and the context cause rather than a partial tree.
 func BuildFromMetricCtx(ctx context.Context, h *Hypergraph, spec Spec, m *SpreadingMetric, opt BuildOptions) (*Partition, error) {
 	return htp.BuildCtx(ctx, h, spec, m.D, opt)
 }
 
-// RFM runs the top-down recursive FM baseline.
-func RFM(h *Hypergraph, spec Spec, opt RFMOptions) (*Result, error) {
-	return htp.RFM(h, spec, opt)
-}
-
-// RFMCtx is RFM under a context.
+// RFMCtx runs the top-down recursive FM baseline.
 func RFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt RFMOptions) (*Result, error) {
 	return htp.RFMCtx(ctx, h, spec, opt)
 }
 
-// GFM runs the bottom-up grouping baseline.
-func GFM(h *Hypergraph, spec Spec, opt GFMOptions) (*Result, error) {
-	return htp.GFM(h, spec, opt)
-}
-
-// GFMCtx is GFM under a context.
+// GFMCtx runs the bottom-up grouping baseline.
 func GFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt GFMOptions) (*Result, error) {
 	return htp.GFMCtx(ctx, h, spec, opt)
 }
@@ -277,29 +257,20 @@ func GFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt GFMOptions) (*Res
 // coarse-level construction strategy, and per-level refinement.
 type MultilevelOptions = htp.MultilevelOptions
 
-// Multilevel runs the multilevel V-cycle — deterministic heavy-edge
+// MultilevelCtx runs the multilevel V-cycle — deterministic heavy-edge
 // coarsening, a coarse-level construction by the configured strategy
 // (FLOW by default), and boundary-localized FM refinement on the way back
 // down. The scalable route for large netlists; see README "Scaling to
-// large netlists".
-func Multilevel(h *Hypergraph, spec Spec, opt MultilevelOptions) (*Result, error) {
-	return htp.Multilevel(h, spec, opt)
-}
-
-// MultilevelCtx is Multilevel under a context, with FLOW's anytime
-// contract: cancellation mid-descent salvages the best partition reached.
+// large netlists". It has FLOW's anytime contract: cancellation
+// mid-descent salvages the best partition reached.
 func MultilevelCtx(ctx context.Context, h *Hypergraph, spec Spec, opt MultilevelOptions) (*Result, error) {
 	return htp.MultilevelCtx(ctx, h, spec, opt)
 }
 
-// Refine improves a partition in place by FM-style hierarchical moves and
-// returns the final cost and total improvement.
-func Refine(p *Partition, opt RefineOptions) (cost, improvement float64) {
-	return fm.RefineHierarchical(p, opt)
-}
-
-// RefineCtx is Refine under a context; cancellation stops the passes early
-// and returns the best cost reached (the partition stays valid throughout).
+// RefineCtx improves a partition in place by FM-style hierarchical moves
+// and returns the final cost and total improvement; cancellation stops the
+// passes early and returns the best cost reached (the partition stays valid
+// throughout).
 func RefineCtx(ctx context.Context, p *Partition, opt RefineOptions) (cost, improvement float64) {
 	return fm.RefineHierarchicalCtx(ctx, p, opt)
 }
@@ -312,19 +283,13 @@ type FlowRefineOptions = flowrefine.Options
 // FlowRefineStats reports what a flow refinement run did.
 type FlowRefineStats = flowrefine.Stats
 
-// FlowRefine improves a partition in place by flow-based pairwise
+// FlowRefineCtx improves a partition in place by flow-based pairwise
 // refinement: adjacent block pairs are re-cut with corridor min-cuts, and
 // move batches are accepted only when they lower the hierarchical cost
 // within the K_l/C_l bounds. Unlike the internal entry points, the facade
 // certifies every accepted batch with internal/verify unless the caller
-// supplied their own Certify hook.
-func FlowRefine(p *Partition, opt FlowRefineOptions) (cost, improvement float64, stats FlowRefineStats, err error) {
-	return FlowRefineCtx(context.Background(), p, opt)
-}
-
-// FlowRefineCtx is FlowRefine under a context; cancellation stops between
-// move batches and returns the best cost reached (the partition stays valid
-// throughout).
+// supplied their own Certify hook. Cancellation stops between move batches
+// and returns the best cost reached (the partition stays valid throughout).
 func FlowRefineCtx(ctx context.Context, p *Partition, opt FlowRefineOptions) (cost, improvement float64, stats FlowRefineStats, err error) {
 	if opt.Certify == nil {
 		opt.Certify = verify.Certifier()
@@ -343,16 +308,11 @@ type InjectOptions = inject.Options
 // InjectStats reports the flow-injection work.
 type InjectStats = inject.Stats
 
-// ComputeSpreadingMetric runs Algorithm 2: an approximate spreading metric
-// by stochastic flow injection.
-func ComputeSpreadingMetric(h *Hypergraph, spec Spec, opt InjectOptions) (*SpreadingMetric, InjectStats, error) {
-	return inject.ComputeMetric(h, spec, opt)
-}
-
-// ComputeSpreadingMetricCtx is ComputeSpreadingMetric under a context. On
-// cancellation it returns the partial metric computed so far (any
-// intermediate length assignment is a usable construction guide) together
-// with a non-nil error wrapping the context cause.
+// ComputeSpreadingMetricCtx runs Algorithm 2: an approximate spreading
+// metric by stochastic flow injection. On cancellation it returns the
+// partial metric computed so far (any intermediate length assignment is a
+// usable construction guide) together with a non-nil error wrapping the
+// context cause.
 func ComputeSpreadingMetricCtx(ctx context.Context, h *Hypergraph, spec Spec, opt InjectOptions) (*SpreadingMetric, InjectStats, error) {
 	return inject.ComputeMetricCtx(ctx, h, spec, opt)
 }
@@ -370,15 +330,10 @@ func MetricFromPartition(p *Partition) *SpreadingMetric { return metric.FromPart
 // LowerBoundResult reports an exact LP lower-bound computation.
 type LowerBoundResult = metric.LowerBoundResult
 
-// ExactLowerBound computes the optimum of the spreading-metric LP by
-// cutting planes (Lemma 2) — small instances only.
-func ExactLowerBound(h *Hypergraph, spec Spec, maxRounds int) (*LowerBoundResult, error) {
-	return metric.ExactLowerBound(h, spec, maxRounds)
-}
-
-// ExactLowerBoundCtx is ExactLowerBound under a context. Every relaxation
-// optimum already lower-bounds the LP, so cancellation is not an error: the
-// result carries the best bound proven so far with Stop set.
+// ExactLowerBoundCtx computes the optimum of the spreading-metric LP by
+// cutting planes (Lemma 2) — small instances only. Every relaxation optimum
+// already lower-bounds the LP, so cancellation is not an error: the result
+// carries the best bound proven so far with Stop set.
 func ExactLowerBoundCtx(ctx context.Context, h *Hypergraph, spec Spec, maxRounds int) (*LowerBoundResult, error) {
 	return metric.ExactLowerBoundCtx(ctx, h, spec, maxRounds)
 }
@@ -437,16 +392,11 @@ type RatioCutOptions = ratiocut.Options
 // RatioCutResult reports a ratio-cut bipartition.
 type RatioCutResult = ratiocut.Result
 
-// RatioCut bipartitions the netlist minimizing cut/(s(A)·s(B)) — the
+// RatioCutCtx bipartitions the netlist minimizing cut/(s(A)·s(B)) — the
 // objective that folds size balance into the cost instead of constraining
-// it, contrasted against HTP in the paper's introduction.
-func RatioCut(h *Hypergraph, opt RatioCutOptions) *RatioCutResult {
-	return ratiocut.Bipartition(h, opt)
-}
-
-// RatioCutCtx is RatioCut under a context; cancellation shortens the
-// injection and sweep schedules but the result always has two non-empty
-// sides.
+// it, contrasted against HTP in the paper's introduction. Cancellation
+// shortens the injection and sweep schedules but the result always has two
+// non-empty sides.
 func RatioCutCtx(ctx context.Context, h *Hypergraph, opt RatioCutOptions) *RatioCutResult {
 	return ratiocut.BipartitionCtx(ctx, h, opt)
 }
@@ -463,16 +413,11 @@ func NewHostTree(capacities []int64) *HostTree { return treemap.NewHostTree(capa
 // TreeMapping assigns netlist nodes to host-tree vertices.
 type TreeMapping = treemap.Mapping
 
-// TreeMapOptions tunes MapOntoTree.
+// TreeMapOptions tunes MapOntoTreeCtx.
 type TreeMapOptions = treemap.Options
 
-// MapOntoTree maps the netlist onto a fixed host tree, minimizing global
-// routing cost subject to vertex capacities.
-func MapOntoTree(h *Hypergraph, t *HostTree, opt TreeMapOptions) (*TreeMapping, error) {
-	return treemap.Map(h, t, opt)
-}
-
-// MapOntoTreeCtx is MapOntoTree under a context: cancellation during the
+// MapOntoTreeCtx maps the netlist onto a fixed host tree, minimizing global
+// routing cost subject to vertex capacities. Cancellation during the
 // recursive assignment errors (wrapping ErrNoPartition); cancellation
 // during improvement returns the current valid mapping.
 func MapOntoTreeCtx(ctx context.Context, h *Hypergraph, t *HostTree, opt TreeMapOptions) (*TreeMapping, error) {

@@ -13,7 +13,7 @@ import (
 	"repro/internal/pqueue"
 )
 
-// BiOptions tunes RefineBipartition.
+// BiOptions tunes RefineBipartitionCtx.
 type BiOptions struct {
 	// MaxPasses bounds FM passes; each pass moves every free node once and
 	// rolls back to the best prefix. Default 16.
@@ -187,19 +187,14 @@ func (s *bistate) move(v hypergraph.NodeID) float64 {
 	return realized
 }
 
-// RefineBipartition improves an initial bipartition inA in place with FM
+// RefineBipartitionCtx improves an initial bipartition inA in place with FM
 // passes, keeping s(A) within [lbA..ubA] after every applied move prefix.
 // The initial assignment must itself satisfy the window. It returns the
-// final cut capacity.
-func RefineBipartition(h *hypergraph.Hypergraph, inA []bool, lbA, ubA int64, opt BiOptions) float64 {
-	return RefineBipartitionCtx(context.Background(), h, inA, lbA, ubA, opt)
-}
-
-// RefineBipartitionCtx is RefineBipartition under a context. Cancellation is
-// polled between passes and every 256 moves within a pass; an interrupted
-// pass still rolls back to its best applied prefix, so inA is always a valid
-// bipartition inside the window. If cancellation lands before any pass runs,
-// inA is untouched and the returned cut is 0.
+// final cut capacity. Cancellation is polled between passes and every 256
+// moves within a pass; an interrupted pass still rolls back to its best
+// applied prefix, so inA is always a valid bipartition inside the window.
+// If cancellation lands before any pass runs, inA is untouched and the
+// returned cut is 0.
 func RefineBipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, inA []bool, lbA, ubA int64, opt BiOptions) float64 {
 	opt = opt.withDefaults()
 	var finalCut float64

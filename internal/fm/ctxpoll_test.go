@@ -18,27 +18,22 @@ func pathGraph(n int) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
-// The Ctx twins with a background context must behave exactly like the
-// context-free facades: the ctxpoll fixes may not perturb golden results.
+// Under a background context the Ctx entry points must reproduce the
+// pinned cut and side assignment: the ctxpoll fixes may not perturb golden
+// results.
 func TestRefineBipartitionCtxBackgroundMatchesFacade(t *testing.T) {
 	h := twoCliquesBridge(t)
-	mk := func() []bool {
-		inA := make([]bool, 8)
-		for v := 0; v < 8; v += 2 {
-			inA[v] = true
-		}
-		return inA
+	inA := make([]bool, 8)
+	for v := 0; v < 8; v += 2 {
+		inA[v] = true
 	}
-	plain := mk()
-	cutPlain := RefineBipartition(h, plain, 3, 5, BiOptions{Rng: rand.New(rand.NewSource(11))})
-	ctxed := mk()
-	cutCtx := RefineBipartitionCtx(context.Background(), h, ctxed, 3, 5, BiOptions{Rng: rand.New(rand.NewSource(11))})
-	if cutPlain != cutCtx {
-		t.Fatalf("cut mismatch: facade %g, ctx twin %g", cutPlain, cutCtx)
+	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5, BiOptions{Rng: rand.New(rand.NewSource(11))})
+	if cut != 1 {
+		t.Fatalf("cut = %g, want 1 (the bridge)", cut)
 	}
-	for v := range plain {
-		if plain[v] != ctxed[v] {
-			t.Fatalf("assignment mismatch at node %d", v)
+	for v, want := range []bool{false, false, false, false, true, true, true, true} {
+		if inA[v] != want {
+			t.Fatalf("node %d on side A = %v, want %v", v, inA[v], want)
 		}
 	}
 }
@@ -64,11 +59,10 @@ func TestRefineBipartitionCtxCancelledUpfront(t *testing.T) {
 
 func TestGrowSeedSideCtxBackgroundMatchesFacade(t *testing.T) {
 	h := pathGraph(1000)
-	plain := GrowSeedSide(h, 0, 600)
-	ctxed := GrowSeedSideCtx(context.Background(), h, 0, 600)
-	for v := range plain {
-		if plain[v] != ctxed[v] {
-			t.Fatalf("assignment mismatch at node %d", v)
+	inA := GrowSeedSideCtx(context.Background(), h, 0, 600)
+	for v := range inA {
+		if want := v < 600; inA[v] != want {
+			t.Fatalf("node %d on side A = %v, want %v (the path's first 600 nodes)", v, inA[v], want)
 		}
 	}
 }
@@ -92,5 +86,22 @@ func TestGrowSeedSideCtxCancelledStopsEarly(t *testing.T) {
 	// The poll granularity is 256 dequeues; well before the 10000-node sweep.
 	if grown > 1024 {
 		t.Fatalf("cancelled growth placed %d nodes; expected an early stop near the 256-dequeue poll", grown)
+	}
+}
+
+// A done context stops the recursion before the first split: every node
+// lands in one block, whatever its size, and the caller sees ctx.Err().
+func TestRecursiveBisectionCancelledStopsSplitting(t *testing.T) {
+	h := pathGraph(1000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	blockOf, k := RecursiveBisection(ctx, h, 10, BiOptions{})
+	if k != 1 {
+		t.Fatalf("blocks = %d under a cancelled context, want 1", k)
+	}
+	for v, blk := range blockOf {
+		if blk != 0 {
+			t.Fatalf("node %d in block %d, want 0", v, blk)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func TestRefineBipartitionFindsBridge(t *testing.T) {
 	}
 	// The window needs at least one node of slack: FM enforces balance after
 	// every single move, so a zero-width window would freeze the partition.
-	cut := RefineBipartition(h, inA, 3, 5, BiOptions{})
+	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5, BiOptions{})
 	if cut != 1 {
 		t.Fatalf("cut = %g, want 1", cut)
 	}
@@ -64,8 +65,8 @@ func TestRefineBipartitionRespectsWindow(t *testing.T) {
 		}
 		h := b.MustBuild()
 		lb, ub := int64(n/2-1), int64(n/2+1)
-		inA := GrowSeedSide(h, 0, int64(n/2))
-		RefineBipartition(h, inA, lb, ub, BiOptions{Rng: rng})
+		inA := GrowSeedSideCtx(context.Background(), h, 0, int64(n/2))
+		RefineBipartitionCtx(context.Background(), h, inA, lb, ub, BiOptions{Rng: rng})
 		var size int64
 		for v := 0; v < n; v++ {
 			if inA[v] {
@@ -97,8 +98,8 @@ func TestRefineBipartitionReturnsTrueCut(t *testing.T) {
 			b.AddNet("", float64(1+rng.Intn(4)), pins...)
 		}
 		h := b.MustBuild()
-		inA := GrowSeedSide(h, hypergraph.NodeID(rng.Intn(n)), int64(n/2))
-		got := RefineBipartition(h, inA, int64(n/2-2), int64(n/2+2), BiOptions{Rng: rng})
+		inA := GrowSeedSideCtx(context.Background(), h, hypergraph.NodeID(rng.Intn(n)), int64(n/2))
+		got := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-2), int64(n/2+2), BiOptions{Rng: rng})
 		want, _ := h.CutCapacity(inA)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: reported cut %g, actual %g", trial, got, want)
@@ -124,7 +125,7 @@ func TestRefineBipartitionNeverWorsens(t *testing.T) {
 			inA[v] = true
 		}
 		before, _ := h.CutCapacity(inA)
-		after := RefineBipartition(h, inA, int64(n/2-1), int64(n/2+1), BiOptions{Rng: rng})
+		after := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-1), int64(n/2+1), BiOptions{Rng: rng})
 		if after > before+1e-9 {
 			t.Fatalf("trial %d: cut worsened %g -> %g", trial, before, after)
 		}
@@ -133,7 +134,7 @@ func TestRefineBipartitionNeverWorsens(t *testing.T) {
 
 func TestGrowSeedSide(t *testing.T) {
 	h := twoCliquesBridge(t)
-	inA := GrowSeedSide(h, 1, 4)
+	inA := GrowSeedSideCtx(context.Background(), h, 1, 4)
 	var size int64
 	for v := 0; v < 8; v++ {
 		if inA[v] {
@@ -155,7 +156,7 @@ func TestGrowSeedSideDisconnected(t *testing.T) {
 	b.AddNet("", 1, 2, 3)
 	b.AddNet("", 1, 4, 5)
 	h := b.MustBuild()
-	inA := GrowSeedSide(h, 0, 4)
+	inA := GrowSeedSideCtx(context.Background(), h, 0, 4)
 	var size int64
 	for v := 0; v < 6; v++ {
 		if inA[v] {
@@ -181,7 +182,7 @@ func TestRecursiveBisectionBlockSizes(t *testing.T) {
 		}
 		h := b.MustBuild()
 		maxBlock := int64(4 + rng.Intn(4))
-		blockOf, k := RecursiveBisection(h, maxBlock, BiOptions{Rng: rng})
+		blockOf, k := RecursiveBisection(context.Background(), h, maxBlock, BiOptions{Rng: rng})
 		sizes := make([]int64, k)
 		for v, blk := range blockOf {
 			if blk < 0 || blk >= k {
@@ -202,7 +203,7 @@ func TestRecursiveBisectionBlockSizes(t *testing.T) {
 
 func TestRecursiveBisectionSingleBlock(t *testing.T) {
 	h := twoCliquesBridge(t)
-	blockOf, k := RecursiveBisection(h, 100, BiOptions{})
+	blockOf, k := RecursiveBisection(context.Background(), h, 100, BiOptions{})
 	if k != 1 {
 		t.Fatalf("blocks = %d, want 1", k)
 	}
@@ -232,7 +233,7 @@ func buildBadPartition(t testing.TB) *hierarchy.Partition {
 func TestRefineHierarchicalImproves(t *testing.T) {
 	p := buildBadPartition(t)
 	before := p.Cost()
-	cost, improvement := RefineHierarchical(p, RefineOptions{})
+	cost, improvement := RefineHierarchicalCtx(context.Background(), p, RefineOptions{})
 	if math.Abs(cost-p.Cost()) > 1e-9 {
 		t.Fatalf("reported cost %g, actual %g", cost, p.Cost())
 	}
@@ -260,7 +261,7 @@ func TestRefineHierarchicalIdempotentAtOptimum(t *testing.T) {
 		p.Assign(hypergraph.NodeID(v), leaves[order[v]])
 	}
 	before := p.Cost()
-	after, improvement := RefineHierarchical(p, RefineOptions{})
+	after, improvement := RefineHierarchicalCtx(context.Background(), p, RefineOptions{})
 	if after > before+1e-9 {
 		t.Fatalf("refinement worsened %g -> %g", before, after)
 	}
@@ -298,7 +299,7 @@ func TestRefineHierarchicalRandomizedStaysValid(t *testing.T) {
 			continue // rare: initial round-robin overflows; skip trial
 		}
 		before := p.Cost()
-		after, _ := RefineHierarchical(p, RefineOptions{Rng: rng})
+		after, _ := RefineHierarchicalCtx(context.Background(), p, RefineOptions{Rng: rng})
 		if after > before+1e-9 {
 			t.Fatalf("trial %d: worsened %g -> %g", trial, before, after)
 		}
@@ -322,7 +323,7 @@ func BenchmarkRefineBipartition(b *testing.B) {
 	h := hb.MustBuild()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inA := GrowSeedSide(h, hypergraph.NodeID(i%n), int64(n/2))
-		RefineBipartition(h, inA, int64(n/2-50), int64(n/2+50), BiOptions{})
+		inA := GrowSeedSideCtx(context.Background(), h, hypergraph.NodeID(i%n), int64(n/2))
+		RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-50), int64(n/2+50), BiOptions{})
 	}
 }

@@ -36,7 +36,7 @@ func (o RefineOptions) withDefaults() RefineOptions {
 	return o
 }
 
-// RefineHierarchical improves a hierarchical tree partition in place by
+// RefineHierarchicalCtx improves a hierarchical tree partition in place by
 // FM-style leaf-to-leaf node moves under the full hierarchical cost — the
 // iterative improvement of Kuo, Liu & Cheng [9] that turns GFM/RFM/FLOW into
 // GFM+/RFM+/FLOW+. Each pass visits every node in random order and applies
@@ -45,16 +45,10 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // Passes repeat until one yields no improvement or MaxPasses is reached.
 //
 // Returns the final cost and the total improvement (initial − final >= 0).
-// It is RefineHierarchicalCtx without cancellation.
-func RefineHierarchical(p *hierarchy.Partition, opt RefineOptions) (cost, improvement float64) {
-	return RefineHierarchicalCtx(context.Background(), p, opt)
-}
-
-// RefineHierarchicalCtx is RefineHierarchical under a context, checked on
-// every pass and periodically within a pass. Refinement mutates the
-// partition in place and every intermediate state is valid and no worse
-// than the previous one, so cancellation simply stops early and returns
-// the best cost reached — a pure anytime improver.
+// The context is checked on every pass and periodically within a pass.
+// Refinement mutates the partition in place and every intermediate state is
+// valid and no worse than the previous one, so cancellation simply stops
+// early and returns the best cost reached — a pure anytime improver.
 func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt RefineOptions) (cost, improvement float64) {
 	opt = opt.withDefaults()
 	_, opt.Observer = opt.Span.Enter(opt.Observer)
@@ -124,17 +118,12 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 	return cs.Cost(), initial - cs.Cost()
 }
 
-// GrowSeedSide builds an initial bipartition side by breadth-first growth
-// from seed until the side size reaches target (it may overshoot by one
-// node). Disconnected remainders are left on the B side. Used to prime
-// RefineBipartition.
-func GrowSeedSide(h *hypergraph.Hypergraph, seed hypergraph.NodeID, target int64) []bool {
-	return GrowSeedSideCtx(context.Background(), h, seed, target)
-}
-
-// GrowSeedSideCtx is GrowSeedSide under a context: the breadth-first growth
-// polls cancellation every 256 dequeues and returns the side grown so far,
-// which is always a valid (if undersized) seed region for refinement.
+// GrowSeedSideCtx builds an initial bipartition side by breadth-first
+// growth from seed until the side size reaches target (it may overshoot by
+// one node). Disconnected remainders are left on the B side. Used to prime
+// RefineBipartitionCtx. The growth polls cancellation every 256 dequeues and
+// returns the side grown so far, which is always a valid (if undersized)
+// seed region for refinement.
 func GrowSeedSideCtx(ctx context.Context, h *hypergraph.Hypergraph, seed hypergraph.NodeID, target int64) []bool {
 	inA := make([]bool, h.NumNodes())
 	inA[seed] = true
@@ -172,15 +161,17 @@ func GrowSeedSideCtx(ctx context.Context, h *hypergraph.Hypergraph, seed hypergr
 
 // RecursiveBisection splits the hypergraph into blocks of size at most
 // maxBlock by recursive FM bisection, aiming for balanced halves. It
-// returns the block index of every node and the number of blocks.
-func RecursiveBisection(h *hypergraph.Hypergraph, maxBlock int64, opt BiOptions) ([]int, int) {
+// returns the block index of every node and the number of blocks. Once ctx
+// is done it stops recursing: every subgraph not yet split becomes one
+// block, which may exceed maxBlock, so callers check ctx afterwards.
+func RecursiveBisection(ctx context.Context, h *hypergraph.Hypergraph, maxBlock int64, opt BiOptions) ([]int, int) {
 	opt = opt.withDefaults()
 	blockOf := make([]int, h.NumNodes())
 	nextBlock := 0
 
 	var split func(sub *hypergraph.Hypergraph, orig []hypergraph.NodeID)
 	split = func(sub *hypergraph.Hypergraph, orig []hypergraph.NodeID) {
-		if sub.TotalSize() <= maxBlock {
+		if sub.TotalSize() <= maxBlock || ctx.Err() != nil {
 			b := nextBlock
 			nextBlock++
 			for _, v := range orig {
@@ -206,8 +197,8 @@ func RecursiveBisection(h *hypergraph.Hypergraph, maxBlock int64, opt BiOptions)
 		}
 		target := total * kA / k
 		seed := hypergraph.NodeID(opt.Rng.Intn(sub.NumNodes()))
-		inA := GrowSeedSide(sub, seed, target)
-		RefineBipartition(sub, inA, lb, ub, opt)
+		inA := GrowSeedSideCtx(ctx, sub, seed, target)
+		RefineBipartitionCtx(ctx, sub, inA, lb, ub, opt)
 		var aNodes, bNodes []hypergraph.NodeID
 		var aOrig, bOrig []hypergraph.NodeID
 		for v := 0; v < sub.NumNodes(); v++ {

@@ -125,7 +125,7 @@ func TestFlowCtxUncancelledMatchesFlow(t *testing.T) {
 	h := fourClusters(t, rng, 4, 6, 0.7)
 	spec := binarySpec(t, h, 2)
 	opt := FlowOptions{Iterations: 3, PartitionsPerMetric: 2, Seed: 5}
-	plain, err := Flow(h, spec, opt)
+	plain, err := FlowCtx(context.Background(), h, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFlowConvergedStatsAggregation(t *testing.T) {
 	h := fourClusters(t, rng, 4, 6, 0.7)
 	spec := binarySpec(t, h, 2)
 
-	res, err := Flow(h, spec, FlowOptions{Iterations: 3})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestFlowConvergedStatsAggregation(t *testing.T) {
 
 	// A one-round metric budget leaves every iteration unconverged; one
 	// unconverged iteration must mark the aggregate (AND, not last-wins).
-	res, err = Flow(h, spec, FlowOptions{Iterations: 3, Inject: inject.Options{MaxRounds: 1}})
+	res, err = FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Inject: inject.Options{MaxRounds: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

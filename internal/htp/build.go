@@ -59,21 +59,17 @@ func (o BuildOptions) withDefaults() BuildOptions {
 	return o
 }
 
-// Build constructs a hierarchical tree partition from per-net lengths d
+// BuildCtx constructs a hierarchical tree partition from per-net lengths d
 // (a spreading metric) by the top-down recursion of Algorithm 3: the root
 // level follows from the design size; at each vertex of level l, node sets
 // within [LB..C_{l-1}] are repeatedly separated by the cut engine and each
 // is recursed on one level down. Pieces that already fit lower levels grow
 // single-child chains, keeping all leaves at level 0.
-func Build(h *hypergraph.Hypergraph, spec hierarchy.Spec, d []float64, opt BuildOptions) (*hierarchy.Partition, error) {
-	return BuildCtx(context.Background(), h, spec, d, opt)
-}
-
-// BuildCtx is Build under a context, checked at every recursion vertex and
-// carve attempt. A half-built partition is not a valid one, so on
-// cancellation BuildCtx returns an error wrapping anytime.ErrNoPartition
-// and the context cause; FlowCtx treats that as "stop now, keep the best
-// earlier construction".
+//
+// The context is checked at every recursion vertex and carve attempt. A
+// half-built partition is not a valid one, so on cancellation BuildCtx
+// returns an error wrapping anytime.ErrNoPartition and the context cause;
+// FlowCtx treats that as "stop now, keep the best earlier construction".
 func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, d []float64, opt BuildOptions) (*hierarchy.Partition, error) {
 	opt = opt.withDefaults()
 	if err := spec.Validate(); err != nil {

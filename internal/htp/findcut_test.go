@@ -1,6 +1,7 @@
 package htp
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -66,7 +67,7 @@ func TestBuildRejectsEmptyEnginePiece(t *testing.T) {
 	empty := func(*hypergraph.Hypergraph, []float64, int64, int64, *rand.Rand) []hypergraph.NodeID {
 		return nil
 	}
-	_, err := Build(h, spec, d, BuildOptions{Rng: rng, Engine: empty})
+	_, err := BuildCtx(context.Background(), h, spec, d, BuildOptions{Rng: rng, Engine: empty})
 	if err == nil {
 		t.Fatal("empty engine piece accepted")
 	}

@@ -109,18 +109,14 @@ type flowIterOut struct {
 	panicErr  error // recovered panic, with stack
 }
 
-// Flow runs Algorithm 1: N times, compute a spreading metric by stochastic
-// flow injection (Algorithm 2) and construct a hierarchical tree partition
-// from it (Algorithm 3); output the best valid partition found. The
-// iterations run concurrently on min(GOMAXPROCS, N) workers and produce the
-// same result at any GOMAXPROCS: per-iteration seeds are pre-drawn in order
-// and results are reduced in iteration order. It is FlowCtx without
-// cancellation.
-func Flow(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt FlowOptions) (*Result, error) {
-	return FlowCtx(context.Background(), h, spec, opt)
-}
-
-// FlowCtx is Flow under a context, making Algorithm 1 an anytime engine:
+// FlowCtx runs Algorithm 1: N times, compute a spreading metric by
+// stochastic flow injection (Algorithm 2) and construct a hierarchical tree
+// partition from it (Algorithm 3); output the best valid partition found.
+// The iterations run concurrently on min(GOMAXPROCS, N) workers and produce
+// the same result at any GOMAXPROCS: per-iteration seeds are pre-drawn in
+// order and results are reduced in iteration order.
+//
+// The context makes Algorithm 1 an anytime engine:
 //
 //   - A context that is already done returns promptly with an error
 //     wrapping anytime.ErrNoPartition and the context cause.

@@ -38,7 +38,7 @@ type gfmGroup struct {
 	children int // count of direct children (1 for freshly lifted groups)
 }
 
-// GFM is the bottom-up baseline of Kuo, Liu & Cheng (DAC'96): first a
+// GFMCtx runs the bottom-up baseline of Kuo, Liu & Cheng (DAC'96): first a
 // multiway partition into level-0 blocks of size <= C_0 (recursive FM
 // bisection), then the hierarchy is grown upward level by level, greedily
 // merging the most-connected feasible pair of groups. Each level merges
@@ -46,13 +46,10 @@ type gfmGroup struct {
 // stops, preserving balance headroom for the levels above. Like RFM it
 // optimizes one level at a time with no view of the weighted hierarchical
 // cost — the contrast the paper draws in §4.
-func GFM(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt GFMOptions) (*Result, error) {
-	return GFMCtx(context.Background(), h, spec, opt)
-}
-
-// GFMCtx is GFM under a context, checked between bisection, consolidation,
-// and every merge step. Like RFM, GFM builds exactly one partition;
-// cancellation before it exists returns an error wrapping
+//
+// The context is checked inside the bisection, after it, and between
+// consolidation and every merge step. Like RFM, GFM builds exactly one
+// partition; cancellation before it exists returns an error wrapping
 // anytime.ErrNoPartition and the context cause.
 func GFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt GFMOptions) (*Result, error) {
 	if err := spec.Validate(); err != nil {
@@ -84,7 +81,11 @@ func GFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 		t0 = time.Now()
 		phase = t0
 	}
-	blockOf, numBlocks := fm.RecursiveBisection(h, spec.Capacity[0], fmOpt)
+	blockOf, numBlocks := fm.RecursiveBisection(ctx, h, spec.Capacity[0], fmOpt)
+	if err := gfmInterrupted(ctx); err != nil {
+		emitStop(opt.Observer, "error", 0, t0, err)
+		return nil, err
+	}
 	if opt.Observer != nil {
 		obs.Emit(opt.Observer, obs.Event{Kind: obs.KindSpan, Phase: "gfm-bisect",
 			ElapsedMS: obs.Millis(time.Since(phase))})

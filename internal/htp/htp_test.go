@@ -125,7 +125,7 @@ func TestBuildProducesValidPartition(t *testing.T) {
 	for e := range d {
 		d[e] = rng.Float64()
 	}
-	p, err := Build(h, spec, d, BuildOptions{Rng: rng})
+	p, err := BuildCtx(context.Background(), h, spec, d, BuildOptions{Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBuildSingleLeafWhenEverythingFits(t *testing.T) {
 	b.AddNet("", 1, 0, 1, 2)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{10}, Weight: []float64{1}, Branch: []int{2}}
-	p, err := Build(h, spec, []float64{0}, BuildOptions{})
+	p, err := BuildCtx(context.Background(), h, spec, []float64{0}, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	b.AddNet("", 1, 0, 1)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{1, 2}, Weight: []float64{1, 1}, Branch: []int{2, 2}}
-	if _, err := Build(h, spec, []float64{1, 2}, BuildOptions{}); err == nil {
+	if _, err := BuildCtx(context.Background(), h, spec, []float64{1, 2}, BuildOptions{}); err == nil {
 		t.Fatal("length-count mismatch accepted")
 	}
 	big := hypergraph.NewBuilder()
@@ -169,7 +169,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	big.AddNode("", 1)
 	big.AddNet("", 1, 0, 1)
 	hb := big.MustBuild()
-	if _, err := Build(hb, spec, []float64{1}, BuildOptions{}); err == nil {
+	if _, err := BuildCtx(context.Background(), hb, spec, []float64{1}, BuildOptions{}); err == nil {
 		t.Fatal("oversized node accepted")
 	}
 }
@@ -183,7 +183,7 @@ func TestBuildFixedVsAdaptiveLB(t *testing.T) {
 		d[e] = rng.Float64()
 	}
 	for _, fixed := range []bool{false, true} {
-		p, err := Build(h, spec, d, BuildOptions{Rng: rand.New(rand.NewSource(17)), FixedLB: fixed})
+		p, err := BuildCtx(context.Background(), h, spec, d, BuildOptions{Rng: rand.New(rand.NewSource(17)), FixedLB: fixed})
 		if err != nil {
 			t.Fatalf("fixed=%v: %v", fixed, err)
 		}
@@ -199,7 +199,7 @@ func TestFlowRecoversClusterStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	h := fourClusters(t, rng, 4, 4, 1.0)
 	spec := binarySpec(t, h, 2)
-	res, err := Flow(h, spec, FlowOptions{Iterations: 3, Seed: 23})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestFlowDeterministicBySeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	h := fourClusters(t, rng, 3, 4, 0.8)
 	spec := binarySpec(t, h, 2)
-	r1, err := Flow(h, spec, FlowOptions{Iterations: 2, Seed: 31})
+	r1, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 2, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Flow(h, spec, FlowOptions{Iterations: 2, Seed: 31})
+	r2, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 2, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +248,11 @@ func TestFlowPartitionsPerMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	h := fourClusters(t, rng, 4, 4, 0.7)
 	spec := binarySpec(t, h, 2)
-	r1, err := Flow(h, spec, FlowOptions{Iterations: 1, Seed: 41})
+	r1, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 1, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Flow(h, spec, FlowOptions{Iterations: 1, PartitionsPerMetric: 8, Seed: 41})
+	r8, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 1, PartitionsPerMetric: 8, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRFMProducesValidPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	h := fourClusters(t, rng, 4, 4, 0.9)
 	spec := binarySpec(t, h, 2)
-	res, err := RFM(h, spec, RFMOptions{Seed: 47})
+	res, err := RFMCtx(context.Background(), h, spec, RFMOptions{Seed: 47})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestGFMProducesValidPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	h := fourClusters(t, rng, 4, 4, 0.9)
 	spec := binarySpec(t, h, 2)
-	res, err := GFM(h, spec, GFMOptions{Seed: 59})
+	res, err := GFMCtx(context.Background(), h, spec, GFMOptions{Seed: 59})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestGFMSingleLevel(t *testing.T) {
 	b.AddNet("", 1, 1, 2)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{2}, Weight: []float64{1}, Branch: []int{2}}
-	res, err := GFM(h, spec, GFMOptions{})
+	res, err := GFMCtx(context.Background(), h, spec, GFMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +407,11 @@ func TestHeuristicsNeverBeatBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: %s cost %g beats optimum %g", trial, name, cost, opt)
 			}
 		}
-		fr, err := Flow(h, spec, FlowOptions{Iterations: 3, Seed: int64(trial + 1)})
+		fr, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Seed: int64(trial + 1)})
 		check("FLOW", fr.Cost, err)
-		rr, err := RFM(h, spec, RFMOptions{Seed: int64(trial + 1)})
+		rr, err := RFMCtx(context.Background(), h, spec, RFMOptions{Seed: int64(trial + 1)})
 		check("RFM", rr.Cost, err)
-		gr, err := GFM(h, spec, GFMOptions{Seed: int64(trial + 1)})
+		gr, err := GFMCtx(context.Background(), h, spec, GFMOptions{Seed: int64(trial + 1)})
 		check("GFM", gr.Cost, err)
 	}
 }
@@ -422,7 +422,7 @@ func BenchmarkFlowSmall(b *testing.B) {
 	spec := binarySpec(b, h, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Flow(h, spec, FlowOptions{Iterations: 1, Seed: int64(i + 1)}); err != nil {
+		if _, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 1, Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

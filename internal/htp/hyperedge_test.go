@@ -1,6 +1,7 @@
 package htp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestFlowOnMultiPinNets(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	h := hyperClusters(t, rng)
 	spec := binarySpec(t, h, 2)
-	res, err := Flow(h, spec, FlowOptions{Iterations: 3, Seed: 89})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Seed: 89})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestBaselinesOnMultiPinNets(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	h := hyperClusters(t, rng)
 	spec := binarySpec(t, h, 2)
-	if res, err := RFM(h, spec, RFMOptions{Seed: 3}); err != nil || res.Partition.Validate() != nil {
+	if res, err := RFMCtx(context.Background(), h, spec, RFMOptions{Seed: 3}); err != nil || res.Partition.Validate() != nil {
 		t.Fatalf("RFM: %v", err)
 	}
-	if res, err := GFM(h, spec, GFMOptions{Seed: 3}); err != nil || res.Partition.Validate() != nil {
+	if res, err := GFMCtx(context.Background(), h, spec, GFMOptions{Seed: 3}); err != nil || res.Partition.Validate() != nil {
 		t.Fatalf("GFM: %v", err)
 	}
 }
@@ -93,7 +94,7 @@ func TestAdaptiveLBGuaranteesBranchBound(t *testing.T) {
 		for e := range d {
 			d[e] = rng.Float64() * 10 // adversarial noise metric
 		}
-		p, err := Build(h, spec, d, BuildOptions{Rng: rng})
+		p, err := BuildCtx(context.Background(), h, spec, d, BuildOptions{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -107,7 +108,7 @@ func TestFlowCostMatchesPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	h := hyperClusters(t, rng)
 	spec := binarySpec(t, h, 2)
-	res, err := Flow(h, spec, FlowOptions{Iterations: 2, Seed: 5})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestPolishedBuildStaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	h := hyperClusters(t, rng)
 	spec := binarySpec(t, h, 2)
-	res, err := Flow(h, spec, FlowOptions{
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{
 		Iterations: 2, Seed: 7, Build: BuildOptions{PolishCuts: true}})
 	if err != nil {
 		t.Fatal(err)

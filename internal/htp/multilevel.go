@@ -114,17 +114,11 @@ func (o MultilevelOptions) withDefaults() MultilevelOptions {
 	return o
 }
 
-// Multilevel runs the multilevel V-cycle: coarsen h with deterministic
+// MultilevelCtx runs the multilevel V-cycle: coarsen h with deterministic
 // heavy-edge matching, construct a partition of the coarsest level with the
 // configured strategy, then project back down level by level with
-// boundary-localized FM refinement. It is MultilevelCtx without
-// cancellation.
-func Multilevel(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt MultilevelOptions) (*Result, error) {
-	return MultilevelCtx(context.Background(), h, spec, opt)
-}
-
-// MultilevelCtx is Multilevel under a context, with the same anytime
-// contract as FlowCtx:
+// boundary-localized FM refinement. It has the same anytime contract as
+// FlowCtx:
 //
 //   - A context that is already done (or that fires during coarsening,
 //     before any partition exists) returns an error wrapping

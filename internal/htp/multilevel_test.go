@@ -107,7 +107,7 @@ func TestMultilevelStrategies(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 	}
-	if _, err := Multilevel(in.h, in.spec, MultilevelOptions{Strategy: "annealing"}); !errors.Is(err, anytime.ErrInvalidSpec) {
+	if _, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{Strategy: "annealing"}); !errors.Is(err, anytime.ErrInvalidSpec) {
 		t.Fatalf("unknown strategy error = %v, want ErrInvalidSpec", err)
 	}
 }

@@ -1,6 +1,7 @@
 package htp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -66,7 +67,7 @@ func TestParallelFlowMatchesSequential(t *testing.T) {
 		opt.Observer = &log
 		var res *Result
 		var err error
-		withProcs(procs, func() { res, err = Flow(h, spec, opt) })
+		withProcs(procs, func() { res, err = FlowCtx(context.Background(), h, spec, opt) })
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
@@ -111,7 +112,7 @@ func TestParallelFlowPropagatesFatalErrors(t *testing.T) {
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{2, 6}, Weight: []float64{1, 1}, Branch: []int{2, 2}}
 	withProcs(4, func() {
-		if _, err := Flow(h, spec, FlowOptions{Iterations: 3}); err == nil {
+		if _, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3}); err == nil {
 			t.Fatal("expected error for oversized node")
 		}
 	})

@@ -1,6 +1,7 @@
 package htp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestFlowOnQuadTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	h := fourClusters(t, rng, 16, 4, 0.9) // 16 natural blocks of 4
 	spec := quadSpec(h.TotalSize())
-	res, err := Flow(h, spec, FlowOptions{Iterations: 3, Seed: 13})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +46,14 @@ func TestBaselinesOnQuadTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	h := fourClusters(t, rng, 16, 4, 0.8)
 	spec := quadSpec(h.TotalSize())
-	r, err := RFM(h, spec, RFMOptions{Seed: 17})
+	r, err := RFMCtx(context.Background(), h, spec, RFMOptions{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Partition.Validate(); err != nil {
 		t.Fatalf("RFM: %v", err)
 	}
-	g, err := GFM(h, spec, GFMOptions{Seed: 17})
+	g, err := GFMCtx(context.Background(), h, spec, GFMOptions{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMixedBranchHierarchy(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Flow(h, spec, FlowOptions{Iterations: 2, Seed: 19})
+	res, err := FlowCtx(context.Background(), h, spec, FlowOptions{Iterations: 2, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}

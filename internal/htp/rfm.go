@@ -30,20 +30,16 @@ type RFMOptions struct {
 	Span obs.SpanScope
 }
 
-// RFM is the top-down recursive baseline of Kuo, Liu & Cheng (DAC'96): the
-// same construction skeleton as Algorithm 3, but each separation is found by
-// a direct FM min-cut on the current sub-hypergraph instead of the
-// spreading-metric Prim growth. It greedily optimizes the cut at each level
-// without the global (all-levels) view the metric provides — exactly the
-// contrast the paper draws in §4.
-func RFM(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt RFMOptions) (*Result, error) {
-	return RFMCtx(context.Background(), h, spec, opt)
-}
-
-// RFMCtx is RFM under a context. Unlike FLOW, RFM builds exactly one
-// partition, so there is no best-so-far to fall back on: cancellation
-// mid-construction returns an error wrapping anytime.ErrNoPartition and
-// the context cause.
+// RFMCtx runs the top-down recursive baseline of Kuo, Liu & Cheng
+// (DAC'96): the same construction skeleton as Algorithm 3, but each
+// separation is found by a direct FM min-cut on the current sub-hypergraph
+// instead of the spreading-metric Prim growth. It greedily optimizes the cut
+// at each level without the global (all-levels) view the metric provides —
+// exactly the contrast the paper draws in §4.
+//
+// Unlike FLOW, RFM builds exactly one partition, so there is no best-so-far
+// to fall back on: cancellation mid-construction returns an error wrapping
+// anytime.ErrNoPartition and the context cause.
 func RFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt RFMOptions) (*Result, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 1

@@ -14,18 +14,18 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add("1 2 1\n0.5 1 2\n")
 	f.Add("% comment\n\n1 2\n1 2\n")
 	f.Add("0 0\n")
-	f.Add("1 2\n1 1\n")  // self loop: collapses below 2 distinct pins
+	f.Add("1 2\n1 1\n")   // self loop: collapses below 2 distinct pins
 	f.Add("1 3\n1 2 1\n") // duplicate pin, still valid after canonicalization
-	f.Add("1 2\n1\n")    // short net
-	f.Add("999999 2\n")  // truncated
+	f.Add("1 2\n1\n")     // short net
+	f.Add("999999 2\n")   // truncated
 	f.Add("2 2 10\n1 2\n1 2\n-3\n1\n")
-	f.Add("1 2 1\nNaN 1 2\n")            // non-finite capacity
-	f.Add("1 2 1\n+Inf 1 2\n")           // non-finite capacity
+	f.Add("1 2 1\nNaN 1 2\n")             // non-finite capacity
+	f.Add("1 2 1\n+Inf 1 2\n")            // non-finite capacity
 	f.Add("1 2\n1 2\ntrailing garbage\n") // content past the declared records
-	f.Add("1 2 10\n1 2\n3 4\n")          // size line with extra fields
-	f.Add("\n \t\n% only\n1 2\n\n1 2\n") // blank/whitespace lines everywhere
-	f.Add("1 2 1\n1e308 1 2\n")          // huge but finite capacity
-	f.Add("0000600000000000 0\n")        // absurd declared count (OOM regression)
+	f.Add("1 2 10\n1 2\n3 4\n")           // size line with extra fields
+	f.Add("\n \t\n% only\n1 2\n\n1 2\n")  // blank/whitespace lines everywhere
+	f.Add("1 2 1\n1e308 1 2\n")           // huge but finite capacity
+	f.Add("0000600000000000 0\n")         // absurd declared count (OOM regression)
 	f.Fuzz(func(t *testing.T, input string) {
 		h, err := ReadFrom(strings.NewReader(input))
 		if err != nil {

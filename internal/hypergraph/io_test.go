@@ -137,8 +137,8 @@ func TestReadErrors(t *testing.T) {
 		// ReadFrom preallocate ~19 TB before reading a single record.
 		"huge net count":  "0000600000000000 0\n",
 		"huge node count": "0 99999999999\n",
-		"trailing size":    "1 2 10\n1 2\n3\n3\n4\n",
-		"wide size line":   "1 2 10\n1 2\n3 4\n",
+		"trailing size":   "1 2 10\n1 2\n3\n3\n4\n",
+		"wide size line":  "1 2 10\n1 2\n3 4\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadFrom(strings.NewReader(in)); err == nil {

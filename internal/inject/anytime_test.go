@@ -73,7 +73,7 @@ func TestComputeMetricCtxUncancelledMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	h := clusteredGraph(t, rng, 3, 4)
 	spec := specFor(h, 2)
-	m1, _, err := ComputeMetric(h, spec, Options{Rng: rand.New(rand.NewSource(5))})
+	m1, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: rand.New(rand.NewSource(5))})
 	if err != nil {
 		t.Fatal(err)
 	}

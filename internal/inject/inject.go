@@ -120,23 +120,19 @@ type Stats struct {
 	MaxFlow    float64 // largest f(e) at exit
 }
 
-// ComputeMetric runs Algorithm 2 and returns a spreading metric for (h,
+// ComputeMetricCtx runs Algorithm 2 and returns a spreading metric for (h,
 // spec) together with run statistics. Every node must fit a leaf block
 // (s(v) <= C_0); otherwise no feasible metric or partition exists and an
-// error is returned. It is ComputeMetricCtx without cancellation.
-func ComputeMetric(h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options) (*metric.Metric, Stats, error) {
-	return ComputeMetricCtx(context.Background(), h, spec, opt)
-}
-
-// ComputeMetricCtx is ComputeMetric under a context. The context is checked
-// on every sweep round, before every shortest-path-tree growth, and
-// periodically inside long growths (in every worker, when parallel). When it
-// fires mid-run the metric computed so far — a valid (if unconverged) length
-// assignment, since every intermediate state of Algorithm 2 is one — is
-// returned together with the partial Stats AND a non-nil error wrapping the
-// context cause, so callers can choose between salvaging the partial metric
-// and propagating the interruption. A context that is already done at entry
-// yields a nil metric.
+// error is returned.
+//
+// The context is checked on every sweep round, before every
+// shortest-path-tree growth, and periodically inside long growths (in every
+// worker, when parallel). When it fires mid-run the metric computed so far
+// — a valid (if unconverged) length assignment, since every intermediate
+// state of Algorithm 2 is one — is returned together with the partial Stats
+// AND a non-nil error wrapping the context cause, so callers can choose
+// between salvaging the partial metric and propagating the interruption. A
+// context that is already done at entry yields a nil metric.
 func ComputeMetricCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options) (*metric.Metric, Stats, error) {
 	opt = opt.withDefaults()
 	opt.Span, opt.Observer = opt.Span.Enter(opt.Observer)

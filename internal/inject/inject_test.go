@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func TestComputeMetricConvergesAndIsFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	h := clusteredGraph(t, rng, 4, 4)
 	spec := specFor(h, 2)
-	m, st, err := ComputeMetric(h, spec, Options{})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestComputeMetricDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	h := clusteredGraph(t, rng, 3, 4)
 	spec := specFor(h, 2)
-	m1, _, err := ComputeMetric(h, spec, Options{Rng: rand.New(rand.NewSource(5))})
+	m1, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: rand.New(rand.NewSource(5))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := ComputeMetric(h, spec, Options{Rng: rand.New(rand.NewSource(5))})
+	m2, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: rand.New(rand.NewSource(5))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestComputeMetricDeterministicWithSeed(t *testing.T) {
 			t.Fatalf("metrics diverge at net %d: %g vs %g", e, m1.D[e], m2.D[e])
 		}
 	}
-	m3, _, err := ComputeMetric(h, spec, Options{Rng: rand.New(rand.NewSource(6))})
+	m3, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestComputeMetricRejectsOversizedNode(t *testing.T) {
 	b.AddNet("", 1, 0, 1)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{4, 16}, Weight: []float64{1, 1}, Branch: []int{2, 2}}
-	if _, _, err := ComputeMetric(h, spec, Options{}); err == nil {
+	if _, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{}); err == nil {
 		t.Fatal("oversized node accepted")
 	}
 }
@@ -112,7 +113,7 @@ func TestComputeMetricRejectsBadSpec(t *testing.T) {
 	b.AddUnitNodes(2)
 	b.AddNet("", 1, 0, 1)
 	h := b.MustBuild()
-	if _, _, err := ComputeMetric(h, hierarchy.Spec{}, Options{}); err == nil {
+	if _, _, err := ComputeMetricCtx(context.Background(), h, hierarchy.Spec{}, Options{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }
@@ -125,7 +126,7 @@ func TestTrivialInstanceNeedsNoInjection(t *testing.T) {
 	b.AddNet("", 1, 1, 2)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{10}, Weight: []float64{1}, Branch: []int{2}}
-	m, st, err := ComputeMetric(h, spec, Options{})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestZeroCapacityNetIsFreeToCut(t *testing.T) {
 	b.AddNet("", 1, 2, 3)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{1, 4}, Weight: []float64{1, 1}, Branch: []int{2, 4}}
-	m, st, err := ComputeMetric(h, spec, Options{})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestBottleneckNetsGetLongest(t *testing.T) {
 	bridge = b.AddNet("bridge", 1, 0, 5)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{5, 10}, Weight: []float64{1, 2}, Branch: []int{2, 2}}
-	m, st, err := ComputeMetric(h, spec, Options{})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestStatsMaxFlowPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	h := clusteredGraph(t, rng, 3, 3)
 	spec := specFor(h, 2)
-	_, st, err := ComputeMetric(h, spec, Options{})
+	_, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestNonUnitSizesConverge(t *testing.T) {
 	b.AddNet("", 1, 0, 5)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{4, 12}, Weight: []float64{1, 2}, Branch: []int{2, 2}}
-	m, st, err := ComputeMetric(h, spec, Options{})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestMetricValueAboveInducedLowerEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	h := clusteredGraph(t, rng, 4, 4)
 	spec := specFor(h, 2)
-	m, _, err := ComputeMetric(h, spec, Options{})
+	m, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func BenchmarkComputeMetric(b *testing.B) {
 	spec, _ := hierarchy.BinaryTreeSpec(h.TotalSize(), 3, hierarchy.GeometricWeights(3, 2), 1.2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ComputeMetric(h, spec, Options{Rng: rand.New(rand.NewSource(int64(i)))}); err != nil {
+		if _, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: rand.New(rand.NewSource(int64(i)))}); err != nil {
 			b.Fatal(err)
 		}
 	}

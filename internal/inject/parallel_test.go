@@ -44,7 +44,7 @@ func TestWorkers1MatchesLegacySequential(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			h := clusteredGraph(t, rng, tc.clusters, tc.per)
 			spec := specFor(h, 2)
-			m, st, err := ComputeMetric(h, spec, Options{
+			m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{
 				Rng:     rand.New(rand.NewSource(tc.seed)),
 				Workers: workers,
 			})
@@ -72,7 +72,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	spec := specFor(h, 2)
 
 	run := func(workers int) (*metric.Metric, Stats) {
-		m, st, err := ComputeMetric(h, spec, Options{
+		m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{
 			Rng:     rand.New(rand.NewSource(17)),
 			Workers: workers,
 		})
@@ -111,7 +111,7 @@ func TestParallelMetricFeasibleAndEffective(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	h := clusteredGraph(t, rng, 4, 5)
 	spec := specFor(h, 2)
-	m, st, err := ComputeMetric(h, spec, Options{Workers: 4})
+	m, st, err := ComputeMetricCtx(context.Background(), h, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestParallelAlreadyCancelled(t *testing.T) {
 }
 
 // TestParallelSharedRngSafe hands one *rand.Rand to many concurrent
-// ComputeMetric calls' options... it does not: it checks instead that the
+// ComputeMetricCtx calls' options... it does not: it checks instead that the
 // parallel engine never draws from Options.Rng off the calling goroutine by
 // running under -race with Workers > 1 (the workers would trip the detector
 // if the source were shared with them).
@@ -191,7 +191,7 @@ func TestParallelSharedRngSafe(t *testing.T) {
 	spec := specFor(h, 2)
 	src := rand.New(rand.NewSource(29))
 	for i := 0; i < 3; i++ {
-		if _, _, err := ComputeMetric(h, spec, Options{Rng: src, Workers: 4}); err != nil {
+		if _, _, err := ComputeMetricCtx(context.Background(), h, spec, Options{Rng: src, Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

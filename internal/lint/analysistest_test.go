@@ -35,8 +35,9 @@ func sharedLoader(t *testing.T) (*Loader, []*Package) {
 	return loaderState.l, loaderState.pkgs
 }
 
-// wantRe matches the analysistest-style expectation marker: a comment
-// containing `// want `regexp`` on the line the diagnostic must land on.
+// wantRe matches the analysistest-style expectation marker: a "// want"
+// comment followed by a backquoted regexp, on the line the diagnostic must
+// land on.
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
 // runFixture type-checks testdata/<dir> under importPath (which decides
@@ -97,7 +98,7 @@ func runFixture(t *testing.T, dir, importPath string) {
 // The detrand and allow fixtures load under a determinism-critical import
 // path so the package gate opens; the others use neutral fixture paths.
 func TestDetRandFixture(t *testing.T) { runFixture(t, "detrand", "repro/internal/inject") }
-func TestAllowFixture(t *testing.T)  { runFixture(t, "allow", "repro/internal/inject") }
+func TestAllowFixture(t *testing.T)   { runFixture(t, "allow", "repro/internal/inject") }
 func TestCtxFlowFixture(t *testing.T) {
 	runFixture(t, "ctxflow", "repro/fixtures/ctxflow")
 }

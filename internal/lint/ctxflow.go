@@ -3,25 +3,19 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxFlow enforces the anytime core's cancellation contract: a function
 // that accepts a context.Context must actually thread it. Concretely, in
-// any function with a ctx parameter (including closures inside it):
-//
-//   - calling a function or method F when an F+"Ctx" twin with a leading
-//     context.Context parameter exists is flagged — the non-Ctx facade
-//     twins are conveniences for context-free callers only, and calling
-//     one internally silently drops the deadline;
-//   - calling context.Background or context.TODO is flagged — detaching
-//     from the caller's context disables cancellation for everything
-//     downstream. The deliberate detach on the salvage path (a bounded,
-//     cheap construction that must complete to turn sunk work into a
-//     best-so-far candidate) carries an //htpvet:allow annotation.
+// any function with a ctx parameter (including closures inside it),
+// calling context.Background or context.TODO is flagged — detaching from
+// the caller's context disables cancellation for everything downstream.
+// The deliberate detach on the salvage path (a bounded, cheap construction
+// that must complete to turn sunk work into a best-so-far candidate)
+// carries an //htpvet:allow annotation.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "functions accepting a context must pass it to every ctx-capable callee and must not detach via Background/TODO",
+	Doc:  "functions accepting a context must not detach via Background/TODO",
 	Run:  runCtxFlow,
 }
 
@@ -65,38 +59,7 @@ func checkCtxBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		if fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO") {
 			pass.Reportf(call.Pos(), "context.%s inside a function that already receives a ctx detaches cancellation; thread the caller's ctx (or annotate a deliberate detach)", fn.Name())
-			return true
-		}
-		if twin := ctxTwin(fn); twin != nil {
-			pass.Reportf(call.Pos(), "%s drops the caller's context; call %s and pass ctx", fn.Name(), twin.Name())
 		}
 		return true
 	})
-}
-
-// ctxTwin finds the context-accepting variant of fn: a function (or method
-// on the same receiver) named fn.Name()+"Ctx" whose first parameter is a
-// context.Context. Returns nil when fn already is the Ctx variant or no
-// twin exists.
-func ctxTwin(fn *types.Func) *types.Func {
-	if strings.HasSuffix(fn.Name(), "Ctx") || fn.Pkg() == nil {
-		return nil
-	}
-	want := fn.Name() + "Ctx"
-	sig := fn.Type().(*types.Signature)
-	var cand types.Object
-	if recv := sig.Recv(); recv != nil {
-		cand, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), want)
-	} else {
-		cand = fn.Pkg().Scope().Lookup(want)
-	}
-	twin, ok := cand.(*types.Func)
-	if !ok {
-		return nil
-	}
-	tsig, ok := twin.Type().(*types.Signature)
-	if !ok || tsig.Params().Len() == 0 || !isContextType(tsig.Params().At(0).Type()) {
-		return nil
-	}
-	return twin
 }

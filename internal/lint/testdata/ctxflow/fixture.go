@@ -1,37 +1,24 @@
 // Fixture for the ctxflow analyzer: functions that receive a context must
-// thread it — calling a facade with a *Ctx twin, or detaching via
-// context.Background/TODO, is flagged.
+// thread it — detaching via context.Background/TODO is flagged.
 package fixture
 
 import "context"
 
-func Work() {}
-
 func WorkCtx(ctx context.Context) { _ = ctx }
 
-type Engine struct{}
-
-func (e *Engine) Run() {}
-
-func (e *Engine) RunCtx(ctx context.Context) { _ = ctx }
-
-func driver(ctx context.Context, e *Engine) {
-	Work()                   // want `call WorkCtx and pass ctx`
-	e.Run()                  // want `call RunCtx and pass ctx`
-	WorkCtx(ctx)             // the Ctx variant itself: fine
-	e.RunCtx(ctx)            // ditto for the method twin
+func driver(ctx context.Context) {
+	WorkCtx(ctx)             // threading the caller's ctx: fine
 	_ = context.Background() // want `detaches cancellation`
+	_ = context.TODO()       // want `detaches cancellation`
 }
 
-func noCtx(e *Engine) {
-	Work() // no ctx received: the facade twins are exactly for this caller
-	e.Run()
-	_ = context.Background() // building a root context is the context-free caller's job
+func noCtx() {
+	WorkCtx(context.Background()) // building a root context is the context-free caller's job
 }
 
 func closureInside(ctx context.Context) {
 	f := func() {
-		Work() // want `call WorkCtx and pass ctx`
+		_ = context.Background() // want `detaches cancellation`
 	}
 	f()
 	WorkCtx(ctx)

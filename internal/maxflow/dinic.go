@@ -99,18 +99,11 @@ func (nw *Network) dfs(v, t int, f float64) float64 {
 	return 0
 }
 
-// MaxFlow pushes the maximum flow from s to t and returns its value. The
-// network retains the residual state, which MinCutSide then reads. It is
-// MaxFlowCtx without cancellation.
-func (nw *Network) MaxFlow(s, t int) float64 {
-	flow, _ := nw.MaxFlowCtx(context.Background(), s, t)
-	return flow
-}
-
-// MaxFlowCtx is MaxFlow under a context: each BFS level phase and the
-// augmenting-path loop poll cancellation (masked, every ~1k queue pops /
-// every 64 paths), so a dead context stops the computation within one
-// bounded sweep instead of running all phases to completion. On
+// MaxFlowCtx pushes the maximum flow from s to t and returns its value. The
+// network retains the residual state, which MinCutSide then reads. Each BFS
+// level phase and the augmenting-path loop poll cancellation (masked, every
+// ~1k queue pops / every 64 paths), so a dead context stops the computation
+// within one bounded sweep instead of running all phases to completion. On
 // cancellation it returns the flow pushed so far and an error wrapping the
 // context cause; the residual state is then mid-phase, so MinCutSide must
 // not be read as a minimum cut.
@@ -151,9 +144,9 @@ func (nw *Network) MaxFlowCtx(ctx context.Context, s, t int) (float64, error) {
 	return flow, nil
 }
 
-// MinCutSide returns, after MaxFlow, the set of vertices reachable from s in
-// the residual network — the source side of a minimum s-t cut — as a boolean
-// membership vector.
+// MinCutSide returns, after MaxFlowCtx, the set of vertices reachable from s
+// in the residual network — the source side of a minimum s-t cut — as a
+// boolean membership vector.
 func (nw *Network) MinCutSide(s int) []bool {
 	side := make([]bool, len(nw.arcs))
 	queue := []int32{int32(s)}

@@ -153,27 +153,18 @@ func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32
 	return constant + flow, sourceSide, nil
 }
 
-// HyperCut computes a minimum-capacity net cut separating the source node
-// set from the sink node set in a hypergraph, using the standard net-
+// HyperCutCtx computes a minimum-capacity net cut separating the source
+// node set from the sink node set in a hypergraph, using the standard net-
 // splitting construction: each net e becomes a pair of auxiliary vertices
 // joined by an arc of capacity c(e); pins connect to the pair with infinite
 // arcs in both directions. Cutting the model's finite arc corresponds
 // exactly to cutting the net.
 //
 // It returns the cut capacity and the source-side membership of the
-// original nodes, and panics on API misuse (a node in both seed sets) —
-// HyperCutCtx returns those as errors instead.
-func HyperCut(h *hypergraph.Hypergraph, sources, sinks []hypergraph.NodeID) (capacity float64, sourceSide []bool) {
-	capacity, sourceSide, err := HyperCutCtx(context.Background(), h, sources, sinks)
-	if err != nil {
-		panic("maxflow: " + err.Error())
-	}
-	return capacity, sourceSide
-}
-
-// HyperCutCtx is HyperCut under a context (threaded into Dinic's phases)
-// with misuse reported as errors. It lowers the hypergraph onto CutRawCtx,
-// which also hardens it against degenerate nets — h need not be validated.
+// original nodes. The context is threaded into Dinic's phases, and misuse
+// (a node in both seed sets) is reported as an error. It lowers the
+// hypergraph onto CutRawCtx, which also hardens it against degenerate nets
+// — h need not be validated.
 func HyperCutCtx(ctx context.Context, h *hypergraph.Hypergraph, sources, sinks []hypergraph.NodeID) (float64, []bool, error) {
 	nets := make([]RawNet, h.NumNets())
 	for e := range nets {
@@ -204,15 +195,18 @@ func HyperCutCtx(ctx context.Context, h *hypergraph.Hypergraph, sources, sinks [
 //
 // It returns the membership of side A. The hypergraph must have at least two
 // nodes; if the balance window is infeasible the closest achievable cut is
-// returned.
-func BalancedBipartition(h *hypergraph.Hypergraph, seedA, seedB hypergraph.NodeID, lb, ub int64) []bool {
+// returned. An error from a cut (cancellation, misuse) is returned as is.
+func BalancedBipartition(ctx context.Context, h *hypergraph.Hypergraph, seedA, seedB hypergraph.NodeID, lb, ub int64) ([]bool, error) {
 	fixedA := map[hypergraph.NodeID]bool{seedA: true}
 	fixedB := map[hypergraph.NodeID]bool{seedB: true}
 	n := h.NumNodes()
 	for iter := 0; iter < n; iter++ {
 		srcs := keys(fixedA)
 		snks := keys(fixedB)
-		_, side := HyperCut(h, srcs, snks)
+		_, side, err := HyperCutCtx(ctx, h, srcs, snks)
+		if err != nil {
+			return nil, err
+		}
 		var sizeA int64
 		for v := 0; v < n; v++ {
 			if side[v] {
@@ -224,7 +218,7 @@ func BalancedBipartition(h *hypergraph.Hypergraph, seedA, seedB hypergraph.NodeI
 			// Source side too small: absorb a boundary node from B into A.
 			v, ok := pickAdjacent(h, side, false, seedB)
 			if !ok {
-				return side
+				return side, nil
 			}
 			fixedA[v] = true
 			delete(fixedB, v)
@@ -232,16 +226,16 @@ func BalancedBipartition(h *hypergraph.Hypergraph, seedA, seedB hypergraph.NodeI
 			// Source side too big: pin a boundary node from A to B.
 			v, ok := pickAdjacent(h, side, true, seedA)
 			if !ok {
-				return side
+				return side, nil
 			}
 			fixedB[v] = true
 			delete(fixedA, v)
 		default:
-			return side
+			return side, nil
 		}
 	}
-	_, side := HyperCut(h, keys(fixedA), keys(fixedB))
-	return side
+	_, side, err := HyperCutCtx(ctx, h, keys(fixedA), keys(fixedB))
+	return side, err
 }
 
 // pickAdjacent returns a node with sourceSide[v] == wantSide, preferring

@@ -1,6 +1,8 @@
 package maxflow
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +14,8 @@ func TestMaxFlowSimplePath(t *testing.T) {
 	nw := NewNetwork(3)
 	nw.AddArc(0, 1, 5)
 	nw.AddArc(1, 2, 3)
-	if f := nw.MaxFlow(0, 2); f != 3 {
-		t.Fatalf("flow = %g, want 3", f)
+	if f, err := nw.MaxFlowCtx(context.Background(), 0, 2); err != nil || f != 3 {
+		t.Fatalf("flow = %g (err %v), want 3", f, err)
 	}
 }
 
@@ -25,8 +27,8 @@ func TestMaxFlowClassicDiamond(t *testing.T) {
 	nw.AddArc(1, 2, 5)
 	nw.AddArc(1, 3, 2)
 	nw.AddArc(2, 3, 3)
-	if f := nw.MaxFlow(0, 3); f != 5 {
-		t.Fatalf("flow = %g, want 5", f)
+	if f, err := nw.MaxFlowCtx(context.Background(), 0, 3); err != nil || f != 5 {
+		t.Fatalf("flow = %g (err %v), want 5", f, err)
 	}
 }
 
@@ -41,8 +43,8 @@ func TestMaxFlowNeedsResidualReversal(t *testing.T) {
 	nw.AddArc(3, 5, 1)
 	nw.AddArc(4, 5, 1)
 	nw.AddArc(2, 4, 1)
-	if f := nw.MaxFlow(0, 5); f != 2 {
-		t.Fatalf("flow = %g, want 2", f)
+	if f, err := nw.MaxFlowCtx(context.Background(), 0, 5); err != nil || f != 2 {
+		t.Fatalf("flow = %g (err %v), want 2", f, err)
 	}
 }
 
@@ -65,7 +67,10 @@ func TestMinCutSideMatchesFlowValue(t *testing.T) {
 			arcs = append(arcs, arcRec{u, v, c})
 			nw.AddArc(u, v, c)
 		}
-		flow := nw.MaxFlow(0, n-1)
+		flow, err := nw.MaxFlowCtx(context.Background(), 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		side := nw.MinCutSide(0)
 		if !side[0] || side[n-1] {
 			t.Fatalf("trial %d: cut does not separate s,t", trial)
@@ -88,7 +93,7 @@ func TestMaxFlowPanicsOnSameST(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewNetwork(2).MaxFlow(1, 1)
+	NewNetwork(2).MaxFlowCtx(context.Background(), 1, 1)
 }
 
 func TestAddArcRejectsNegativeCapacity(t *testing.T) {
@@ -101,7 +106,7 @@ func TestAddArcRejectsNegativeCapacity(t *testing.T) {
 }
 
 // bruteHyperCut enumerates all bipartitions separating the seeds and returns
-// the minimum crossing capacity; oracle for HyperCut on tiny hypergraphs.
+// the minimum crossing capacity; oracle for HyperCutCtx on tiny hypergraphs.
 func bruteHyperCut(h *hypergraph.Hypergraph, src, snk hypergraph.NodeID) float64 {
 	n := h.NumNodes()
 	best := math.Inf(1)
@@ -139,10 +144,13 @@ func TestHyperCutAgainstBruteForce(t *testing.T) {
 		}
 		h := b.MustBuild()
 		src, snk := hypergraph.NodeID(0), hypergraph.NodeID(n-1)
-		got, side := HyperCut(h, []hypergraph.NodeID{src}, []hypergraph.NodeID{snk})
+		got, side, err := HyperCutCtx(context.Background(), h, []hypergraph.NodeID{src}, []hypergraph.NodeID{snk})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := bruteHyperCut(h, src, snk)
 		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: HyperCut %g, brute force %g", trial, got, want)
+			t.Fatalf("trial %d: HyperCutCtx %g, brute force %g", trial, got, want)
 		}
 		if !side[src] || side[snk] {
 			t.Fatalf("trial %d: sides wrong", trial)
@@ -163,7 +171,10 @@ func TestHyperCutMultiSeed(t *testing.T) {
 	b.AddNet("", 1, 1, 2)
 	b.AddNet("", 1, 2, 3)
 	h := b.MustBuild()
-	cap0, side := HyperCut(h, []hypergraph.NodeID{0, 1}, []hypergraph.NodeID{3})
+	cap0, side, err := HyperCutCtx(context.Background(), h, []hypergraph.NodeID{0, 1}, []hypergraph.NodeID{3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cap0 != 1 {
 		t.Fatalf("capacity = %g, want 1", cap0)
 	}
@@ -184,7 +195,10 @@ func TestBalancedBipartitionRespectsWindow(t *testing.T) {
 	b.AddNet("", 1, 3, 5)
 	b.AddNet("", 1, 2, 3)
 	h := b.MustBuild()
-	side := BalancedBipartition(h, 0, 5, 3, 3)
+	side, err := BalancedBipartition(context.Background(), h, 0, 5, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var size int64
 	for v := 0; v < 6; v++ {
 		if side[v] {
@@ -208,7 +222,10 @@ func TestBalancedBipartitionSkewedWindow(t *testing.T) {
 		b.AddNet("", 1, hypergraph.NodeID(i), hypergraph.NodeID(i+1))
 	}
 	h := b.MustBuild()
-	side := BalancedBipartition(h, 0, 7, 2, 2)
+	side, err := BalancedBipartition(context.Background(), h, 0, 7, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var size int64
 	for v := 0; v < 8; v++ {
 		if side[v] {
@@ -220,6 +237,25 @@ func TestBalancedBipartitionSkewedWindow(t *testing.T) {
 	}
 	if c, _ := h.CutCapacity(side); c != 1 {
 		t.Fatalf("cut = %g, want 1 (a path cut)", c)
+	}
+}
+
+// A failing cut ends the search with its error: a node seeding both sides
+// is misuse, and a done context stops the first max-flow.
+func TestBalancedBipartitionReportsCutErrors(t *testing.T) {
+	b := hypergraph.NewBuilder()
+	b.AddUnitNodes(4)
+	for i := 0; i < 3; i++ {
+		b.AddNet("", 1, hypergraph.NodeID(i), hypergraph.NodeID(i+1))
+	}
+	h := b.MustBuild()
+	if side, err := BalancedBipartition(context.Background(), h, 1, 1, 2, 2); err == nil {
+		t.Fatalf("same seed on both sides: side %v, want an error", side)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BalancedBipartition(ctx, h, 0, 3, 2, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -238,6 +274,6 @@ func BenchmarkHyperCut(b *testing.B) {
 	h := hb.MustBuild()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HyperCut(h, []hypergraph.NodeID{0}, []hypergraph.NodeID{n - 1})
+		HyperCutCtx(context.Background(), h, []hypergraph.NodeID{0}, []hypergraph.NodeID{n - 1})
 	}
 }

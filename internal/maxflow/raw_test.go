@@ -35,10 +35,10 @@ func TestMaxFlowCtxCancelledBeforeStart(t *testing.T) {
 	if flow != 0 {
 		t.Fatalf("flow %g pushed under a context dead before the first phase", flow)
 	}
-	// The same computation on a fresh network must still complete through the
-	// context-free wrapper.
-	if f := chainNetwork(64).MaxFlow(0, 63); f != 1 {
-		t.Fatalf("MaxFlow = %g, want 1 (chain bottleneck)", f)
+	// The same computation on a fresh network must still complete under a
+	// live context.
+	if f, err := chainNetwork(64).MaxFlowCtx(context.Background(), 0, 63); err != nil || f != 1 {
+		t.Fatalf("MaxFlowCtx = %g (err %v), want 1 (chain bottleneck)", f, err)
 	}
 }
 
@@ -57,13 +57,18 @@ func TestMaxFlowCtxMatchesMaxFlow(t *testing.T) {
 			}
 			return nw
 		}
-		want := build().MaxFlow(0, n-1)
-		got, err := build().MaxFlowCtx(context.Background(), 0, n-1)
+		want, err := build().MaxFlowCtx(context.Background(), 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		got, err := build().MaxFlowCtx(ctx, 0, n-1)
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("trial %d: MaxFlowCtx %g, MaxFlow %g", trial, got, want)
+			t.Fatalf("trial %d: live context %g, background %g", trial, got, want)
 		}
 	}
 }

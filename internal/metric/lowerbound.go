@@ -29,26 +29,23 @@ type LowerBoundResult struct {
 	Stop anytime.Stop
 }
 
-// ExactLowerBound computes the optimum of the spreading-metric LP (P1) by
-// cutting planes: solve a relaxation over the separated constraints, then
-// grow shortest-path trees from every node under the current fractional
-// metric; each violated spreading constraint (5) is linearized over its
-// tree — Σ_e d(e)·δ(S,e) ≥ g(s(S)), with δ(S,e) the total node size routed
-// through net e — which is valid for every feasible metric since tree
-// distances dominate shortest distances. Iterate until no violation.
+// ExactLowerBoundCtx computes the optimum of the spreading-metric LP (P1)
+// by cutting planes: solve a relaxation over the separated constraints,
+// then grow shortest-path trees from every node under the current
+// fractional metric; each violated spreading constraint (5) is linearized
+// over its tree — Σ_e d(e)·δ(S,e) ≥ g(s(S)), with δ(S,e) the total node
+// size routed through net e — which is valid for every feasible metric
+// since tree distances dominate shortest distances. Iterate until no
+// violation.
 //
 // Dense simplex bounds this to small instances (tens of nodes); the paper's
 // Lemma 2 is exercised at exactly that scale in tests and the ablation
 // bench. maxRounds caps the LP/separation iterations (0 = default 200).
-func ExactLowerBound(h *hypergraph.Hypergraph, spec hierarchy.Spec, maxRounds int) (*LowerBoundResult, error) {
-	return ExactLowerBoundCtx(context.Background(), h, spec, maxRounds)
-}
-
-// ExactLowerBoundCtx is ExactLowerBound under a context, checked on every
-// cutting-plane round and every separation root. Every relaxation optimum
-// already lower-bounds (P1), so cancellation is not an error: the result
-// carries the best bound proven so far with Stop set to the interruption
-// reason and Converged false.
+//
+// The context is checked on every cutting-plane round and every separation
+// root. Every relaxation optimum already lower-bounds (P1), so cancellation
+// is not an error: the result carries the best bound proven so far with
+// Stop set to the interruption reason and Converged false.
 func ExactLowerBoundCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, maxRounds int) (*LowerBoundResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestExactLowerBoundChain(t *testing.T) {
 	// edge length >= 2; the LP optimum is d = (2,2,2), value 6.
 	h := chainGraph(t, 4)
 	spec := hierarchy.Spec{Capacity: []int64{1, 4}, Weight: []float64{1, 1}, Branch: []int{2, 4}}
-	res, err := ExactLowerBound(h, spec, 0)
+	res, err := ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestExactLowerBoundTrivial(t *testing.T) {
 	// Everything fits one leaf: g == 0, no constraints, optimum 0.
 	h := chainGraph(t, 3)
 	spec := hierarchy.Spec{Capacity: []int64{10}, Weight: []float64{1}, Branch: []int{2}}
-	res, err := ExactLowerBound(h, spec, 0)
+	res, err := ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestExactLowerBoundRejectsOversizedNode(t *testing.T) {
 	b.AddNet("", 1, 0, 1)
 	h := b.MustBuild()
 	spec := hierarchy.Spec{Capacity: []int64{4, 10}, Weight: []float64{1, 1}, Branch: []int{2, 2}}
-	if _, err := ExactLowerBound(h, spec, 0); err == nil {
+	if _, err := ExactLowerBoundCtx(context.Background(), h, spec, 0); err == nil {
 		t.Fatal("oversized node accepted")
 	}
 }
@@ -66,7 +67,7 @@ func TestLemma2LowerBoundsPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 8; trial++ {
 		p := makePartitionedInstance(rng)
-		res, err := ExactLowerBound(p.H, p.Spec, 40)
+		res, err := ExactLowerBoundCtx(context.Background(), p.H, p.Spec, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestLemma2LowerBoundsPartitions(t *testing.T) {
 
 func TestLemma2OnFigure2(t *testing.T) {
 	h, spec, _ := circuits.Figure2()
-	res, err := ExactLowerBound(h, spec, 0)
+	res, err := ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

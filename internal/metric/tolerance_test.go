@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -99,7 +100,7 @@ func TestCheckAtTopCapacityBreakpoint(t *testing.T) {
 func TestLowerBoundMetricPassesCheckOnSmallWeights(t *testing.T) {
 	h := pathInstance(4)
 	spec := hierarchy.Spec{Capacity: []int64{1, 2, 4}, Weight: []float64{1e-6, 1e-6, 1e-6}, Branch: []int{2, 2, 2}}
-	lb, err := ExactLowerBound(h, spec, 0)
+	lb, err := ExactLowerBoundCtx(context.Background(), h, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,17 +82,11 @@ type Result struct {
 	Stop anytime.Stop
 }
 
-// Bipartition runs the stochastic flow injection and sweep extraction.
-// The hypergraph must have at least 2 nodes. It is BipartitionCtx without
-// cancellation.
-func Bipartition(h *hypergraph.Hypergraph, opt Options) *Result {
-	return BipartitionCtx(context.Background(), h, opt)
-}
-
-// BipartitionCtx is Bipartition under a context, checked between injected
-// pairs and between extraction sweeps. The heuristic is anytime by nature —
-// fewer pairs mean a noisier congestion signal, fewer sweeps fewer cut
-// candidates — so cancellation degrades quality, never validity: the
+// BipartitionCtx runs the stochastic flow injection and sweep extraction.
+// The hypergraph must have at least 2 nodes. The context is checked between
+// injected pairs and between extraction sweeps. The heuristic is anytime by
+// nature — fewer pairs mean a noisier congestion signal, fewer sweeps fewer
+// cut candidates — so cancellation degrades quality, never validity: the
 // result always has two non-empty sides.
 func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) *Result {
 	n := h.NumNodes()

@@ -1,6 +1,7 @@
 package ratiocut
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func twoCliques(t testing.TB, a, b int) *hypergraph.Hypergraph {
 
 func TestBipartitionFindsBridge(t *testing.T) {
 	h := twoCliques(t, 5, 5)
-	res := Bipartition(h, Options{Rng: rand.New(rand.NewSource(3))})
+	res := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(3))})
 	if res.Cut != 1 {
 		t.Fatalf("cut = %g, want the single bridge", res.Cut)
 	}
@@ -52,7 +53,7 @@ func TestBipartitionFindsBridge(t *testing.T) {
 func TestBipartitionAsymmetricCliques(t *testing.T) {
 	// The ratio objective prefers the bridge cut even with size 3 vs 9.
 	h := twoCliques(t, 3, 9)
-	res := Bipartition(h, Options{Rng: rand.New(rand.NewSource(5))})
+	res := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(5))})
 	if res.Cut != 1 {
 		t.Fatalf("cut = %g", res.Cut)
 	}
@@ -86,7 +87,7 @@ func TestBipartitionNeverBeatsBruteForce(t *testing.T) {
 			}
 		}
 		h := hb.MustBuild()
-		res := Bipartition(h, Options{Rng: rng})
+		res := BipartitionCtx(context.Background(), h, Options{Rng: rng})
 		// Brute-force optimum over all bipartitions.
 		best := math.Inf(1)
 		inA := make([]bool, n)
@@ -110,8 +111,8 @@ func TestBipartitionNeverBeatsBruteForce(t *testing.T) {
 
 func TestBipartitionDeterministicWithSeed(t *testing.T) {
 	h := twoCliques(t, 4, 6)
-	r1 := Bipartition(h, Options{Rng: rand.New(rand.NewSource(11))})
-	r2 := Bipartition(h, Options{Rng: rand.New(rand.NewSource(11))})
+	r1 := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(11))})
+	r2 := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(11))})
 	if r1.Ratio != r2.Ratio || r1.Cut != r2.Cut {
 		t.Fatal("same seed produced different results")
 	}
@@ -128,7 +129,7 @@ func TestBipartitionDisconnected(t *testing.T) {
 	hb.AddNet("", 1, 0, 1, 2)
 	hb.AddNet("", 1, 3, 4, 5)
 	h := hb.MustBuild()
-	res := Bipartition(h, Options{Rng: rand.New(rand.NewSource(13))})
+	res := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(13))})
 	// A zero-cut separation of the components is optimal: ratio 0.
 	if res.Cut != 0 || res.Ratio != 0 {
 		t.Fatalf("cut=%g ratio=%g, want a free component cut", res.Cut, res.Ratio)
@@ -144,7 +145,7 @@ func TestBipartitionPanicsOnSingleNode(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Bipartition(h, Options{})
+	BipartitionCtx(context.Background(), h, Options{})
 }
 
 func BenchmarkBipartition(b *testing.B) {
@@ -161,6 +162,6 @@ func BenchmarkBipartition(b *testing.B) {
 	h := hb.MustBuild()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bipartition(h, Options{Rng: rand.New(rand.NewSource(int64(i))), Pairs: 2 * n})
+		BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(int64(i))), Pairs: 2 * n})
 	}
 }

@@ -175,6 +175,8 @@ func TestLoadProfile(t *testing.T) {
 		`htpd_job_duration_seconds_bucket{rung=`,
 		"htpd_jobs_done",
 		"htp_metric_rounds",
+		"# TYPE htpd_queue_depth gauge",
+		"# TYPE htpd_in_flight gauge",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -71,8 +71,8 @@ func (s *Server) runJob(j *Job) {
 	j.cancelFn = cancel
 	j.mu.Unlock()
 	defer cancel()
-	cInFlight.Add(1)
-	defer cInFlight.Add(-1)
+	mInFlight.Add(1)
+	defer mInFlight.Add(-1)
 
 	// Solver telemetry pipeline: the SSE hub sits behind a DROPPING funnel
 	// so a stalled consumer can never backpressure the solver — drops are

@@ -44,8 +44,6 @@ import (
 // on duplicate names), so tests with several Server instances assert deltas.
 // The "htpd." prefix keeps clear of the solver's own "htp." namespace.
 var (
-	cQueueDepth          = expvar.NewInt("htpd.queue_depth")
-	cInFlight            = expvar.NewInt("htpd.in_flight")
 	cSubmitted           = expvar.NewInt("htpd.jobs_submitted")
 	cRejections          = expvar.NewInt("htpd.rejections_overload")
 	cOversized           = expvar.NewInt("htpd.rejections_oversized")
@@ -70,6 +68,13 @@ var (
 var mJobDuration = metrics.Default.HistogramVec("htpd_job_duration_seconds",
 	"End-to-end job latency (submit to terminal state) by serving ladder rung.",
 	"rung", metrics.DurationBuckets())
+
+// Queue depth and in-flight jobs rise and fall, so they are gauges, not
+// counters.
+var (
+	mQueueDepth = metrics.Default.Gauge("htpd_queue_depth", "Jobs admitted and waiting for a worker.")
+	mInFlight   = metrics.Default.Gauge("htpd_in_flight", "Jobs a worker is running.")
+)
 
 // maxSubmitBytes bounds a submit request body. The inline netlist dominates;
 // 64 MiB comfortably fits every benchmark-scale instance while keeping a
@@ -218,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	s.queue = make(chan *Job, cfg.MaxQueue+len(recovered))
 	for _, j := range recovered {
 		s.queued++
-		cQueueDepth.Add(1)
+		mQueueDepth.Add(1)
 		cRecovered.Add(1)
 		s.queue <- j
 	}
@@ -386,7 +391,7 @@ func (s *Server) noteDequeued() {
 	s.mu.Lock()
 	s.queued--
 	s.mu.Unlock()
-	cQueueDepth.Add(-1)
+	mQueueDepth.Add(-1)
 }
 
 // snapshotJobs returns all jobs in admission order.
@@ -513,7 +518,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.queued++
 	s.mu.Unlock()
-	cQueueDepth.Add(1)
+	mQueueDepth.Add(1)
 	cSubmitted.Add(1)
 
 	select {

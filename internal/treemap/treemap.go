@@ -227,7 +227,7 @@ func (m *Mapping) Cost() float64 {
 	return total
 }
 
-// Options tunes Map.
+// Options tunes MapCtx.
 type Options struct {
 	// Rng drives FM seeds; defaults to a fixed source.
 	Rng *rand.Rand
@@ -238,17 +238,12 @@ type Options struct {
 	Observer obs.Observer
 }
 
-// Map assigns the hypergraph onto the host tree by recursive
+// MapCtx assigns the hypergraph onto the host tree by recursive
 // edge-separation plus greedy improvement. The total capacity must cover
-// the total node size. It is MapCtx without cancellation.
-func Map(h *hypergraph.Hypergraph, t *HostTree, opt Options) (*Mapping, error) {
-	return MapCtx(context.Background(), h, t, opt)
-}
-
-// MapCtx is Map under a context. Cancellation during the recursive
-// assignment returns an error wrapping anytime.ErrNoPartition (no complete
-// mapping exists yet); cancellation during the improvement passes returns
-// the current valid mapping — improvement only lowers cost, never validity.
+// the total node size. Cancellation during the recursive assignment returns
+// an error wrapping anytime.ErrNoPartition (no complete mapping exists yet);
+// cancellation during the improvement passes returns the current valid
+// mapping — improvement only lowers cost, never validity.
 func MapCtx(ctx context.Context, h *hypergraph.Hypergraph, t *HostTree, opt Options) (*Mapping, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err

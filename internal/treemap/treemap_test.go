@@ -1,6 +1,7 @@
 package treemap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,7 +114,7 @@ func TestMapTwoCliquesOntoEdge(t *testing.T) {
 	h := b.MustBuild()
 	ht := NewHostTree([]int64{4, 4})
 	ht.AddEdge(0, 1, 1)
-	m, err := Map(h, ht, Options{})
+	m, err := MapCtx(context.Background(), h, ht, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestMapRespectsCapacities(t *testing.T) {
 		k := 3 + rng.Intn(3)
 		per := int64(n)/int64(k) + 2
 		ht := pathTree(k, per)
-		m, err := Map(h, ht, Options{Rng: rng})
+		m, err := MapCtx(context.Background(), h, ht, Options{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -159,7 +160,7 @@ func TestMapInsufficientCapacity(t *testing.T) {
 	b.AddNet("", 1, 0, 1)
 	h := b.MustBuild()
 	ht := pathTree(2, 2) // total capacity 4 < 5
-	if _, err := Map(h, ht, Options{}); err == nil {
+	if _, err := MapCtx(context.Background(), h, ht, Options{}); err == nil {
 		t.Fatal("accepted overfull design")
 	}
 }
@@ -170,7 +171,7 @@ func TestMapOntoSingleVertex(t *testing.T) {
 	b.AddNet("", 1, 0, 1, 2)
 	h := b.MustBuild()
 	ht := NewHostTree([]int64{5})
-	m, err := Map(h, ht, Options{})
+	m, err := MapCtx(context.Background(), h, ht, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestMapNeverBeatsBruteForce(t *testing.T) {
 		}
 		h := b.MustBuild()
 		ht := pathTree(3, 2)
-		m, err := Map(h, ht, Options{Rng: rng})
+		m, err := MapCtx(context.Background(), h, ht, Options{Rng: rng})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -240,12 +241,12 @@ func TestImproveNeverWorsens(t *testing.T) {
 	}
 	h := b.MustBuild()
 	ht := pathTree(4, 6)
-	m, err := Map(h, ht, Options{Rng: rng, ImprovePasses: 1})
+	m, err := MapCtx(context.Background(), h, ht, Options{Rng: rng, ImprovePasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	costAfterOne := m.Cost()
-	m2, err := Map(h, ht, Options{Rng: rand.New(rand.NewSource(23)), ImprovePasses: 8})
+	m2, err := MapCtx(context.Background(), h, ht, Options{Rng: rand.New(rand.NewSource(23)), ImprovePasses: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func BenchmarkMap(b *testing.B) {
 	ht := pathTree(8, n/8+8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Map(h, ht, Options{Rng: rand.New(rand.NewSource(int64(i)))}); err != nil {
+		if _, err := MapCtx(context.Background(), h, ht, Options{Rng: rand.New(rand.NewSource(int64(i)))}); err != nil {
 			b.Fatal(err)
 		}
 	}

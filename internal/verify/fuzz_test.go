@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,8 +22,8 @@ func FuzzEvalEquivariance(f *testing.F) {
 	f.Add(int64(42), uint8(12), uint8(20), uint8(3))
 	f.Add(int64(7), uint8(4), uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nodes, nets, scaleExp uint8) {
-		n := 2 + int(nodes)%14  // 2..15 nodes
-		m := 1 + int(nets)%24   // 1..24 nets
+		n := 2 + int(nodes)%14                   // 2..15 nodes
+		m := 1 + int(nets)%24                    // 1..24 nets
 		factor := math.Ldexp(1, int(scaleExp)%8) // 2^0 .. 2^7
 		rng := rand.New(rand.NewSource(seed))
 
@@ -51,7 +52,7 @@ func FuzzEvalEquivariance(f *testing.F) {
 		if err != nil {
 			return // degenerate size for this depth; not the property under test
 		}
-		res, err := htp.GFM(h, spec, htp.GFMOptions{Seed: seed})
+		res, err := htp.GFMCtx(context.Background(), h, spec, htp.GFMOptions{Seed: seed})
 		if err != nil {
 			return
 		}
@@ -124,7 +125,7 @@ func FuzzEvalEquivariance(f *testing.F) {
 		}
 
 		// Determinism: the same seed must reproduce the same result bit for bit.
-		res2, err := htp.GFM(h, spec, htp.GFMOptions{Seed: seed})
+		res2, err := htp.GFMCtx(context.Background(), h, spec, htp.GFMOptions{Seed: seed})
 		if err != nil {
 			t.Fatalf("second run failed where first succeeded: %v", err)
 		}

@@ -36,7 +36,7 @@ func TestLowerBoundHolds(t *testing.T) {
 		"flow": func(t *testing.T) *htp.Result { _, _, r := solveTiny(t); return r },
 		"gfm": func(t *testing.T) *htp.Result {
 			h, spec := tinyInstance(t)
-			r, err := htp.GFM(h, spec, htp.GFMOptions{})
+			r, err := htp.GFMCtx(context.Background(), h, spec, htp.GFMOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

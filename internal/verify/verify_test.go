@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -32,7 +33,7 @@ func tinyInstance(t *testing.T) (*hypergraph.Hypergraph, hierarchy.Spec) {
 func solveTiny(t *testing.T) (*hypergraph.Hypergraph, hierarchy.Spec, *htp.Result) {
 	t.Helper()
 	h, spec := tinyInstance(t)
-	res, err := htp.Flow(h, spec, htp.FlowOptions{Iterations: 2})
+	res, err := htp.FlowCtx(context.Background(), h, spec, htp.FlowOptions{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestNaiveCostMatchesIncrementalOnCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := htp.GFM(h, spec, htp.GFMOptions{})
+	res, err := htp.GFMCtx(context.Background(), h, spec, htp.GFMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

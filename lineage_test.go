@@ -3,6 +3,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func TestRatioCutFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := repro.RatioCut(h, repro.RatioCutOptions{})
+	res := repro.RatioCutCtx(context.Background(), h, repro.RatioCutOptions{})
 	if res.Cut != 1 {
 		t.Fatalf("cut = %g, want the bridge", res.Cut)
 	}
@@ -44,7 +45,7 @@ func TestMapOntoTreeFacade(t *testing.T) {
 	ht.AddEdge(0, 1, 1)
 	ht.AddEdge(1, 2, 1)
 	ht.AddEdge(2, 3, 1)
-	m, err := repro.MapOntoTree(h, ht, repro.TreeMapOptions{})
+	m, err := repro.MapOntoTreeCtx(context.Background(), h, ht, repro.TreeMapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestParallelFlowFacade(t *testing.T) {
 	// depend on it.
 	flowAt := func(procs int) *repro.Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		res, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
+		res, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 3, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -27,14 +28,14 @@ func TestMultilevelWithinFlatFlowBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := repro.Flow(h, spec, repro.FlowOptions{Iterations: 2, Seed: 1})
+			flat, err := repro.FlowCtx(context.Background(), h, spec, repro.FlowOptions{Iterations: 2, Seed: 1})
 			if err != nil {
 				t.Fatalf("flat FLOW: %v", err)
 			}
 			if rep := verify.Result(flat); !rep.OK() {
 				t.Fatalf("flat FLOW failed certification: %v", rep.Err())
 			}
-			ml, err := repro.Multilevel(h, spec, repro.MultilevelOptions{Seed: 1})
+			ml, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
 			if err != nil {
 				t.Fatalf("multilevel: %v", err)
 			}
