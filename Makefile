@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmtcheck lint staticcheck race check bench bench-ml benchdiff bench-compile smoke-ml verify verify-quick loadtest chaos
+.PHONY: build test vet fmtcheck lint staticcheck race check bench bench-ml benchdiff bench-gate bench-compile smoke-ml verify verify-quick loadtest chaos
 
 build:
 	$(GO) build ./...
@@ -89,17 +89,31 @@ bench:
 bench-ml:
 	$(GO) test -run=NONE -bench=MultilevelScaling -benchmem -timeout 3600s .
 
-# Benchmark regression gate: re-run the Algorithm 2 scaling benchmarks once
-# and diff allocation counts against the committed baseline. allocs/op is
-# deterministic even at -benchtime=1x (where ns/op is pure noise), so the
-# tolerance is zero: any new allocation on the metric hot path fails.
-# GOMAXPROCS=1 keeps the -N suffix off the benchmark names, so they match
-# the committed ones on any CPU count (the metric's default is one worker);
-# benchdiff fails when it compared nothing.
+# Benchmark regression gate, two steps. (1) Re-run the Algorithm 2 scaling
+# benchmarks once and diff allocation counts against the committed baseline.
+# allocs/op is deterministic even at -benchtime=1x (where ns/op is pure
+# noise), so the tolerance is zero: any new allocation on the metric hot
+# path fails. (2) Re-run the carve, the V-cycle and flow refinement once and
+# diff allocs/op and B/op against BENCH_gate.json at 1%: these rows drift by
+# a few allocations and under 0.3% of their bytes from run to run, far less
+# than a lost arena or a map per net would move them. GOMAXPROCS=1 keeps the
+# -N suffix off the benchmark names, so they match the committed ones on any
+# CPU count; benchdiff fails when it compared nothing.
+GATE_BENCH = Alg3Scaling/n2048|MultilevelScaling/n16384|FlowRefine/c1355
+
 benchdiff:
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench=Alg2Scaling -benchtime=1x -benchmem -timeout 900s . \
 		| $(GO) run ./cmd/benchjson -o /tmp/htp-bench-head.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -tolerance 0 BENCH_alg2.json /tmp/htp-bench-head.json
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench='$(GATE_BENCH)' -benchtime=1x -benchmem -timeout 900s . \
+		| $(GO) run ./cmd/benchjson -o /tmp/htp-bench-gate.json
+	$(GO) run ./cmd/benchdiff -metric allocs/op,B/op -tolerance 0.01 BENCH_gate.json /tmp/htp-bench-gate.json
+
+# Re-record step (2)'s baseline with the gate's own command, after a change
+# that moves those allocations on purpose. `make bench` never writes it.
+bench-gate:
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench='$(GATE_BENCH)' -benchtime=1x -benchmem -timeout 900s . \
+		| $(GO) run ./cmd/benchjson -o BENCH_gate.json
 
 # The benchmark under bench/ is a Go module of its own, so the root
 # `go build ./...` and `go test ./...` never compile it. This target keeps it

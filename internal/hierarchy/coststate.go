@@ -1,6 +1,10 @@
 package hierarchy
 
-import "repro/internal/hypergraph"
+import (
+	"math"
+
+	"repro/internal/hypergraph"
+)
 
 // CostState maintains the hierarchical cost of a partition incrementally
 // under leaf-to-leaf node moves. It is the bookkeeping behind the paper's
@@ -9,16 +13,28 @@ import "repro/internal/hypergraph"
 // and capacity feasibility is checked along the destination root path.
 //
 // The tree must not change while a CostState is live.
+//
+// The span counts are flat. Net e at level l owns a window of
+// min(|e|, level-l tree vertices) slots, the most distinct level-l blocks
+// its pins can ever touch, so the slots take O(pins × levels) memory
+// whatever the tree's width. The window's first win[e*top+l].live slots
+// hold a (block, pins of e in it) pair each, in no particular order.
 type CostState struct {
 	P   *Partition
 	top int // root level
 
-	anc    [][]int32 // anc[leaf] = ancestor vertex at each level 0..top
-	counts []map[int32]int32
-	blocks []int32 // blocks[e*top+l] = number of distinct level-l blocks of net e
-	sizes  []int64 // per-vertex assigned size
-	cost   float64
+	anc   [][]int32 // anc[leaf] = ancestor vertex at each level 0..top
+	slots []spanSlot
+	win   []spanWindow // win[e*top+l] = net e's window at level l
+	sizes []int64      // per-vertex assigned size
+	cost  float64
 }
+
+type spanSlot struct{ block, count int32 }
+
+// spanWindow locates a window in CostState.slots; live is the number of
+// distinct blocks the net touches at that level.
+type spanWindow struct{ start, live int32 }
 
 // NewCostState builds the incremental state; every node must be assigned.
 func NewCostState(p *Partition) *CostState {
@@ -27,12 +43,11 @@ func NewCostState(p *Partition) *CostState {
 		top = p.Spec.Height()
 	}
 	cs := &CostState{
-		P:      p,
-		top:    top,
-		anc:    make([][]int32, p.Tree.NumVertices()),
-		counts: make([]map[int32]int32, p.H.NumNets()*top),
-		blocks: make([]int32, p.H.NumNets()*top),
-		sizes:  make([]int64, p.Tree.NumVertices()),
+		P:     p,
+		top:   top,
+		anc:   make([][]int32, p.Tree.NumVertices()),
+		win:   make([]spanWindow, p.H.NumNets()*top),
+		sizes: make([]int64, p.Tree.NumVertices()),
 	}
 	for _, leaf := range p.Tree.Leaves() {
 		row := make([]int32, top+1)
@@ -55,16 +70,45 @@ func NewCostState(p *Partition) *CostState {
 			cs.sizes[q] += s
 		}
 	}
+	width := make([]int, top) // tree vertices per level
+	for q := 0; q < p.Tree.NumVertices(); q++ {
+		if l := p.Tree.Level(q); l < top {
+			width[l]++
+		}
+	}
+	total := 0
 	for e := 0; e < p.H.NumNets(); e++ {
+		card := len(p.H.Pins(hypergraph.NetID(e)))
+		for l := 0; l < top; l++ {
+			total += min(card, width[l])
+		}
+	}
+	if total > math.MaxInt32 {
+		panic("hierarchy: CostState span windows exceed int32 offsets")
+	}
+	cs.slots = make([]spanSlot, total)
+	// at[q] is block q's slot while seen[q] holds 1 + the window being filled.
+	seen := make([]int32, p.Tree.NumVertices())
+	at := make([]int32, p.Tree.NumVertices())
+	start := 0
+	for e := 0; e < p.H.NumNets(); e++ {
+		pins := p.H.Pins(hypergraph.NetID(e))
 		for l := 0; l < top; l++ {
 			idx := e*top + l
-			cs.counts[idx] = make(map[int32]int32, 4)
-			for _, v := range p.H.Pins(hypergraph.NetID(e)) {
+			w := &cs.win[idx]
+			w.start = int32(start)
+			for _, v := range pins {
 				b := cs.anc[p.LeafOf[v]][l]
-				cs.counts[idx][b]++
+				if seen[b] != int32(idx+1) {
+					seen[b] = int32(idx + 1)
+					at[b] = w.start + w.live
+					cs.slots[at[b]].block = b
+					w.live++
+				}
+				cs.slots[at[b]].count++
 			}
-			cs.blocks[idx] = int32(len(cs.counts[idx]))
-			cs.cost += p.Spec.Weight[l] * spanValue(int(cs.blocks[idx])) * p.H.NetCapacity(hypergraph.NetID(e))
+			cs.cost += p.Spec.Weight[l] * spanValue(int(w.live)) * p.H.NetCapacity(hypergraph.NetID(e))
+			start += min(len(pins), width[l])
 		}
 	}
 	return cs
@@ -111,23 +155,29 @@ func (cs *CostState) MoveDelta(v hypergraph.NodeID, toLeaf int) float64 {
 	for _, e := range cs.P.H.Incident(v) {
 		c := cs.P.H.NetCapacity(e)
 		for l := 0; l < lca; l++ {
-			idx := int(e)*cs.top + l
 			a, b := cs.anc[from][l], cs.anc[to][l]
 			if a == b {
 				continue
 			}
-			old := int(cs.blocks[idx])
+			live := cs.live(int(e)*cs.top + l)
+			old := len(live)
 			now := old
-			if cs.counts[idx][a] == 1 {
+			if live[slotOf(live, a)].count == 1 {
 				now--
 			}
-			if cs.counts[idx][b] == 0 {
+			if slotOf(live, b) < 0 {
 				now++
 			}
 			delta += cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old))
 		}
 	}
 	return delta
+}
+
+// live returns the live slots of window idx.
+func (cs *CostState) live(idx int) []spanSlot {
+	w := cs.win[idx]
+	return cs.slots[w.start : w.start+w.live]
 }
 
 // CanMove reports whether moving v to toLeaf respects all capacities on the
@@ -162,25 +212,29 @@ func (cs *CostState) Apply(v hypergraph.NodeID, toLeaf int) float64 {
 	for _, e := range cs.P.H.Incident(v) {
 		c := cs.P.H.NetCapacity(e)
 		for l := 0; l < lca; l++ {
-			idx := int(e)*cs.top + l
 			a, b := cs.anc[from][l], cs.anc[to][l]
 			if a == b {
 				continue
 			}
-			old := int(cs.blocks[idx])
-			now := old
-			if cs.counts[idx][a] == 1 {
-				delete(cs.counts[idx], a)
-				now--
+			idx := int(e)*cs.top + l
+			live := cs.live(idx)
+			old := len(live)
+			// Take v's pin out of block a first, so the window never holds
+			// more blocks than it has slots.
+			i := slotOf(live, a)
+			live[i].count--
+			if live[i].count == 0 {
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if j := slotOf(live, b); j >= 0 {
+				live[j].count++
 			} else {
-				cs.counts[idx][a]--
+				live = live[:len(live)+1]
+				live[len(live)-1] = spanSlot{block: b, count: 1}
 			}
-			if cs.counts[idx][b] == 0 {
-				now++
-			}
-			cs.counts[idx][b]++
-			cs.blocks[idx] = int32(now)
-			delta += cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old))
+			cs.win[idx].live = int32(len(live))
+			delta += cs.P.Spec.Weight[l] * c * (spanValue(len(live)) - spanValue(old))
 		}
 	}
 	s := cs.P.H.NodeSize(v)
@@ -191,4 +245,14 @@ func (cs *CostState) Apply(v hypergraph.NodeID, toLeaf int) float64 {
 	cs.P.LeafOf[v] = to
 	cs.cost += delta
 	return delta
+}
+
+// slotOf returns the index of block b among the live slots, or -1.
+func slotOf(live []spanSlot, b int32) int {
+	for i, s := range live {
+		if s.block == b {
+			return i
+		}
+	}
+	return -1
 }

@@ -10,7 +10,7 @@ import "repro/internal/graph"
 func (h *Hypergraph) CliqueExpansion() (g *graph.Graph, netOf []NetID) {
 	g = graph.New(h.NumNodes())
 	for e := 0; e < h.NumNets(); e++ {
-		ps := h.pins[e]
+		ps := h.Pins(NetID(e))
 		w := h.netCaps[e] / float64(len(ps)-1)
 		for i := 0; i < len(ps); i++ {
 			for j := i + 1; j < len(ps); j++ {
@@ -31,7 +31,7 @@ func (h *Hypergraph) StarExpansion() (g *graph.Graph, netOf []NetID) {
 	n := h.NumNodes()
 	g = graph.New(n + h.NumNets())
 	for e := 0; e < h.NumNets(); e++ {
-		for _, v := range h.pins[e] {
+		for _, v := range h.Pins(NetID(e)) {
 			g.AddEdge(int(v), n+e, h.netCaps[e])
 			netOf = append(netOf, NetID(e))
 		}
@@ -45,7 +45,7 @@ func (h *Hypergraph) StarExpansion() (g *graph.Graph, netOf []NetID) {
 func (h *Hypergraph) CutCapacity(inA []bool) (capacity float64, nets int) {
 	for e := 0; e < h.NumNets(); e++ {
 		var sawA, sawB bool
-		for _, v := range h.pins[e] {
+		for _, v := range h.Pins(NetID(e)) {
 			if inA[v] {
 				sawA = true
 			} else {
@@ -67,7 +67,7 @@ func (h *Hypergraph) CutCapacity(inA []bool) (capacity float64, nets int) {
 func (h *Hypergraph) ExternalDegree() []float64 {
 	deg := make([]float64, h.NumNodes())
 	for e := 0; e < h.NumNets(); e++ {
-		for _, v := range h.pins[e] {
+		for _, v := range h.Pins(NetID(e)) {
 			deg[v] += h.netCaps[e]
 		}
 	}

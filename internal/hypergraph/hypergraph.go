@@ -13,6 +13,7 @@ package hypergraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,14 +25,20 @@ type NetID int32
 
 // Hypergraph is an immutable-after-build netlist. Construct one with a
 // Builder; the zero value is an empty hypergraph.
+//
+// Pins and incidence live in two arenas indexed by offset arrays: net e's
+// pins are pins[pinOff[e]:pinOff[e+1]] and node v's nets are
+// incident[incOff[v]:incOff[v+1]]. pinOff is empty while there are no
+// nets.
 type Hypergraph struct {
 	nodeNames []string
 	nodeSizes []int64
 	netNames  []string
 	netCaps   []float64
-	pins      [][]NodeID // pins[e] = nodes on net e
-	incident  [][]NetID  // incident[v] = nets containing v
-	pinCount  int
+	pins      []NodeID
+	pinOff    []int32
+	incident  []NetID
+	incOff    []int32
 	totalSize int64
 }
 
@@ -39,10 +46,10 @@ type Hypergraph struct {
 func (h *Hypergraph) NumNodes() int { return len(h.nodeSizes) }
 
 // NumNets reports m, the number of nets.
-func (h *Hypergraph) NumNets() int { return len(h.pins) }
+func (h *Hypergraph) NumNets() int { return len(h.netCaps) }
 
 // NumPins reports p, the total number of pins (sum of net cardinalities).
-func (h *Hypergraph) NumPins() int { return h.pinCount }
+func (h *Hypergraph) NumPins() int { return len(h.pins) }
 
 // NodeSize returns s(v).
 func (h *Hypergraph) NodeSize(v NodeID) int64 { return h.nodeSizes[v] }
@@ -60,15 +67,23 @@ func (h *Hypergraph) NodeName(v NodeID) string { return h.nodeNames[v] }
 func (h *Hypergraph) NetName(e NetID) string { return h.netNames[e] }
 
 // Pins returns the nodes on net e. The slice is owned by the hypergraph and
-// must not be modified.
-func (h *Hypergraph) Pins(e NetID) []NodeID { return h.pins[e] }
+// must not be modified. Its capacity ends with the net, so an append to it
+// copies instead of overwriting the next net's pins.
+func (h *Hypergraph) Pins(e NetID) []NodeID {
+	lo, hi := h.pinOff[e], h.pinOff[e+1]
+	return h.pins[lo:hi:hi]
+}
 
-// Incident returns the nets containing node v. The slice is owned by the
-// hypergraph and must not be modified.
-func (h *Hypergraph) Incident(v NodeID) []NetID { return h.incident[v] }
+// Incident returns the nets containing node v, in ascending order. The
+// slice is owned by the hypergraph and must not be modified; like Pins, it
+// is capped at its own end.
+func (h *Hypergraph) Incident(v NodeID) []NetID {
+	lo, hi := h.incOff[v], h.incOff[v+1]
+	return h.incident[lo:hi:hi]
+}
 
 // Degree returns the number of nets incident to v.
-func (h *Hypergraph) Degree(v NodeID) int { return len(h.incident[v]) }
+func (h *Hypergraph) Degree(v NodeID) int { return int(h.incOff[v+1] - h.incOff[v]) }
 
 // SizeOf returns the total size of a set of nodes, s(V').
 func (h *Hypergraph) SizeOf(nodes []NodeID) int64 {
@@ -91,9 +106,10 @@ func (h *Hypergraph) Validate() error {
 			return fmt.Errorf("hypergraph: node %d has non-positive size %d", v, h.nodeSizes[v])
 		}
 	}
+	stamp := make([]int32, n) // 1 + the last net that listed v
 	pinTotal := 0
 	for e := 0; e < m; e++ {
-		ps := h.pins[e]
+		ps := h.Pins(NetID(e))
 		if len(ps) < 2 {
 			return fmt.Errorf("hypergraph: net %d has cardinality %d < 2", e, len(ps))
 		}
@@ -102,32 +118,30 @@ func (h *Hypergraph) Validate() error {
 			// everything and would sail through a plain `< 0` check.
 			return fmt.Errorf("hypergraph: net %d has non-finite or negative capacity %g", e, h.netCaps[e])
 		}
-		seen := make(map[NodeID]bool, len(ps))
 		for _, v := range ps {
 			if v < 0 || int(v) >= n {
 				return fmt.Errorf("hypergraph: net %d pin references node %d out of range", e, v)
 			}
-			if seen[v] {
+			if stamp[v] == int32(e+1) {
 				return fmt.Errorf("hypergraph: net %d lists node %d twice", e, v)
 			}
-			seen[v] = true
+			stamp[v] = int32(e + 1)
 		}
 		pinTotal += len(ps)
 	}
-	if pinTotal != h.pinCount {
-		return fmt.Errorf("hypergraph: pin count %d does not match pin lists (%d)", h.pinCount, pinTotal)
+	if pinTotal != len(h.pins) {
+		return fmt.Errorf("hypergraph: pin count %d does not match pin lists (%d)", len(h.pins), pinTotal)
 	}
-	// Cross-check incidence.
-	count := make([]int, n)
-	for e := 0; e < m; e++ {
-		for _, v := range h.pins[e] {
-			count[v]++
-		}
+	// Cross-check incidence, counting each node's pins in the stamp slice.
+	count := stamp
+	clear(count)
+	for _, v := range h.pins {
+		count[v]++
 	}
 	for v := 0; v < n; v++ {
-		if count[v] != len(h.incident[v]) {
+		if int(count[v]) != h.Degree(NodeID(v)) {
 			return fmt.Errorf("hypergraph: node %d incidence length %d, expected %d",
-				v, len(h.incident[v]), count[v])
+				v, h.Degree(NodeID(v)), count[v])
 		}
 	}
 	return nil
@@ -140,31 +154,40 @@ func (h *Hypergraph) Clone() *Hypergraph {
 		nodeSizes: append([]int64(nil), h.nodeSizes...),
 		netNames:  append([]string(nil), h.netNames...),
 		netCaps:   append([]float64(nil), h.netCaps...),
-		pins:      make([][]NodeID, len(h.pins)),
-		incident:  make([][]NetID, len(h.incident)),
-		pinCount:  h.pinCount,
+		pins:      append([]NodeID(nil), h.pins...),
+		pinOff:    append([]int32(nil), h.pinOff...),
+		incident:  append([]NetID(nil), h.incident...),
+		incOff:    append([]int32(nil), h.incOff...),
 		totalSize: h.totalSize,
-	}
-	for i, p := range h.pins {
-		c.pins[i] = append([]NodeID(nil), p...)
-	}
-	for i, inc := range h.incident {
-		c.incident[i] = append([]NetID(nil), inc...)
 	}
 	return c
 }
 
 // Builder accumulates nodes and nets and produces a validated Hypergraph.
+// Nets go into one pin arena, as in the Hypergraph it builds.
 type Builder struct {
 	nodeNames []string
 	nodeSizes []int64
 	netNames  []string
 	netCaps   []float64
-	pins      [][]NodeID
+	pins      []NodeID
+	pinOff    []int32 // net e's pins are pins[pinOff[e]:pinOff[e+1]]
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder { return &Builder{} }
+
+// reserve makes room for nodes more nodes, nets more nets and pins more
+// pins, so a caller that knows upper bounds fills every array without
+// regrowing it.
+func (b *Builder) reserve(nodes, nets, pins int) {
+	b.nodeNames = slices.Grow(b.nodeNames, nodes)
+	b.nodeSizes = slices.Grow(b.nodeSizes, nodes)
+	b.netNames = slices.Grow(b.netNames, nets)
+	b.netCaps = slices.Grow(b.netCaps, nets)
+	b.pinOff = slices.Grow(b.pinOff, nets+1)
+	b.pins = slices.Grow(b.pins, pins)
+}
 
 // AddNode appends a node with the given name and size and returns its ID.
 // Size must be positive.
@@ -189,13 +212,24 @@ func (b *Builder) AddUnitNodes(count int) NodeID {
 }
 
 // AddNet appends a net with the given name, capacity, and pins and returns
-// its ID. Nets with fewer than 2 distinct pins, duplicate pins within a net,
-// and non-finite capacities are all rejected at Build time (via Validate).
+// its ID. The pins are copied, so the caller may reuse its slice. Nets with
+// fewer than 2 distinct pins, duplicate pins within a net, and non-finite
+// capacities are all rejected at Build time (via Validate).
 func (b *Builder) AddNet(name string, capacity float64, pins ...NodeID) NetID {
-	id := NetID(len(b.pins))
+	b.pins = append(b.pins, pins...)
+	return b.endNet(name, capacity)
+}
+
+// endNet closes a net over the pins appended to the arena since the
+// previous net.
+func (b *Builder) endNet(name string, capacity float64) NetID {
+	if len(b.pinOff) == 0 {
+		b.pinOff = append(b.pinOff, 0)
+	}
+	id := NetID(len(b.netCaps))
 	b.netNames = append(b.netNames, name)
 	b.netCaps = append(b.netCaps, capacity)
-	b.pins = append(b.pins, append([]NodeID(nil), pins...))
+	b.pinOff = append(b.pinOff, int32(len(b.pins)))
 	return id
 }
 
@@ -205,21 +239,41 @@ func (b *Builder) NumNodes() int { return len(b.nodeSizes) }
 // Build finalizes the hypergraph, computing incidence lists, and validates
 // it.
 func (b *Builder) Build() (*Hypergraph, error) {
+	if len(b.pins) > math.MaxInt32 {
+		return nil, fmt.Errorf("hypergraph: %d pins exceed the limit of %d", len(b.pins), math.MaxInt32)
+	}
+	n := len(b.nodeSizes)
 	h := &Hypergraph{
 		nodeNames: b.nodeNames,
 		nodeSizes: b.nodeSizes,
 		netNames:  b.netNames,
 		netCaps:   b.netCaps,
 		pins:      b.pins,
-		incident:  make([][]NetID, len(b.nodeSizes)),
+		pinOff:    b.pinOff,
+		incident:  make([]NetID, len(b.pins)),
+		incOff:    make([]int32, n+1),
 	}
-	for e, ps := range h.pins {
-		h.pinCount += len(ps)
-		for _, v := range ps {
-			if v < 0 || int(v) >= len(h.incident) {
+	// Counting pass: incOff[v+1] = degree of v, then the start of v's list.
+	for e := 0; e < h.NumNets(); e++ {
+		for _, v := range h.Pins(NetID(e)) {
+			if v < 0 || int(v) >= n {
 				return nil, fmt.Errorf("hypergraph: net %d references node %d out of range", e, v)
 			}
-			h.incident[v] = append(h.incident[v], NetID(e))
+			h.incOff[v+1]++
+		}
+	}
+	var start int32
+	for v := 1; v <= n; v++ {
+		deg := h.incOff[v]
+		h.incOff[v] = start
+		start += deg
+	}
+	// Fill in ascending net order; each incOff[v+1] advances from the start
+	// of v's list to its end, which is where v+1's list starts.
+	for e := 0; e < h.NumNets(); e++ {
+		for _, v := range h.Pins(NetID(e)) {
+			h.incident[h.incOff[v+1]] = NetID(e)
+			h.incOff[v+1]++
 		}
 	}
 	for _, s := range h.nodeSizes {
@@ -260,12 +314,12 @@ func (h *Hypergraph) Components() [][]NodeID {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for _, e := range h.incident[v] {
+			for _, e := range h.Incident(v) {
 				if netSeen[e] {
 					continue
 				}
 				netSeen[e] = true
-				for _, u := range h.pins[e] {
+				for _, u := range h.Pins(e) {
 					if !seen[u] {
 						seen[u] = true
 						stack = append(stack, u)
@@ -285,33 +339,40 @@ func (h *Hypergraph) Components() [][]NodeID {
 // the mapping from new node IDs to original node IDs and from new net IDs to
 // original net IDs.
 func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap []NodeID, netMap []NetID) {
-	inv := make(map[NodeID]NodeID, len(nodes))
-	b := NewBuilder()
-	nodeMap = make([]NodeID, 0, len(nodes))
-	for _, v := range nodes {
-		if _, dup := inv[v]; dup {
+	inv := make([]NodeID, h.NumNodes()) // 1 + new ID, 0 outside the set
+	for i, v := range nodes {
+		if inv[v] != 0 {
 			panic("hypergraph: duplicate node in InducedSubgraph")
 		}
-		inv[v] = b.AddNode(h.nodeNames[v], h.nodeSizes[v])
-		nodeMap = append(nodeMap, v)
+		inv[v] = NodeID(i + 1)
 	}
 	// Visit each candidate net once, in ascending net ID order.
-	netSeen := make(map[NetID]bool)
+	netSeen := make([]bool, h.NumNets())
 	var cand []NetID
+	candPins := 0
 	for _, v := range nodes {
-		for _, e := range h.incident[v] {
+		for _, e := range h.Incident(v) {
 			if !netSeen[e] {
 				netSeen[e] = true
 				cand = append(cand, e)
+				candPins += int(h.pinOff[e+1] - h.pinOff[e])
 			}
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(cand)
+	b := NewBuilder()
+	b.reserve(len(nodes), len(cand), candPins)
+	nodeMap = make([]NodeID, 0, len(nodes))
+	for _, v := range nodes {
+		b.AddNode(h.nodeNames[v], h.nodeSizes[v])
+		nodeMap = append(nodeMap, v)
+	}
+	var inside []NodeID
 	for _, e := range cand {
-		var inside []NodeID
-		for _, u := range h.pins[e] {
-			if nu, ok := inv[u]; ok {
-				inside = append(inside, nu)
+		inside = inside[:0]
+		for _, u := range h.Pins(e) {
+			if nu := inv[u]; nu != 0 {
+				inside = append(inside, nu-1)
 			}
 		}
 		if len(inside) >= 2 {
@@ -353,7 +414,7 @@ func (h *Hypergraph) Contract(clusterOf []int, k int) (*Hypergraph, error) {
 	mark := make([]bool, k)
 	for e := 0; e < h.NumNets(); e++ {
 		var touched []NodeID
-		for _, v := range h.pins[e] {
+		for _, v := range h.Pins(NetID(e)) {
 			c := clusterOf[v]
 			if !mark[c] {
 				mark[c] = true
@@ -401,6 +462,7 @@ func (h *Hypergraph) ContractDedup(clusterOf []int, k int) (*Hypergraph, error) 
 		sizes[c] += h.nodeSizes[v]
 	}
 	b := NewBuilder()
+	b.reserve(k, h.NumNets(), h.NumPins())
 	for c := 0; c < k; c++ {
 		if sizes[c] == 0 {
 			return nil, fmt.Errorf("hypergraph: cluster %d is empty", c)
@@ -410,9 +472,10 @@ func (h *Hypergraph) ContractDedup(clusterOf []int, k int) (*Hypergraph, error) 
 	mark := make([]bool, k)
 	index := make(map[string]NetID) // sorted cluster set -> coarse net
 	var key []byte
+	var touched []NodeID
 	for e := 0; e < h.NumNets(); e++ {
-		var touched []NodeID
-		for _, v := range h.pins[e] {
+		touched = touched[:0]
+		for _, v := range h.Pins(NetID(e)) {
 			c := clusterOf[v]
 			if !mark[c] {
 				mark[c] = true
@@ -425,7 +488,7 @@ func (h *Hypergraph) ContractDedup(clusterOf []int, k int) (*Hypergraph, error) 
 		if len(touched) < 2 {
 			continue
 		}
-		sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+		slices.Sort(touched)
 		key = key[:0]
 		for _, c := range touched {
 			key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))

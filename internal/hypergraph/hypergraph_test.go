@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,6 +75,80 @@ func TestBuildRejectsBadPinRef(t *testing.T) {
 	}
 }
 
+// TestArenaSlicesAreCapped appends through every Pins(e) and Incident(v)
+// of a built hypergraph. The slices share two arenas, so each must be
+// capped at its own end: an append that reused the arena would overwrite
+// the next net's pins or the next node's nets.
+func TestArenaSlicesAreCapped(t *testing.T) {
+	b := NewBuilder()
+	b.AddUnitNodes(5)
+	buf := []NodeID{0, 1, 2}
+	b.AddNet("", 1, buf...)
+	buf[0], buf[1], buf[2] = 3, 4, 2 // AddNet copied the caller's pins
+	b.AddNet("", 1, buf...)
+	b.AddNet("", 1, 1, 3)
+	h := b.MustBuild()
+	wantPins := [][]NodeID{{0, 1, 2}, {3, 4, 2}, {1, 3}}
+	wantInc := [][]NetID{{0}, {0, 2}, {0, 1}, {1, 2}, {1}}
+	check := func(when string) {
+		t.Helper()
+		for e, want := range wantPins {
+			if got := h.Pins(NetID(e)); !slices.Equal(got, want) {
+				t.Fatalf("%s: net %d pins %v, want %v", when, e, got, want)
+			}
+		}
+		for v, want := range wantInc {
+			if got := h.Incident(NodeID(v)); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d nets %v, want %v", when, v, got, want)
+			}
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("built")
+	for e := range wantPins {
+		grown := append(h.Pins(NetID(e)), 4)
+		check(fmt.Sprintf("after append to net %d", e))
+		if grown[len(grown)-1] != 4 {
+			t.Fatalf("append to net %d lost its element: %v", e, grown)
+		}
+	}
+	for v := range wantInc {
+		grown := append(h.Incident(NodeID(v)), 2)
+		check(fmt.Sprintf("after append to node %d", v))
+		if grown[len(grown)-1] != 2 {
+			t.Fatalf("append to node %d lost its element: %v", v, grown)
+		}
+	}
+}
+
+// TestValidateErrorTexts pins the messages of the duplicate and range
+// checks: a node repeated within a later net (the node also sits on an
+// earlier net, which is no duplicate), a pin past the last node when
+// building, and one that appears in an already built hypergraph.
+func TestValidateErrorTexts(t *testing.T) {
+	b := NewBuilder()
+	b.AddUnitNodes(3)
+	b.AddNet("", 1, 0, 1)
+	b.AddNet("", 1, 1, 2, 1)
+	if _, err := b.Build(); err == nil || err.Error() != "hypergraph: net 1 lists node 1 twice" {
+		t.Fatalf("duplicate pin: %v", err)
+	}
+	b = NewBuilder()
+	b.AddUnitNodes(3)
+	b.AddNet("", 1, 0, 1)
+	b.AddNet("", 1, 2, 7)
+	if _, err := b.Build(); err == nil || err.Error() != "hypergraph: net 1 references node 7 out of range" {
+		t.Fatalf("out-of-range pin at Build: %v", err)
+	}
+	h := triangleNet(t)
+	h.pins[len(h.pins)-1] = 9
+	if err := h.Validate(); err == nil || err.Error() != "hypergraph: net 1 pin references node 9 out of range" {
+		t.Fatalf("out-of-range pin at Validate: %v", err)
+	}
+}
+
 func TestAddNodePanicsOnNonPositiveSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -94,8 +170,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c.pins[0][0] = 1 // reach into the clone; original must be unaffected
-	if h.pins[0][0] != 0 {
+	c.pins[0] = 1 // reach into the clone; original must be unaffected
+	if h.pins[0] != 0 {
 		t.Fatal("clone shares pin storage with original")
 	}
 }

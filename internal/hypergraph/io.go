@@ -56,11 +56,11 @@ func (h *Hypergraph) Write(w io.Writer) error {
 	for e := 0; e < h.NumNets(); e++ {
 		if hasCaps {
 			fmt.Fprintf(bw, "%g", h.netCaps[e])
-			for _, v := range h.pins[e] {
+			for _, v := range h.Pins(NetID(e)) {
 				fmt.Fprintf(bw, " %d", v+1)
 			}
 		} else {
-			for i, v := range h.pins[e] {
+			for i, v := range h.Pins(NetID(e)) {
 				if i > 0 {
 					bw.WriteByte(' ')
 				}
@@ -92,9 +92,9 @@ func (h *Hypergraph) WriteFile(path string) error {
 
 // MaxDeclaredCount bounds the node and net counts a netlist header may
 // declare — a sanity limit three orders of magnitude above the largest
-// benchmark this repository handles. Without it a hostile (or truncated)
-// header like "600000000000000 0" makes the parser allocate per the declared
-// count before a single record is read.
+// benchmark this repository handles. The reader sizes nothing from the
+// declared counts: its storage grows with the records it reads, so a
+// hostile (or truncated) header costs no more than its own bytes.
 const MaxDeclaredCount = 1 << 22
 
 // ReadFrom parses a hypergraph in the extended hMETIS format.
@@ -140,25 +140,22 @@ func ReadFrom(r io.Reader) (*Hypergraph, error) {
 	hasCaps := format == 1 || format == 11
 	hasSizes := format == 10 || format == 11
 
+	// A header alone must not buy an allocation: nets and node sizes go
+	// into the builder as their lines are read, and unit-size nodes are
+	// added only once every record has parsed.
 	b := NewBuilder()
-	sizes := make([]int64, numNodes)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	type netRec struct {
-		cap  float64
-		pins []NodeID
-	}
-	nets := make([]netRec, 0, numNets)
+	// stamp[v] is 1 + the last net that listed v, grown to the largest pin
+	// seen so far.
+	var stamp []int32
 	for e := 0; e < numNets; e++ {
 		fields, err := next()
 		if err != nil {
 			return nil, fmt.Errorf("hypergraph: net %d: %w", e+1, err)
 		}
-		rec := netRec{cap: 1}
+		capacity := 1.0
 		if hasCaps {
-			rec.cap, err = strconv.ParseFloat(fields[0], 64)
-			if err != nil || !(rec.cap >= 0) || math.IsInf(rec.cap, 1) {
+			capacity, err = strconv.ParseFloat(fields[0], 64)
+			if err != nil || !(capacity >= 0) || math.IsInf(capacity, 1) {
 				// !(cap >= 0) also catches NaN, which ParseFloat accepts and
 				// a plain `< 0` check would wave through.
 				return nil, fmt.Errorf("hypergraph: net %d: bad capacity %q", e+1, fields[0])
@@ -170,23 +167,26 @@ func ReadFrom(r io.Reader) (*Hypergraph, error) {
 		}
 		// Real benchmark files repeat pins (a cell wired to a net twice);
 		// canonicalize by keeping the first occurrence of each.
-		seen := make(map[NodeID]bool, len(fields))
+		first := len(b.pins)
 		for _, f := range fields {
 			pin, err := strconv.Atoi(f)
 			if err != nil || pin < 1 || pin > numNodes {
 				return nil, fmt.Errorf("hypergraph: net %d: bad pin %q", e+1, f)
 			}
 			id := NodeID(pin - 1)
-			if seen[id] {
+			if int(id) >= len(stamp) {
+				stamp = append(stamp, make([]int32, int(id)+1-len(stamp))...)
+			}
+			if stamp[id] == int32(e+1) {
 				continue
 			}
-			seen[id] = true
-			rec.pins = append(rec.pins, id)
+			stamp[id] = int32(e + 1)
+			b.pins = append(b.pins, id)
 		}
-		if len(rec.pins) < 2 {
-			return nil, fmt.Errorf("hypergraph: net %d has %d distinct pins, need >= 2", e+1, len(rec.pins))
+		if distinct := len(b.pins) - first; distinct < 2 {
+			return nil, fmt.Errorf("hypergraph: net %d has %d distinct pins, need >= 2", e+1, distinct)
 		}
-		nets = append(nets, rec)
+		b.endNet("", capacity)
 	}
 	if hasSizes {
 		for v := 0; v < numNodes; v++ {
@@ -201,7 +201,7 @@ func ReadFrom(r io.Reader) (*Hypergraph, error) {
 			if err != nil || s <= 0 {
 				return nil, fmt.Errorf("hypergraph: node %d: bad size %q", v+1, fields[0])
 			}
-			sizes[v] = s
+			b.AddNode("", s)
 		}
 	}
 	// Anything after the declared records is not format-conforming; a count
@@ -212,11 +212,9 @@ func ReadFrom(r io.Reader) (*Hypergraph, error) {
 	} else if err != io.EOF {
 		return nil, err
 	}
-	for v := 0; v < numNodes; v++ {
-		b.AddNode("", sizes[v])
-	}
-	for _, rec := range nets {
-		b.AddNet("", rec.cap, rec.pins...)
+	if !hasSizes {
+		b.reserve(numNodes, 0, 0)
+		b.AddUnitNodes(numNodes)
 	}
 	return b.Build()
 }

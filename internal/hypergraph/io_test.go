@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,28 @@ func TestReadErrors(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ReadFrom(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// Regression: the reader sized its net list from the header, so a 10-byte
+// netlist declaring MaxDeclaredCount nets allocated 128 MB before it failed
+// on the first missing record. Memory must follow the records, not the
+// header.
+func TestReadDeclaredNetCountAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct{ in, err string }{
+		{"4194304 2\n", "hypergraph: net 1: EOF"},
+		{"4194304 2\n1 2\n", "hypergraph: net 2: EOF"},
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := ReadFrom(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&m1)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("%q: error %v, want %q", tc.in, err, tc.err)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%q: allocated %d bytes, want under 1 MB", tc.in, alloc)
 		}
 	}
 }

@@ -34,25 +34,27 @@ func ComputeStats(h *Hypergraph) Stats {
 		TotalSize: h.TotalSize(),
 	}
 	if s.Nets > 0 {
-		s.MinNetCard = len(h.pins[0])
-		for _, ps := range h.pins {
-			if len(ps) < s.MinNetCard {
-				s.MinNetCard = len(ps)
+		s.MinNetCard = len(h.Pins(0))
+		for e := 0; e < s.Nets; e++ {
+			card := len(h.Pins(NetID(e)))
+			if card < s.MinNetCard {
+				s.MinNetCard = card
 			}
-			if len(ps) > s.MaxNetCard {
-				s.MaxNetCard = len(ps)
+			if card > s.MaxNetCard {
+				s.MaxNetCard = card
 			}
 		}
 		s.AvgNetCard = float64(s.Pins) / float64(s.Nets)
 	}
 	if s.Nodes > 0 {
-		s.MinDegree = len(h.incident[0])
-		for _, inc := range h.incident {
-			if len(inc) < s.MinDegree {
-				s.MinDegree = len(inc)
+		s.MinDegree = h.Degree(0)
+		for v := 0; v < s.Nodes; v++ {
+			deg := h.Degree(NodeID(v))
+			if deg < s.MinDegree {
+				s.MinDegree = deg
 			}
-			if len(inc) > s.MaxDegree {
-				s.MaxDegree = len(inc)
+			if deg > s.MaxDegree {
+				s.MaxDegree = deg
 			}
 		}
 		s.AvgDegree = float64(s.Pins) / float64(s.Nodes)
@@ -73,8 +75,8 @@ func (s Stats) String() string {
 // (cardinality, count) pairs.
 func NetCardinalityHistogram(h *Hypergraph) [][2]int {
 	m := map[int]int{}
-	for _, ps := range h.pins {
-		m[len(ps)]++
+	for e := 0; e < h.NumNets(); e++ {
+		m[len(h.Pins(NetID(e)))]++
 	}
 	keys := make([]int, 0, len(m))
 	for k := range m {

@@ -40,10 +40,13 @@ type journal struct {
 
 // openJournal replays an existing journal at path (if any) and opens it for
 // appending. A truncated or garbled trailing line — the signature of a
-// crash mid-append — ends the replay without error; any malformed line
-// earlier in the file is reported, since that means real corruption.
+// crash mid-append — ends the replay without error and is cut off before
+// the first append, which would otherwise glue its record onto the
+// fragment; any malformed line earlier in the file is reported, since
+// that means real corruption.
 func openJournal(path string) (*journal, []journalRecord, error) {
 	var records []journalRecord
+	keep := 0
 	data, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -51,7 +54,7 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	case err != nil:
 		return nil, nil, fmt.Errorf("server: reading journal: %w", err)
 	default:
-		records, err = replayJournal(data)
+		records, keep, err = replayJournal(data)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -60,14 +63,31 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: opening journal: %w", err)
 	}
+	if keep < len(data) {
+		err = f.Truncate(int64(keep))
+	}
+	if err == nil && keep > 0 && data[keep-1] != '\n' {
+		// The last record decoded but lost its newline.
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("server: repairing journal tail: %w", err)
+	}
 	return &journal{f: f}, records, nil
 }
 
-// replayJournal decodes the journal bytes line by line.
-func replayJournal(data []byte) ([]journalRecord, error) {
-	var records []journalRecord
+// replayJournal decodes the journal bytes line by line. keep is the length
+// of the prefix that ends with the last record decoded.
+func replayJournal(data []byte) (records []journalRecord, keep int, err error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	end := 0 // offset just past the line last scanned
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		end += advance
+		return advance, token, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -82,14 +102,15 @@ func replayJournal(data []byte) ([]journalRecord, error) {
 			if isLastLine(data, line) {
 				break
 			}
-			return nil, fmt.Errorf("server: journal line %d corrupt: %w", line, err)
+			return nil, 0, fmt.Errorf("server: journal line %d corrupt: %w", line, err)
 		}
 		records = append(records, rec)
+		keep = end
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("server: scanning journal: %w", err)
+		return nil, 0, fmt.Errorf("server: scanning journal: %w", err)
 	}
-	return records, nil
+	return records, keep, nil
 }
 
 // isLastLine reports whether lineNo is the final (possibly unterminated)

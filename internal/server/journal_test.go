@@ -49,12 +49,58 @@ func TestJournalToleratesGarbledFinalLine(t *testing.T) {
 	data := `{"op":"submit","id":"j-000001","spec":{"netlist":"x"}}
 {"op":"state","id":"j-000001","state":"running"}
 {"op":"state","id":"j-0000`
-	records, err := replayJournal([]byte(data))
+	records, _, err := replayJournal([]byte(data))
 	if err != nil {
 		t.Fatalf("replay with truncated trailer: %v", err)
 	}
 	if len(records) != 2 {
 		t.Fatalf("replayed %d records, want 2", len(records))
+	}
+}
+
+func TestJournalTornTailSurvivesTwoRestarts(t *testing.T) {
+	// The restart after a crash mid-append must cut the torn line off
+	// before it appends: a record glued onto the fragment becomes a corrupt
+	// line mid-file, and the restart after that refuses to start.
+	good := `{"op":"submit","id":"a","spec":{"netlist":"x"}}` + "\n"
+	cases := []struct {
+		name, tail string
+		replayed   int
+	}{
+		{"unterminated fragment", `{"op":"state","id":"b"`, 1},
+		{"terminated fragment", `{"op":"state","id":"b"` + "\n", 1},
+		{"record without newline", `{"op":"state","id":"a","state":"running"}`, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.jsonl")
+			if err := os.WriteFile(path, []byte(good+tc.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			jl, records, err := openJournal(path)
+			if err != nil {
+				t.Fatalf("restart 1: %v", err)
+			}
+			if len(records) != tc.replayed {
+				t.Fatalf("restart 1 replayed %d records, want %d", len(records), tc.replayed)
+			}
+			for _, st := range []JobState{StateRunning, StateDone} {
+				if err := jl.append(journalRecord{Op: "state", ID: "a", State: st}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			jl, records, err = openJournal(path)
+			if err != nil {
+				t.Fatalf("restart 2: %v", err)
+			}
+			defer jl.Close()
+			if len(records) != tc.replayed+2 || records[len(records)-1].State != StateDone {
+				t.Fatalf("restart 2 replayed %+v, want %d records ending in done", records, tc.replayed+2)
+			}
+		})
 	}
 }
 
@@ -65,7 +111,7 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 NOT JSON AT ALL
 {"op":"state","id":"j-000001","state":"done"}
 `
-	_, err := replayJournal([]byte(data))
+	_, _, err := replayJournal([]byte(data))
 	if err == nil {
 		t.Fatal("mid-file corruption accepted silently")
 	}
