@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/multilevel"
 )
 
 // benchCircuit caches generated circuits across benchmark iterations.
@@ -144,8 +145,9 @@ func BenchmarkFigure2LowerBound(b *testing.B) {
 // BenchmarkAlg2Scaling measures the spreading-metric computation across
 // sizes (the §3.3 claim that Algorithm 2 dominates). Each size runs the
 // exact sequential engine (w1) and the batched engine at NumCPU workers
-// (wN) so `make bench` records the parallel speedup; on a single-core
-// machine the two coincide by construction.
+// (wN), each with GOMAXPROCS pinned to its worker count, so `make bench`
+// records the parallel speedup; on a single-core machine the two coincide
+// by construction.
 func BenchmarkAlg2Scaling(b *testing.B) {
 	workerCounts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -164,6 +166,7 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 		})
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				for i := 0; i < b.N; i++ {
 					if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{Workers: w}); err != nil {
 						b.Fatal(err)
@@ -172,6 +175,48 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkAlg2Coarse measures Algorithm 2 on the shape the V-cycle hands
+// it: the coarsest level of ScaledCircuit(n) under the V-cycle's coarsening
+// defaults (about 350 heavy nodes of average degree 70-270), with its
+// 24-round sweep budget. Coarsening runs outside the timer. Unlike the flat
+// Alg2Scaling rows, growth here is dominated by pin visits that cannot move
+// the heap.
+func BenchmarkAlg2Coarse(b *testing.B) {
+	for _, n := range []int{16384, 65536} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			cs := repro.ScaledCircuit(n)
+			h, ok := benchCircuits[cs.Name]
+			if !ok {
+				h = repro.GenerateCircuit(cs, 1)
+				benchCircuits[cs.Name] = h
+			}
+			spec := paperSpec(b, h)
+			coarse := coarsestLevel(b, h, spec)
+			runtime.GC() // collect coarsening's garbage before the timed region
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), coarse, spec, repro.InjectOptions{MaxRounds: 24}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// coarsestLevel coarsens h as MultilevelCtx does by default: 300 target
+// nodes, clusters capped at min(s(V)/300, ceil(C_0/2)), one worker, seed 1.
+func coarsestLevel(b *testing.B, h *repro.Hypergraph, spec repro.Spec) *repro.Hypergraph {
+	b.Helper()
+	const target = 300
+	maxCluster := max(min(h.TotalSize()/target, (spec.Capacity[0]+1)/2), 1)
+	stack, err := multilevel.Coarsen(context.Background(), h, multilevel.CoarsenOptions{
+		TargetNodes: target, MaxClusterSize: maxCluster, Workers: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stack.Coarsest()
 }
 
 // BenchmarkAlg3Scaling measures the top-down construction alone across

@@ -82,6 +82,16 @@ func (h *Hypergraph) Incident(v NodeID) []NetID {
 	return h.incident[lo:hi:hi]
 }
 
+// PinArena returns every net's pins in one arena: net e's pins are
+// pins[off[e]:off[e+1]], the slice Pins(e) returns. Both slices are owned by
+// the hypergraph and must not be modified. Loops that visit many nets read
+// them here once instead of re-slicing through h per net.
+func (h *Hypergraph) PinArena() (off []int32, pins []NodeID) { return h.pinOff, h.pins }
+
+// IncidenceArena is PinArena for incidence: node v's nets are
+// nets[off[v]:off[v+1]], the slice Incident(v) returns.
+func (h *Hypergraph) IncidenceArena() (off []int32, nets []NetID) { return h.incOff, h.incident }
+
 // Degree returns the number of nets incident to v.
 func (h *Hypergraph) Degree(v NodeID) int { return int(h.incOff[v+1] - h.incOff[v]) }
 

@@ -338,7 +338,7 @@ func (g *engine) runSequential() {
 				violated bool
 			)
 			treeNets = treeNets[:0]
-			spt.GrowLengths(root, g.m.D, func(v shortest.Visit) bool {
+			spt.Grow(root, g.m.D, func(v shortest.Visit) bool {
 				visits++
 				if visits&4095 == 0 && g.ctx.Err() != nil {
 					g.interrupted = true
@@ -564,7 +564,7 @@ func (g *engine) growRoot(ws *injectWorker, id int32, root hypergraph.NodeID, r 
 		violated bool
 		aborted  bool
 	)
-	ws.spt.GrowLengths(root, g.m.D, func(v shortest.Visit) bool {
+	ws.spt.Grow(root, g.m.D, func(v shortest.Visit) bool {
 		ws.visits++
 		if ws.visits&4095 == 0 && (stop.Load() || g.ctx.Err() != nil) {
 			stop.Store(true)

@@ -81,7 +81,12 @@ func ExactLowerBoundCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hier
 				return nil, fmt.Errorf("metric: LP relaxation %v after %d cuts: %w",
 					st, len(rows), anytime.ErrInfeasible)
 			}
-			copy(d, x)
+			// The LP constrains d >= 0, but the simplex returns its
+			// optimum with round-off a hair below zero; the lengths go to
+			// the tree grower, so clamp them.
+			for e, v := range x {
+				d[e] = max(v, 0)
+			}
 			// Any relaxation optimum lower-bounds (P1); keep the best seen
 			// (dropping slack rows below can weaken a later relaxation).
 			if value > res.Value {
@@ -167,7 +172,7 @@ func separate(h *hypergraph.Hypergraph, spec hierarchy.Spec, spt *shortest.Hyper
 	worstDeficit := 0.0
 	sizeAt := []int64{}
 
-	spt.Grow(root, func(e hypergraph.NetID) float64 { return d[e] }, func(v shortest.Visit) bool {
+	spt.Grow(root, d, func(v shortest.Visit) bool {
 		links[v.Node] = link{via: v.Via, parent: v.Parent}
 		prefix = append(prefix, v.Node)
 		size += h.NodeSize(v.Node)

@@ -81,6 +81,33 @@ func TestLemma2LowerBoundsPartitions(t *testing.T) {
 	}
 }
 
+// TestLowerBoundMetricIsNonNegative: the simplex returns its optimum with
+// round-off, some entries a hair below zero, but the LP constrains d >= 0
+// and the lengths feed the tree grower, so every returned length must be
+// clamped non-negative. The instances are TestLemma2LowerBoundsPartitions';
+// each listed trial stops right after a relaxation whose optimum has
+// negative entries (down to -5e-13 in trial 1, round 32).
+func TestLowerBoundMetricIsNonNegative(t *testing.T) {
+	stopAfter := map[int]int{1: 33, 2: 11, 3: 7, 5: 5, 6: 32}
+	rng := rand.New(rand.NewSource(127))
+	for trial := 0; trial < 8; trial++ {
+		p := makePartitionedInstance(rng)
+		rounds, ok := stopAfter[trial]
+		if !ok {
+			continue
+		}
+		res, err := ExactLowerBoundCtx(context.Background(), p.H, p.Spec, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e, d := range res.Metric.D {
+			if d < 0 {
+				t.Fatalf("trial %d, %d rounds: Metric.D[%d] = %g < 0", trial, rounds, e, d)
+			}
+		}
+	}
+}
+
 func TestLemma2OnFigure2(t *testing.T) {
 	h, spec, _ := circuits.Figure2()
 	res, err := ExactLowerBoundCtx(context.Background(), h, spec, 0)

@@ -102,8 +102,7 @@ func CheckFrom(m *Metric, spec hierarchy.Spec, spt *shortest.HyperSPT, root hype
 		k    int
 		bad  *Violation
 	)
-	length := func(e hypergraph.NetID) float64 { return m.D[e] }
-	spt.Grow(root, length, func(v shortest.Visit) bool {
+	spt.Grow(root, m.D, func(v shortest.Visit) bool {
 		k++
 		size += m.H.NodeSize(v.Node)
 		lhs += v.Dist * float64(m.H.NodeSize(v.Node))

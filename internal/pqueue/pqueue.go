@@ -5,6 +5,8 @@
 // position.
 package pqueue
 
+import "math"
+
 // entry is one heap slot. Keys live inline with their items so a sift
 // comparison touches a single contiguous array instead of chasing
 // keys[heap[i]] through a second one — the heap is the hot path of every
@@ -94,6 +96,19 @@ func (h *IndexedMinHeap) Peek() (item int, key float64) {
 		panic("pqueue: Peek of empty heap")
 	}
 	return int(h.entries[0].item), h.entries[0].key
+}
+
+// MaxKey returns the largest key in the heap, or -Inf when it is empty. A
+// min-heap keeps its maximum on a leaf, so the scan reads the last half of
+// the slots only: O(Len).
+func (h *IndexedMinHeap) MaxKey() float64 {
+	m := math.Inf(-1)
+	for _, e := range h.entries[len(h.entries)/2:] {
+		if e.key > m {
+			m = e.key
+		}
+	}
+	return m
 }
 
 // DecreaseKey lowers the key of an existing item. It panics if the item is

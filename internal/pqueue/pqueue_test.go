@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -14,6 +15,9 @@ func TestEmptyHeap(t *testing.T) {
 	}
 	if h.Contains(3) {
 		t.Fatal("empty heap Contains(3) = true")
+	}
+	if m := h.MaxKey(); !math.IsInf(m, -1) {
+		t.Fatalf("empty heap MaxKey = %g, want -Inf", m)
 	}
 }
 
@@ -163,6 +167,13 @@ func TestHeapProperty_Quick(t *testing.T) {
 				}
 			}
 			if h.Len() != len(live) {
+				return false
+			}
+			wantMax := math.Inf(-1)
+			for _, k := range live {
+				wantMax = math.Max(wantMax, k)
+			}
+			if h.MaxKey() != wantMax {
 				return false
 			}
 		}

@@ -113,7 +113,6 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 		flow[e] = opt.Epsilon
 		relength(hypergraph.NetID(e))
 	}
-	length := func(e hypergraph.NetID) float64 { return d[e] }
 
 	// Inject flow on the shortest path between random pairs: grow the SPT
 	// from s until t settles, then walk t's tree path.
@@ -134,7 +133,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 		}
 		clear(links)
 		found := false
-		spt.Grow(s, length, func(v shortest.Visit) bool {
+		spt.Grow(s, d, func(v shortest.Visit) bool {
 			links[v.Node] = link{via: v.Via, parent: v.Parent}
 			if v.Node == t {
 				found = true
@@ -174,7 +173,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 			sizeA int64
 		)
 		bestK, bestRatio, bestCut := -1, math.Inf(1), 0.0
-		spt.Grow(root, length, func(v shortest.Visit) bool {
+		spt.Grow(root, d, func(v shortest.Visit) bool {
 			order = append(order, v.Node)
 			sizeA += h.NodeSize(v.Node)
 			for _, e := range h.Incident(v.Node) {

@@ -1,6 +1,8 @@
 package shortest
 
 import (
+	"math"
+
 	"repro/internal/hypergraph"
 	"repro/internal/pqueue"
 )
@@ -14,34 +16,22 @@ import (
 //
 // The struct owns reusable workspaces so that Algorithm 2, which grows trees
 // from every node over many rounds, allocates nothing per growth after the
-// first. Construction also flattens the hypergraph's incidence and pin lists
-// into CSR arrays and packs the per-node search state into one record, so
-// the relaxation loop — FLOW's hottest code — walks contiguous memory
-// instead of chasing per-node slice headers across four parallel arrays.
+// first. Pins and incidence are read straight from the hypergraph's CSR
+// arenas.
 type HyperSPT struct {
-	h     *hypergraph.Hypergraph
-	nodes []sptNode
+	h *hypergraph.Hypergraph
 
-	// CSR copies of h's incidence (node -> nets) and pin (net -> nodes)
-	// lists; indexes are int32 since netlists are well under 2^31 objects.
-	incStart []int32
-	incList  []int32
-	pinStart []int32
-	pinList  []int32
+	// key[v] is +Inf while v is untouched, its tentative distance while it
+	// waits in the heap, and -Inf once settled, so `nd < key[u]` is the
+	// whole relaxation test for any finite offer nd.
+	key    []float64
+	via    []hypergraph.NetID  // net that reached v; -1 for the root
+	parent []hypergraph.NodeID // pin of via already in the tree; -1 for the root
 
 	netGen []uint32
 	gen    uint32
 	heap   *pqueue.IndexedMinHeap
-	touch  []int32 // nodes whose state must be reset before the next growth
-}
-
-// sptNode is the per-node search state, packed so one settle or relaxation
-// touches a single cache line instead of four arrays.
-type sptNode struct {
-	dist   float64
-	via    int32 // net that settled the node; -1 for the root
-	parent int32 // pin of via-net already in the tree; -1 for the root
-	state  uint8 // 0 untouched, 1 in heap, 2 settled
+	touch  []hypergraph.NodeID // nodes whose key must be reset before the next growth
 }
 
 // Visit describes one settled node during SPT growth.
@@ -55,100 +45,63 @@ type Visit struct {
 // NewHyperSPT returns a grower bound to h.
 func NewHyperSPT(h *hypergraph.Hypergraph) *HyperSPT {
 	n := h.NumNodes()
-	m := h.NumNets()
 	s := &HyperSPT{
-		h:        h,
-		nodes:    make([]sptNode, n),
-		incStart: make([]int32, n+1),
-		pinStart: make([]int32, m+1),
-		netGen:   make([]uint32, m),
-		heap:     pqueue.New(n),
+		h:      h,
+		key:    make([]float64, n),
+		via:    make([]hypergraph.NetID, n),
+		parent: make([]hypergraph.NodeID, n),
+		netGen: make([]uint32, h.NumNets()),
+		heap:   pqueue.New(n),
 	}
-	inc := 0
-	for v := 0; v < n; v++ {
-		s.incStart[v] = int32(inc)
-		inc += len(h.Incident(hypergraph.NodeID(v)))
-	}
-	s.incStart[n] = int32(inc)
-	s.incList = make([]int32, 0, inc)
-	for v := 0; v < n; v++ {
-		for _, e := range h.Incident(hypergraph.NodeID(v)) {
-			s.incList = append(s.incList, int32(e))
-		}
-	}
-	pins := 0
-	for e := 0; e < m; e++ {
-		s.pinStart[e] = int32(pins)
-		pins += len(h.Pins(hypergraph.NetID(e)))
-	}
-	s.pinStart[m] = int32(pins)
-	s.pinList = make([]int32, 0, pins)
-	for e := 0; e < m; e++ {
-		for _, u := range h.Pins(hypergraph.NetID(e)) {
-			s.pinList = append(s.pinList, int32(u))
-		}
+	for v := range s.key {
+		s.key[v] = math.Inf(1)
 	}
 	return s
 }
 
-// Grow runs Dijkstra from root with net lengths given by length, invoking
-// visit for every settled node in increasing distance order (the root first,
-// at distance 0). Growth stops when visit returns false, when all reachable
-// nodes are settled, or never reaches unreachable components. It returns the
-// number of settled nodes.
+// Grow runs Dijkstra from root with net e's length given by lengths[e],
+// invoking visit for every settled node in increasing distance order (the
+// root first, at distance 0). Growth stops when visit returns false, when
+// all reachable nodes are settled, or never reaches unreachable components.
+// It returns the number of settled nodes.
 //
-// length must return non-negative values and be stable for the duration of
-// the call.
-func (s *HyperSPT) Grow(root hypergraph.NodeID, length func(hypergraph.NetID) float64, visit func(Visit) bool) int {
-	return s.grow(root, nil, length, visit)
-}
-
-// GrowLengths is Grow with the per-net lengths supplied as a slice indexed
-// by NetID instead of a function. It produces exactly the same tree and
-// visit sequence as Grow with length = func(e) { return lengths[e] }, but
-// the relaxation loop — the hottest path of Algorithm 2, where a length is
-// read for every scanned net — indexes the slice directly instead of paying
-// an indirect call per net.
-//
-// lengths must have one non-negative entry per net and stay unmodified for
-// the duration of the call.
-func (s *HyperSPT) GrowLengths(root hypergraph.NodeID, lengths []float64, visit func(Visit) bool) int {
-	return s.grow(root, lengths, nil, visit)
-}
-
-// grow is the shared Dijkstra core: lengths (fast path) takes precedence
-// over length (closure path) when non-nil.
-func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(hypergraph.NetID) float64, visit func(Visit) bool) int {
+// lengths must hold one finite entry per net, and stay unmodified for the
+// duration of the call. Negative entries are accepted: the growth is then
+// no longer a shortest-path computation, but it stays deterministic and
+// never revisits a settled node.
+func (s *HyperSPT) Grow(root hypergraph.NodeID, lengths []float64, visit func(Visit) bool) int {
 	s.reset()
 	s.gen++
-	nodes := s.nodes
+	key, via, parent := s.key, s.via, s.parent
 	netGen, gen, heap := s.netGen, s.gen, s.heap
-	incStart, incList := s.incStart, s.incList
-	pinStart, pinList := s.pinStart, s.pinList
-	nodes[root] = sptNode{dist: 0, via: -1, parent: -1, state: 1}
-	s.touch = append(s.touch, int32(root))
+	incOff, incident := s.h.IncidenceArena()
+	pinOff, pins := s.h.PinArena()
+	n := len(key)
+	inf, settledKey := math.Inf(1), math.Inf(-1)
+	key[root], via[root], parent[root] = 0, -1, -1
+	s.touch = append(s.touch, root)
 	heap.Push(int(root), 0)
 
+	// Once every node is touched no push can happen and keys only fall, so
+	// a largest heap key taken at any earlier point still bounds every key
+	// in the heap: a net whose offer reaches ceil improves no pin, and its
+	// pins are not read. ceil is first taken when the last node is touched
+	// (ceilLen starts above any 2·Len) and re-taken only once the heap has
+	// halved since, so the O(Len) scans sum to at most 2n per growth.
+	ceil, ceilLen := inf, 2*n+2
 	settled := 0
-	//htpvet:allow ctxpoll -- each iteration settles a node or discards a stale heap entry, so the loop is bounded by reached nodes; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
+	//htpvet:allow ctxpoll -- each iteration settles a node, so the loop is bounded by reached nodes; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
 	for heap.Len() > 0 {
 		vi, dv := heap.Pop()
-		nv := &nodes[vi]
-		if nv.state == 2 {
-			continue
-		}
-		nv.state = 2
+		key[vi] = settledKey
 		settled++
-		keep := visit(Visit{
-			Node:   hypergraph.NodeID(vi),
-			Dist:   dv,
-			Via:    hypergraph.NetID(nv.via),
-			Parent: hypergraph.NodeID(nv.parent),
-		})
-		if !keep {
+		if !visit(Visit{Node: hypergraph.NodeID(vi), Dist: dv, Via: via[vi], Parent: parent[vi]}) {
 			break
 		}
-		for _, e := range incList[incStart[vi]:incStart[vi+1]] {
+		if len(s.touch) == n && 2*heap.Len() <= ceilLen {
+			ceil, ceilLen = heap.MaxKey(), heap.Len()
+		}
+		for _, e := range incident[incOff[vi]:incOff[vi+1]] {
 			// The first settled pin of a net offers the minimal distance
 			// through it (later-settled pins only have larger distances),
 			// so each net needs scanning exactly once.
@@ -156,27 +109,19 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 				continue
 			}
 			netGen[e] = gen
-			var le float64
-			if lengths != nil {
-				le = lengths[e]
-			} else {
-				le = length(hypergraph.NetID(e))
+			nd := dv + lengths[e]
+			if nd >= ceil {
+				continue
 			}
-			nd := dv + le
-			for _, u := range pinList[pinStart[e]:pinStart[e+1]] {
-				nu := &nodes[u]
-				if nu.state == 2 || int(u) == vi {
-					continue
-				}
-				if nu.state == 0 {
-					*nu = sptNode{dist: nd, via: e, parent: int32(vi), state: 1}
-					s.touch = append(s.touch, u)
-					heap.Push(int(u), nd)
-				} else if nd < nu.dist {
-					nu.dist = nd
-					nu.via = e
-					nu.parent = int32(vi)
-					heap.DecreaseKey(int(u), nd)
+			for _, u := range pins[pinOff[e]:pinOff[e+1]] {
+				if nd < key[u] {
+					if key[u] == inf {
+						s.touch = append(s.touch, u)
+						heap.Push(int(u), nd)
+					} else {
+						heap.DecreaseKey(int(u), nd)
+					}
+					key[u], via[u], parent[u] = nd, e, hypergraph.NodeID(vi)
 				}
 			}
 		}
@@ -184,36 +129,16 @@ func (s *HyperSPT) grow(root hypergraph.NodeID, lengths []float64, length func(h
 	return settled
 }
 
-// Dist returns the distance of v recorded by the last Grow; meaningful only
-// for nodes that were settled or reached.
-func (s *HyperSPT) Dist(v hypergraph.NodeID) float64 { return s.nodes[v].dist }
-
 func (s *HyperSPT) reset() {
+	inf := math.Inf(1)
 	for _, v := range s.touch {
-		s.nodes[v].state = 0
+		s.key[v] = inf
 	}
 	s.touch = s.touch[:0]
 	s.heap.Reset()
 	if s.gen == ^uint32(0) {
 		// Generation counter wrapped: clear net marks the slow way.
-		for i := range s.netGen {
-			s.netGen[i] = 0
-		}
+		clear(s.netGen)
 		s.gen = 0
 	}
-}
-
-// HyperDistances computes full single-source distances on the hypergraph —
-// a convenience wrapper over Grow that settles everything reachable.
-func HyperDistances(h *hypergraph.Hypergraph, root hypergraph.NodeID, length func(hypergraph.NetID) float64) []float64 {
-	dist := make([]float64, h.NumNodes())
-	for i := range dist {
-		dist[i] = Inf
-	}
-	s := NewHyperSPT(h)
-	s.Grow(root, length, func(v Visit) bool {
-		dist[v.Node] = v.Dist
-		return true
-	})
-	return dist
 }

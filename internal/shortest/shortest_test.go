@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
+	"repro/internal/pqueue"
 )
 
 func TestDijkstraLine(t *testing.T) {
@@ -122,13 +123,28 @@ func TestDijkstraParentEdgesFormTree(t *testing.T) {
 
 // ---- hypergraph SPT ----
 
+// HyperDistances computes full single-source distances on the hypergraph —
+// a convenience wrapper over Grow that settles everything reachable.
+func HyperDistances(h *hypergraph.Hypergraph, root hypergraph.NodeID, lengths []float64) []float64 {
+	dist := make([]float64, h.NumNodes())
+	for i := range dist {
+		dist[i] = Inf
+	}
+	s := NewHyperSPT(h)
+	s.Grow(root, lengths, func(v Visit) bool {
+		dist[v.Node] = v.Dist
+		return true
+	})
+	return dist
+}
+
 // pairExpand builds a plain graph where each net of h becomes a clique of
-// edges with weight length(e). Dijkstra over it is the oracle for HyperSPT.
-func pairExpand(h *hypergraph.Hypergraph, length func(hypergraph.NetID) float64) *graph.Graph {
+// edges with weight lengths[e]. Dijkstra over it is the oracle for HyperSPT.
+func pairExpand(h *hypergraph.Hypergraph, lengths []float64) *graph.Graph {
 	g := graph.New(h.NumNodes())
 	for e := 0; e < h.NumNets(); e++ {
 		ps := h.Pins(hypergraph.NetID(e))
-		w := length(hypergraph.NetID(e))
+		w := lengths[e]
 		for i := 0; i < len(ps); i++ {
 			for j := i + 1; j < len(ps); j++ {
 				g.AddEdge(int(ps[i]), int(ps[j]), w)
@@ -166,10 +182,9 @@ func TestHyperDistancesMatchesPairExpansion(t *testing.T) {
 		for i := range lens {
 			lens[i] = rng.Float64() * 5
 		}
-		length := func(e hypergraph.NetID) float64 { return lens[e] }
-		g := pairExpand(h, length)
+		g := pairExpand(h, lens)
 		src := hypergraph.NodeID(rng.Intn(n))
-		hd := HyperDistances(h, src, length)
+		hd := HyperDistances(h, src, lens)
 		r := Dijkstra(g, int(src))
 		for v := 0; v < n; v++ {
 			if !closeOrBothInf(hd[v], r.Dist[v]) {
@@ -188,7 +203,7 @@ func TestGrowVisitsInDistanceOrder(t *testing.T) {
 	}
 	s := NewHyperSPT(h)
 	last := -1.0
-	count := s.Grow(0, func(e hypergraph.NetID) float64 { return lens[e] }, func(v Visit) bool {
+	count := s.Grow(0, lens, func(v Visit) bool {
 		if v.Dist < last {
 			t.Fatalf("visit order regressed: %g after %g", v.Dist, last)
 		}
@@ -203,9 +218,13 @@ func TestGrowVisitsInDistanceOrder(t *testing.T) {
 func TestGrowStopsWhenVisitReturnsFalse(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	h := randomHypergraph(rng, 20, 40)
+	lens := make([]float64, h.NumNets())
+	for e := range lens {
+		lens[e] = 1
+	}
 	s := NewHyperSPT(h)
 	visited := 0
-	count := s.Grow(0, func(hypergraph.NetID) float64 { return 1 }, func(v Visit) bool {
+	count := s.Grow(0, lens, func(v Visit) bool {
 		visited++
 		return visited < 5
 	})
@@ -222,7 +241,7 @@ func TestGrowRootVisit(t *testing.T) {
 	h := b.MustBuild()
 	s := NewHyperSPT(h)
 	var visits []Visit
-	s.Grow(1, func(hypergraph.NetID) float64 { return 2 }, func(v Visit) bool {
+	s.Grow(1, []float64{2, 2}, func(v Visit) bool {
 		visits = append(visits, v)
 		return true
 	})
@@ -248,7 +267,7 @@ func TestGrowTreeStructureIsConsistent(t *testing.T) {
 	}
 	s := NewHyperSPT(h)
 	dist := map[hypergraph.NodeID]float64{}
-	s.Grow(3, func(e hypergraph.NetID) float64 { return lens[e] }, func(v Visit) bool {
+	s.Grow(3, lens, func(v Visit) bool {
 		if v.Via >= 0 {
 			pd, ok := dist[v.Parent]
 			if !ok {
@@ -283,18 +302,17 @@ func TestGrowReuseAcrossRootsMatchesFresh(t *testing.T) {
 	for i := range lens {
 		lens[i] = rng.Float64()
 	}
-	length := func(e hypergraph.NetID) float64 { return lens[e] }
 	shared := NewHyperSPT(h)
 	for root := 0; root < h.NumNodes(); root++ {
 		got := make([]float64, h.NumNodes())
 		for i := range got {
 			got[i] = Inf
 		}
-		shared.Grow(hypergraph.NodeID(root), length, func(v Visit) bool {
+		shared.Grow(hypergraph.NodeID(root), lens, func(v Visit) bool {
 			got[v.Node] = v.Dist
 			return true
 		})
-		want := HyperDistances(h, hypergraph.NodeID(root), length)
+		want := HyperDistances(h, hypergraph.NodeID(root), lens)
 		for v := range want {
 			if !closeOrBothInf(got[v], want[v]) {
 				t.Fatalf("root %d node %d: reused %g vs fresh %g", root, v, got[v], want[v])
@@ -305,57 +323,308 @@ func TestGrowReuseAcrossRootsMatchesFresh(t *testing.T) {
 
 func BenchmarkHyperSPTGrow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	h := randomHypergraph(rng, 1000, 1500)
-	lens := make([]float64, h.NumNets())
-	for i := range lens {
-		lens[i] = rng.Float64()
+	h := randomHypergraph(rng, 2000, 4000)
+	lengths := make([]float64, h.NumNets())
+	for e := range lengths {
+		lengths[e] = rng.Float64()
 	}
 	s := NewHyperSPT(h)
-	length := func(e hypergraph.NetID) float64 { return lens[e] }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Grow(hypergraph.NodeID(i%1000), length, func(Visit) bool { return true })
+		s.Grow(hypergraph.NodeID(i%h.NumNodes()), lengths, func(v Visit) bool { return true })
 	}
 }
 
-// TestGrowLengthsMatchesGrow checks the de-virtualized hot path: for random
-// hypergraphs and every root, GrowLengths with a lengths slice must produce
-// exactly the visit sequence of Grow with the equivalent closure — same
-// nodes, same order, same distances, same tree edges.
-func TestGrowLengthsMatchesGrow(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	for trial := 0; trial < 20; trial++ {
-		h := randomHypergraph(rng, 3+rng.Intn(30), 2+rng.Intn(50))
-		lengths := make([]float64, h.NumNets())
-		for e := range lengths {
-			lengths[e] = rng.Float64() * 3
+// ---- reference grower ----
+
+// refSPT is the oracle for HyperSPT's kernel: a plain Dijkstra grower over
+// CSR copies of the incidence and pin lists, with a packed per-node record
+// holding an explicit untouched/in-heap/settled state, that scans every pin
+// of every net it reaches.
+type refSPT struct {
+	h     *hypergraph.Hypergraph
+	nodes []sptNode
+
+	incStart []int32
+	incList  []int32
+	pinStart []int32
+	pinList  []int32
+
+	netGen []uint32
+	gen    uint32
+	heap   *pqueue.IndexedMinHeap
+	touch  []int32 // nodes whose state must be reset before the next growth
+}
+
+// sptNode is the per-node search state, packed so one settle or relaxation
+// touches a single cache line instead of four arrays.
+type sptNode struct {
+	dist   float64
+	via    int32 // net that settled the node; -1 for the root
+	parent int32 // pin of via-net already in the tree; -1 for the root
+	state  uint8 // 0 untouched, 1 in heap, 2 settled
+}
+
+func newRefSPT(h *hypergraph.Hypergraph) *refSPT {
+	n := h.NumNodes()
+	m := h.NumNets()
+	s := &refSPT{
+		h:        h,
+		nodes:    make([]sptNode, n),
+		incStart: make([]int32, n+1),
+		pinStart: make([]int32, m+1),
+		netGen:   make([]uint32, m),
+		heap:     pqueue.New(n),
+	}
+	inc := 0
+	for v := 0; v < n; v++ {
+		s.incStart[v] = int32(inc)
+		inc += len(h.Incident(hypergraph.NodeID(v)))
+	}
+	s.incStart[n] = int32(inc)
+	s.incList = make([]int32, 0, inc)
+	for v := 0; v < n; v++ {
+		for _, e := range h.Incident(hypergraph.NodeID(v)) {
+			s.incList = append(s.incList, int32(e))
 		}
-		length := func(e hypergraph.NetID) float64 { return lengths[e] }
-		sa := NewHyperSPT(h)
-		sb := NewHyperSPT(h)
-		for root := 0; root < h.NumNodes(); root++ {
-			var va, vb []Visit
-			na := sa.Grow(hypergraph.NodeID(root), length, func(v Visit) bool {
-				va = append(va, v)
-				return true
-			})
-			nb := sb.GrowLengths(hypergraph.NodeID(root), lengths, func(v Visit) bool {
-				vb = append(vb, v)
-				return true
-			})
-			if na != nb || len(va) != len(vb) {
-				t.Fatalf("trial %d root %d: settled %d vs %d", trial, root, na, nb)
+	}
+	pins := 0
+	for e := 0; e < m; e++ {
+		s.pinStart[e] = int32(pins)
+		pins += len(h.Pins(hypergraph.NetID(e)))
+	}
+	s.pinStart[m] = int32(pins)
+	s.pinList = make([]int32, 0, pins)
+	for e := 0; e < m; e++ {
+		for _, u := range h.Pins(hypergraph.NetID(e)) {
+			s.pinList = append(s.pinList, int32(u))
+		}
+	}
+	return s
+}
+
+// grow is the shared Dijkstra core: lengths (fast path) takes precedence
+// over length (closure path) when non-nil.
+func (s *refSPT) grow(root hypergraph.NodeID, lengths []float64, length func(hypergraph.NetID) float64, visit func(Visit) bool) int {
+	s.reset()
+	s.gen++
+	nodes := s.nodes
+	netGen, gen, heap := s.netGen, s.gen, s.heap
+	incStart, incList := s.incStart, s.incList
+	pinStart, pinList := s.pinStart, s.pinList
+	nodes[root] = sptNode{dist: 0, via: -1, parent: -1, state: 1}
+	s.touch = append(s.touch, int32(root))
+	heap.Push(int(root), 0)
+
+	settled := 0
+	for heap.Len() > 0 {
+		vi, dv := heap.Pop()
+		nv := &nodes[vi]
+		if nv.state == 2 {
+			continue
+		}
+		nv.state = 2
+		settled++
+		keep := visit(Visit{
+			Node:   hypergraph.NodeID(vi),
+			Dist:   dv,
+			Via:    hypergraph.NetID(nv.via),
+			Parent: hypergraph.NodeID(nv.parent),
+		})
+		if !keep {
+			break
+		}
+		for _, e := range incList[incStart[vi]:incStart[vi+1]] {
+			// The first settled pin of a net offers the minimal distance
+			// through it (later-settled pins only have larger distances),
+			// so each net needs scanning exactly once.
+			if netGen[e] == gen {
+				continue
 			}
-			for i := range va {
-				if va[i] != vb[i] {
-					t.Fatalf("trial %d root %d visit %d: %+v vs %+v", trial, root, i, va[i], vb[i])
+			netGen[e] = gen
+			var le float64
+			if lengths != nil {
+				le = lengths[e]
+			} else {
+				le = length(hypergraph.NetID(e))
+			}
+			nd := dv + le
+			for _, u := range pinList[pinStart[e]:pinStart[e+1]] {
+				nu := &nodes[u]
+				if nu.state == 2 || int(u) == vi {
+					continue
+				}
+				if nu.state == 0 {
+					*nu = sptNode{dist: nd, via: e, parent: int32(vi), state: 1}
+					s.touch = append(s.touch, u)
+					heap.Push(int(u), nd)
+				} else if nd < nu.dist {
+					nu.dist = nd
+					nu.via = e
+					nu.parent = int32(vi)
+					heap.DecreaseKey(int(u), nd)
 				}
 			}
 		}
 	}
+	return settled
 }
 
-// TestGrowLengthsEarlyStop checks the stop-on-false contract carries over.
+func (s *refSPT) reset() {
+	for _, v := range s.touch {
+		s.nodes[v].state = 0
+	}
+	s.touch = s.touch[:0]
+	s.heap.Reset()
+	if s.gen == ^uint32(0) {
+		// Generation counter wrapped: clear net marks the slow way.
+		for i := range s.netGen {
+			s.netGen[i] = 0
+		}
+		s.gen = 0
+	}
+}
+
+// ---- kernel vs reference ----
+
+// growCase is one differential instance: a hypergraph, its lengths, the
+// roots to grow from with one reused grower of each kind, and the number
+// of settles after which visit stops the growth (0: never).
+type growCase struct {
+	h       *hypergraph.Hypergraph
+	lengths []float64
+	roots   []hypergraph.NodeID
+	stopK   int
+}
+
+// newGrowCase draws a differential instance from seed. shape picks the
+// hypergraph family (bit 0: disconnected halves, bit 1: a few near-global
+// nets); lenMode the length family: 0 ties from {0,1,2,3}, 1 uniform, 2
+// uniform with tiny negatives (-1e-13), 3 lengths near exp(60)-1, the
+// inject engine's cap. nodes and stop are folded into 2..400 nodes and
+// 0..n settles.
+func newGrowCase(seed int64, nodes uint16, shape, lenMode uint8, stop uint16) growCase {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + int(nodes)%399
+	b := hypergraph.NewBuilder()
+	b.AddUnitNodes(n)
+	addNet := func(lo, hi, maxCard int) {
+		span := hi - lo
+		if span < 2 {
+			return
+		}
+		card := 2 + rng.Intn(min(maxCard, span)-1)
+		pins := make([]hypergraph.NodeID, card)
+		for i, p := range rng.Perm(span)[:card] {
+			pins[i] = hypergraph.NodeID(lo + p)
+		}
+		b.AddNet("", 1, pins...)
+	}
+	// Disconnected: nets stay inside [0, n/2) or [n/2, n).
+	split := shape&1 != 0
+	m := 1 + rng.Intn(3*n)
+	for e := 0; e < m; e++ {
+		switch {
+		case !split:
+			addNet(0, n, 40)
+		case e%2 == 0:
+			addNet(0, n/2, 40)
+		default:
+			addNet(n/2, n, 40)
+		}
+	}
+	if shape&2 != 0 {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			if split {
+				addNet(0, n/2, n)
+			} else {
+				addNet(0, n, n)
+			}
+		}
+	}
+	h := b.MustBuild()
+	lengths := make([]float64, h.NumNets())
+	big := math.Exp(60) - 1
+	for e := range lengths {
+		switch lenMode % 4 {
+		case 0:
+			lengths[e] = float64(rng.Intn(4))
+		case 1:
+			lengths[e] = rng.Float64()
+		case 2:
+			lengths[e] = rng.Float64()
+			if rng.Intn(4) == 0 {
+				lengths[e] = -1e-13
+			}
+		default:
+			lengths[e] = big - float64(rng.Intn(3))*1e12*rng.Float64()
+		}
+	}
+	roots := make([]hypergraph.NodeID, 1+rng.Intn(6))
+	for i := range roots {
+		roots[i] = hypergraph.NodeID(rng.Intn(n))
+	}
+	return growCase{h: h, lengths: lengths, roots: roots, stopK: int(stop) % (n + 1)}
+}
+
+// checkMatchesReference grows every root of c with one HyperSPT and one
+// reference grower and requires identical visits — node, distance bits,
+// via net and parent — and identical settled counts.
+func checkMatchesReference(t *testing.T, c growCase) {
+	t.Helper()
+	type rec struct {
+		node   hypergraph.NodeID
+		dist   uint64
+		via    hypergraph.NetID
+		parent hypergraph.NodeID
+	}
+	record := func(out *[]rec) func(Visit) bool {
+		return func(v Visit) bool {
+			*out = append(*out, rec{v.Node, math.Float64bits(v.Dist), v.Via, v.Parent})
+			return c.stopK == 0 || len(*out) < c.stopK
+		}
+	}
+	s, ref := NewHyperSPT(c.h), newRefSPT(c.h)
+	var got, want []rec
+	for _, root := range c.roots {
+		got, want = got[:0], want[:0]
+		ng := s.Grow(root, c.lengths, record(&got))
+		nw := ref.grow(root, c.lengths, nil, record(&want))
+		if ng != nw || len(got) != len(want) {
+			t.Fatalf("root %d: settled %d (%d visits), reference %d (%d visits)", root, ng, len(got), nw, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("root %d visit %d: %+v, reference %+v", root, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGrowLengthsMatchesGrow checks the kernel against the reference
+// grower it replaced: for random hypergraphs and length families, every
+// growth must produce exactly the reference's visit sequence — same nodes,
+// same order, bit-identical distances, same tree edges.
+func TestGrowLengthsMatchesGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for trial := 0; trial < 64; trial++ {
+		c := newGrowCase(rng.Int63(), uint16(rng.Intn(400)), uint8(trial), uint8(trial/4), uint16(rng.Intn(3)*rng.Intn(400)))
+		checkMatchesReference(t, c)
+	}
+}
+
+func FuzzGrowMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(30), uint8(0), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(398), uint8(2), uint8(1), uint16(0))
+	f.Add(int64(3), uint16(200), uint8(1), uint8(2), uint16(17))
+	f.Add(int64(4), uint16(350), uint8(3), uint8(3), uint16(0))
+	f.Add(int64(5), uint16(0), uint8(2), uint8(0), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint16, shape, lenMode uint8, stop uint16) {
+		checkMatchesReference(t, newGrowCase(seed, nodes, shape, lenMode, stop))
+	})
+}
+
+// TestGrowLengthsEarlyStop checks the stop-on-false contract.
 func TestGrowLengthsEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	h := randomHypergraph(rng, 20, 30)
@@ -365,25 +634,11 @@ func TestGrowLengthsEarlyStop(t *testing.T) {
 	}
 	s := NewHyperSPT(h)
 	seen := 0
-	settled := s.GrowLengths(0, lengths, func(v Visit) bool {
+	settled := s.Grow(0, lengths, func(v Visit) bool {
 		seen++
 		return seen < 5
 	})
 	if settled != 5 || seen != 5 {
 		t.Fatalf("settled %d, seen %d; want 5, 5", settled, seen)
-	}
-}
-
-func BenchmarkHyperSPTGrowLengths(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	h := randomHypergraph(rng, 2000, 4000)
-	lengths := make([]float64, h.NumNets())
-	for e := range lengths {
-		lengths[e] = rng.Float64()
-	}
-	s := NewHyperSPT(h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.GrowLengths(hypergraph.NodeID(i%h.NumNodes()), lengths, func(v Visit) bool { return true })
 	}
 }
