@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmtcheck lint staticcheck race check bench bench-ml benchdiff bench-gate bench-compile smoke-ml verify verify-quick loadtest chaos
+.PHONY: build test vet fmtcheck lint staticcheck race check bench bench-ml benchdiff bench-gate bench-compile smoke-ml verify verify-quick loadtest chaos loc
 
 build:
 	$(GO) build ./...
@@ -62,11 +62,12 @@ loadtest:
 chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/server/chaos/
 
-# Differential certification: run all six algorithm variants (GFM/RFM/FLOW and
-# their FM-refined "+" forms) on the generated ISCAS-85 suite and re-verify
-# every result with the independent checker in internal/verify — naive cost
-# recomputation, capacity/branching/coverage feasibility, the anytime stop
-# contract, and the Lemma-1 cross-check. Exits non-zero on any discrepancy.
+# Differential certification: run all eight algorithm variants (GFM/RFM/FLOW,
+# their FM-refined "+" forms, the V-cycle and the flow-refined V-cycle) on the
+# generated ISCAS-85 suite and re-verify every result with the independent
+# checker in internal/verify — naive cost recomputation,
+# capacity/branching/coverage feasibility, the anytime stop contract, and the
+# Lemma-1 cross-check. Exits non-zero on any discrepancy.
 verify:
 	$(GO) run ./cmd/htpcheck -suite
 
@@ -140,3 +141,11 @@ smoke-ml:
 		$(GO) run ./cmd/gencircuit -gates 262144 -stream -o /tmp/htp-synth262144.net; \
 		$(GO) run ./cmd/htpart -in /tmp/htp-synth262144.net -multilevel -timeout 900s; \
 	fi
+
+# Non-test Go lines per package directory, then the total, over the files git
+# tracks: _test.go files, bench/ (a module of its own) and testdata/ are left
+# out, so the total is what ROADMAP.md's line count reads.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v /testdata/ | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'

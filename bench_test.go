@@ -205,7 +205,7 @@ func BenchmarkAlg2Coarse(b *testing.B) {
 	}
 }
 
-// coarsestLevel coarsens h as MultilevelCtx does by default: 300 target
+// coarsestLevel coarsens h as the V-cycle does by default: 300 target
 // nodes, clusters capped at min(s(V)/300, ceil(C_0/2)), one worker, seed 1.
 func coarsestLevel(b *testing.B, h *repro.Hypergraph, spec repro.Spec) *repro.Hypergraph {
 	b.Helper()
@@ -277,7 +277,7 @@ func BenchmarkFlowRefine(b *testing.B) {
 	for _, name := range []string{"c1355", "c7552"} {
 		h := circuit(b, name)
 		spec := paperSpec(b, h)
-		base, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
+		base, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{Seed: 1, Multilevel: &repro.Multilevel{}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func BenchmarkMultilevelScaling(b *testing.B) {
 		spec := paperSpec(b, h)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1}); err != nil {
+				if _, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{Seed: 1, Multilevel: &repro.Multilevel{}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -129,10 +129,8 @@ func main() {
 		sinks = append(sinks, obs.NewSlogSink(slog.New(
 			slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))))
 	}
-	observer := obs.Multi(sinks...)
-	var progressFn obs.ProgressFunc
 	if *progress {
-		progressFn = progressLine
+		sinks = append(sinks, obs.ProgressObserver(progressLine))
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
@@ -165,46 +163,30 @@ func main() {
 		flowRefine = &flowrefine.Options{Workers: *workers, Certify: verify.Certifier()}
 	}
 
-	start := time.Now()
-	var res *htp.Result
-	var initial float64
+	// The constructor, FM for "+", then flow refinement (seeded from the
+	// run seed) as the last step; with -multilevel, inside the V-cycle.
+	p := htp.Pipeline{
+		Algo:       *algo,
+		Seed:       *seed,
+		FlowRefine: flowRefine,
+		Observer:   obs.Multi(sinks...),
+	}
 	if *ml {
 		// The V-cycle owns iteration/metric defaults tuned for the coarse
 		// level; the flat-FLOW flag defaults (-n 4) would override them, so
 		// only explicitly-set values are forwarded.
-		mo := htp.MultilevelOptions{
-			Strategy:      *algo,
-			CoarsenTarget: *coarsenTgt,
-			Seed:          *seed,
-			Workers:       *workers,
-			Observer:      observer,
-			Progress:      progressFn,
-		}
+		p.Multilevel = &htp.Multilevel{CoarsenTarget: *coarsenTgt, Workers: *workers}
 		if itersSet {
-			mo.Flow.Iterations = *iters
+			p.Flow.Iterations = *iters
 		}
 		if perMetricSet {
-			mo.Flow.PartitionsPerMetric = *perMetric
-		}
-		if flowRefine != nil {
-			mo.FlowRefine, mo.FlowRefineOpt = true, *flowRefine
-		}
-		res, err = htp.MultilevelCtx(ctx, h, spec, mo)
-		if res != nil {
-			initial = res.Cost
+			p.Flow.PartitionsPerMetric = *perMetric
 		}
 	} else {
-		// Flat: the constructor, FM for "+", then flow refinement (seeded
-		// with the run seed) as the pipeline's last step.
-		res, initial, err = htp.PipelineCtx(ctx, h, spec, htp.Pipeline{
-			Algo:       *algo,
-			Seed:       *seed,
-			Flow:       htp.FlowOptions{Iterations: *iters, PartitionsPerMetric: *perMetric, Inject: inject.Options{Workers: *workers}},
-			FlowRefine: flowRefine,
-			Observer:   observer,
-			Progress:   progressFn,
-		})
+		p.Flow = htp.FlowOptions{Iterations: *iters, PartitionsPerMetric: *perMetric, Inject: inject.Options{Workers: *workers}}
 	}
+	start := time.Now()
+	res, initial, err := htp.PipelineCtx(ctx, h, spec, p)
 	if *progress {
 		fmt.Fprint(os.Stderr, "\n") // terminate the live line before results
 	}

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/circuits"
+	"repro/internal/flowrefine"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -193,22 +194,21 @@ func checkSuite(ctx context.Context, quick bool, seed int64, iters, workers int)
 	fmt.Printf("all %d runs verified with zero discrepancies\n", len(cases)*len(variants))
 }
 
-// solve dispatches an algorithm variant name the way htpart does. "ml" is
-// the multilevel V-cycle with its own coarse-stage iteration defaults; "mlf"
-// is "ml" plus the flow-based pairwise refinement stage on the finest level,
+// solve runs an algorithm variant the way htpart does. "ml" is the
+// multilevel V-cycle with its own coarse-stage iteration defaults; "mlf"
+// is "ml" plus the flow-based pairwise refinement step on the finest level,
 // with every accepted move batch re-certified in-line by internal/verify.
 // Every other name is a flat pipeline.
 func solve(ctx context.Context, algo string, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, iters, workers int) (*htp.Result, error) {
+	p := htp.Pipeline{Algo: algo, Seed: seed,
+		Flow: htp.FlowOptions{Iterations: iters, Inject: inject.Options{Workers: workers}}}
 	if algo == "ml" || algo == "mlf" {
-		mo := htp.MultilevelOptions{Seed: seed, Workers: workers}
-		if algo == "mlf" {
-			mo.FlowRefine = true
-			mo.FlowRefineOpt.Certify = verify.Certifier()
-		}
-		return htp.MultilevelCtx(ctx, h, spec, mo)
+		p = htp.Pipeline{Seed: seed, Multilevel: &htp.Multilevel{Workers: workers}}
 	}
-	res, _, err := htp.PipelineCtx(ctx, h, spec, htp.Pipeline{Algo: algo, Seed: seed,
-		Flow: htp.FlowOptions{Iterations: iters, Inject: inject.Options{Workers: workers}}})
+	if algo == "mlf" {
+		p.FlowRefine = &flowrefine.Options{Certify: verify.Certifier()}
+	}
+	res, _, err := htp.PipelineCtx(ctx, h, spec, p)
 	return res, err
 }
 

@@ -131,9 +131,10 @@ func TestMultilevelTraceReconstruction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	start := time.Now()
-	if _, err := htp.MultilevelCtx(ctx, h, spec, htp.MultilevelOptions{
-		Seed:     11,
-		Observer: sink,
+	if _, _, err := htp.PipelineCtx(ctx, h, spec, htp.Pipeline{
+		Seed:       11,
+		Multilevel: &htp.Multilevel{},
+		Observer:   sink,
 	}); err != nil {
 		t.Fatal(err)
 	}

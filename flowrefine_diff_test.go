@@ -28,19 +28,17 @@ func TestFlowRefineNeverWorseThanFM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
+		ml, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{Seed: 1, Multilevel: &repro.Multilevel{}})
 		if err != nil {
 			t.Fatalf("%s: multilevel: %v", cs.Name, err)
 		}
 		if rep := verify.Result(ml); !rep.OK() {
 			t.Fatalf("%s: FM-only multilevel failed certification: %v", cs.Name, rep.Err())
 		}
-		mlf, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{
+		mlf, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{
 			Seed:       1,
-			FlowRefine: true,
-			FlowRefineOpt: repro.FlowRefineOptions{
-				Certify: verify.Certifier(),
-			},
+			Multilevel: &repro.Multilevel{},
+			FlowRefine: &repro.FlowRefineOptions{Certify: verify.Certifier()},
 		})
 		if err != nil {
 			t.Fatalf("%s: multilevel+flowrefine: %v", cs.Name, err)

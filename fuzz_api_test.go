@@ -61,12 +61,13 @@ func FuzzSolvePipeline(f *testing.F) {
 		// The V-cycle route: a tiny CoarsenTarget forces real coarsening and
 		// uncoarsening even on fuzz-sized instances, so contraction, the
 		// coarse solve, projection, and boundary refinement all run.
-		mres, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
+		mopt := repro.Pipeline{Seed: seed, Multilevel: &repro.Multilevel{CoarsenTarget: 8}}
+		mres, _, err := repro.PipelineCtx(context.Background(), h, spec, mopt)
 		if err == nil {
 			if rep := verify.Result(mres); !rep.OK() {
 				t.Fatalf("multilevel result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8})
+			again, _, err := repro.PipelineCtx(context.Background(), h, spec, mopt)
 			if err != nil || again.Cost != mres.Cost {
 				t.Fatalf("multilevel not deterministic: %.17g then %.17g (err %v)", mres.Cost, again.Cost, err)
 			}
@@ -77,14 +78,14 @@ func FuzzSolvePipeline(f *testing.F) {
 		// so corridor extraction, the Lawler expansion, and the batch applier
 		// all see fuzz-shaped inputs. Refinement is monotone, so when both
 		// routes succeed the refined cost may never exceed the plain one.
-		fopt := repro.MultilevelOptions{Seed: seed, CoarsenTarget: 8, FlowRefine: true,
-			FlowRefineOpt: repro.FlowRefineOptions{Certify: verify.Certifier()}}
-		xres, err := repro.MultilevelCtx(context.Background(), h, spec, fopt)
+		fopt := mopt
+		fopt.FlowRefine = &repro.FlowRefineOptions{Certify: verify.Certifier()}
+		xres, _, err := repro.PipelineCtx(context.Background(), h, spec, fopt)
 		if err == nil {
 			if rep := verify.Result(xres); !rep.OK() {
 				t.Fatalf("flow-refined result escaped verification: %v\nnetlist: %q", rep.Err(), netlist)
 			}
-			again, err := repro.MultilevelCtx(context.Background(), h, spec, fopt)
+			again, _, err := repro.PipelineCtx(context.Background(), h, spec, fopt)
 			if err != nil || again.Cost != xres.Cost {
 				t.Fatalf("flow-refined multilevel not deterministic: %.17g then %.17g (err %v)", xres.Cost, again.Cost, err)
 			}

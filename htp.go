@@ -80,7 +80,8 @@ var (
 //
 // Every solver option struct (FlowOptions, InjectOptions, RFMOptions,
 // GFMOptions, RefineOptions, TreeMapOptions, Pipeline) carries an Observer
-// field; FlowOptions and Pipeline additionally take a ProgressFunc. Telemetry is observe-only
+// field; ProgressObserver turns a ProgressFunc into one, for a live
+// display next to (MultiObserver) a trace. Telemetry is observe-only
 // and zero-cost when disabled: with a nil Observer the solvers pay one nil
 // check per round and allocate nothing, and attaching one cannot change
 // any computed result. Runs also tick expvar process counters —
@@ -107,6 +108,10 @@ type (
 	ProgressFunc = obs.ProgressFunc
 	Progress     = obs.Progress
 )
+
+// ProgressObserver folds an event stream into Progress snapshots for fn,
+// one call at a time; nil for a nil fn.
+func ProgressObserver(fn ProgressFunc) Observer { return obs.ProgressObserver(fn) }
 
 // JSONLTrace writes events as JSON Lines — the `htpart -trace` format.
 // Call Flush when the run is done.
@@ -220,13 +225,22 @@ func FlowCtx(ctx context.Context, h *Hypergraph, spec Spec, opt FlowOptions) (*R
 // Pipeline is the construct-then-refine composition: a constructor named
 // as the CLIs name it ("flow", "rfm" or "gfm"; a "+" suffix adds the
 // hierarchical FM refinement of the paper's Table 3), then, when
-// FlowRefine is set, flow-based pairwise refinement.
+// FlowRefine is set, flow-based pairwise refinement. With Multilevel set
+// it runs inside the multilevel V-cycle.
 type Pipeline = htp.Pipeline
 
+// Multilevel selects the multilevel V-cycle — deterministic heavy-edge
+// coarsening, the pipeline's constructor and FM step on the coarsest
+// level, boundary-localized FM refinement on the way back down, and the
+// flow-refine step on the finest level. The scalable route for large
+// netlists; see README "Scaling to large netlists".
+type Multilevel = htp.Multilevel
+
 // PipelineCtx runs a Pipeline and returns the result together with the
-// constructed (pre-refinement) cost. The whole run traces as one span with
-// exactly one terminal stop carrying the final cost; cancellation during
-// refinement keeps the best cost reached.
+// constructed (pre-refinement) cost — for the V-cycle, its coarsest
+// level's. The whole run traces as one span with exactly one terminal stop
+// carrying the final cost; cancellation during refinement (in the V-cycle:
+// during the coarse solve or the descent) keeps the best cost reached.
 func PipelineCtx(ctx context.Context, h *Hypergraph, spec Spec, p Pipeline) (*Result, float64, error) {
 	return htp.PipelineCtx(ctx, h, spec, p)
 }
@@ -251,20 +265,6 @@ func RFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt RFMOptions) (*Res
 // GFMCtx runs the bottom-up grouping baseline.
 func GFMCtx(ctx context.Context, h *Hypergraph, spec Spec, opt GFMOptions) (*Result, error) {
 	return htp.GFMCtx(ctx, h, spec, opt)
-}
-
-// MultilevelOptions tunes the multilevel V-cycle: coarsening, the
-// coarse-level construction strategy, and per-level refinement.
-type MultilevelOptions = htp.MultilevelOptions
-
-// MultilevelCtx runs the multilevel V-cycle — deterministic heavy-edge
-// coarsening, a coarse-level construction by the configured strategy
-// (FLOW by default), and boundary-localized FM refinement on the way back
-// down. The scalable route for large netlists; see README "Scaling to
-// large netlists". It has FLOW's anytime contract: cancellation
-// mid-descent salvages the best partition reached.
-func MultilevelCtx(ctx context.Context, h *Hypergraph, spec Spec, opt MultilevelOptions) (*Result, error) {
-	return htp.MultilevelCtx(ctx, h, spec, opt)
 }
 
 // RefineCtx improves a partition in place by FM-style hierarchical moves

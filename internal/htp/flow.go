@@ -73,11 +73,6 @@ type FlowOptions struct {
 	// runs which iteration). Span IDs come from a plain counter, never the
 	// run's seeds, so tracing cannot perturb results. Zero value is fine.
 	Span obs.SpanScope
-	// Progress, if non-nil, is called with coarse progress snapshots
-	// (phase, round, best cost) at round-level frequency — a lightweight
-	// alternative to a full Observer for live display. Called one call at
-	// a time, like Observer.
-	Progress obs.ProgressFunc
 }
 
 func (o FlowOptions) withDefaults() FlowOptions {
@@ -146,9 +141,9 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 	}
 	workers := min(runtime.GOMAXPROCS(0), opt.Iterations)
 	// Telemetry: one sink for the whole run. All of this is skipped — sink
-	// stays nil, emission sites reduce to a nil check — when neither an
-	// Observer nor a Progress func is set.
-	sink := obs.Multi(opt.Observer, obs.ProgressObserver(opt.Progress))
+	// stays nil, emission sites reduce to a nil check — when no Observer
+	// is set.
+	sink := opt.Observer
 	var start time.Time
 	if sink != nil {
 		start = time.Now()

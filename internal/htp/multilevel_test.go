@@ -36,8 +36,8 @@ func (l *eventList) Event(e obs.Event) { l.events = append(l.events, e) }
 // with a contract-conforming stop reason.
 func TestMultilevelEndToEnd(t *testing.T) {
 	in := multilevelInstance(t)
-	res, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{
-		CoarsenTarget: 64, Seed: 5,
+	res, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{
+		Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestMultilevelEndToEnd(t *testing.T) {
 func TestMultilevelDeterministicAcrossWorkers(t *testing.T) {
 	in := multilevelInstance(t)
 	run := func(workers int) *Result {
-		res, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{
-			CoarsenTarget: 64, Seed: 5, Workers: workers,
+		res, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{
+			Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 64, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -96,8 +96,8 @@ func TestMultilevelDeterministicAcrossWorkers(t *testing.T) {
 func TestMultilevelStrategies(t *testing.T) {
 	in := multilevelInstance(t)
 	for _, strat := range []string{"flow", "flow+", "rfm", "rfm+", "gfm", "gfm+"} {
-		res, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{
-			CoarsenTarget: 150, Seed: 5, Strategy: strat,
+		res, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{
+			Algo: strat, Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 150},
 			Flow: FlowOptions{Iterations: 1},
 		})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestMultilevelStrategies(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 	}
-	if _, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{Strategy: "annealing"}); !errors.Is(err, anytime.ErrInvalidSpec) {
+	if _, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{Algo: "annealing", Multilevel: &Multilevel{}}); !errors.Is(err, anytime.ErrInvalidSpec) {
 		t.Fatalf("unknown strategy error = %v, want ErrInvalidSpec", err)
 	}
 }
@@ -119,12 +119,12 @@ func TestMultilevelAnytime(t *testing.T) {
 	in := multilevelInstance(t)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MultilevelCtx(done, in.h, in.spec, MultilevelOptions{}); !errors.Is(err, anytime.ErrNoPartition) {
+	if _, _, err := PipelineCtx(done, in.h, in.spec, Pipeline{Multilevel: &Multilevel{}}); !errors.Is(err, anytime.ErrNoPartition) {
 		t.Fatalf("pre-cancelled error = %v, want ErrNoPartition", err)
 	}
 	for _, budget := range []time.Duration{time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		res, err := MultilevelCtx(ctx, in.h, in.spec, MultilevelOptions{CoarsenTarget: 64, Seed: 5})
+		res, _, err := PipelineCtx(ctx, in.h, in.spec, Pipeline{Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 64}})
 		cancel()
 		if err != nil {
 			if !errors.Is(err, anytime.ErrNoPartition) {
@@ -146,8 +146,8 @@ func TestMultilevelAnytime(t *testing.T) {
 func TestMultilevelTraceContract(t *testing.T) {
 	in := multilevelInstance(t)
 	sink := &eventList{}
-	res, err := MultilevelCtx(context.Background(), in.h, in.spec, MultilevelOptions{
-		CoarsenTarget: 64, Seed: 5, Observer: sink,
+	res, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{
+		Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 64}, Observer: sink,
 	})
 	if err != nil {
 		t.Fatal(err)

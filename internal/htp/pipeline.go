@@ -20,9 +20,10 @@ import (
 // a constructor (FLOW, RFM or GFM) builds a partition, then refine steps
 // improve it in place, in order — hierarchical FM refinement for the "+"
 // variants (the paper's Table 3), then flow-based pairwise refinement when
-// FlowRefine is set. PipelineCtx runs it flat; the multilevel V-cycle runs
-// the same constructor and FM step on its coarsest level and the same
-// flow-refine step on the finest.
+// FlowRefine is set. It runs flat, or, with Multilevel set, inside the
+// multilevel V-cycle: the constructor and FM step on the coarsest level,
+// FM refinement on every level of the way back down, and the flow-refine
+// step on the finest.
 type Pipeline struct {
 	// Algo names the constructor the way the CLIs do: "flow" (the
 	// default), "rfm" or "gfm", with a "+" suffix for the FM step.
@@ -31,21 +32,22 @@ type Pipeline struct {
 	// Default 1.
 	Seed int64
 	// Flow, RFM and GFM forward options to the named constructor. Their
-	// Observer, Progress and Span are replaced by the pipeline's.
+	// Observer and Span are replaced by the pipeline's.
 	Flow FlowOptions
 	RFM  RFMOptions
 	GFM  GFMOptions
 	// FlowRefine, when non-nil, appends flow-based pairwise refinement
 	// (internal/flowrefine) as the last step. A zero Seed defaults to the
-	// constructor's seed; Observer and Span are the pipeline's.
+	// constructor's seed (the V-cycle's: Seed + 40); Observer and Span are
+	// the pipeline's.
 	FlowRefine *flowrefine.Options
+	// Multilevel, when non-nil, runs the pipeline inside the multilevel
+	// V-cycle (see Multilevel).
+	Multilevel *Multilevel
 	// Observer receives the whole run's trace under one span, ending in
 	// exactly one terminal stop that carries the final cost. Nil disables
 	// telemetry at zero cost.
 	Observer obs.Observer
-	// Progress, if non-nil, receives coarse progress snapshots from every
-	// constructor and step, one call at a time.
-	Progress obs.ProgressFunc
 	// Span nests the run in the caller's span tree. Zero value is fine.
 	Span obs.SpanScope
 }
@@ -79,7 +81,7 @@ func (p Pipeline) stages() (constructor, []refineStep, error) {
 		seed = opt.Seed
 		construct = func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, o obs.Observer, span obs.SpanScope) (*Result, error) {
 			fo := opt
-			fo.Observer, fo.Progress, fo.Span = o, nil, span
+			fo.Observer, fo.Span = o, span
 			return FlowCtx(ctx, h, spec, fo)
 		}
 	case "rfm":
@@ -135,18 +137,22 @@ func flowRefineStep(opt flowrefine.Options) refineStep {
 	}
 }
 
-// PipelineCtx runs p flat on h: the constructor, then each refine step.
-// It returns the result and the constructed (pre-refinement) cost. The
-// anytime contract is the constructor's: cancellation before it has a
-// partition errors with anytime.ErrNoPartition; cancellation after it
-// stops the steps early and returns the best cost reached, with
-// Result.Stop recording why.
+// PipelineCtx runs p on h: the constructor, then each refine step, flat
+// or inside the V-cycle. It returns the result and the constructed
+// (pre-refinement) cost; the V-cycle's is its coarsest level's, which
+// projection carries down unchanged. The anytime contract is the
+// constructor's: cancellation before it has a partition errors with
+// anytime.ErrNoPartition; cancellation after it stops the steps early and
+// returns the best cost reached, with Result.Stop recording why.
 func PipelineCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p Pipeline) (*Result, float64, error) {
+	if p.Multilevel != nil {
+		return p.vcycle(ctx, h, spec)
+	}
 	construct, steps, err := p.stages()
 	if err != nil {
 		return nil, 0, err
 	}
-	return compose(ctx, h, spec, construct, steps, obs.Multi(p.Observer, obs.ProgressObserver(p.Progress)), p.Span)
+	return compose(ctx, h, spec, construct, steps, p.Observer, p.Span)
 }
 
 // compose runs construct and then steps as one traced run. With no steps

@@ -6,9 +6,10 @@
 // down level by level with boundary-localized FM refinement.
 //
 // The package is strategy-agnostic: it never solves the coarsest instance
-// itself. internal/htp plugs its constructors (FLOW, RFM, GFM and their "+"
-// variants) in as interchangeable coarse-level stages behind the
-// htp.MultilevelCtx facade.
+// itself. htp.PipelineCtx runs it when Pipeline.Multilevel is set: the
+// pipeline's constructor (FLOW, RFM or GFM) and "+" FM step solve the
+// coarsest level, and its flow-refine step runs on the finest level after
+// Uncoarsen.
 //
 // Determinism contract (enforced by the detrand analyzer and pinned by a
 // golden-hash test): for a fixed Seed the produced level stack is

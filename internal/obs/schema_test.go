@@ -223,8 +223,8 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 
 	t.Run("multilevel", func(t *testing.T) {
 		events := collect(t, func(sink obs.Observer) float64 {
-			res, err := htp.MultilevelCtx(context.Background(), h, spec,
-				htp.MultilevelOptions{CoarsenTarget: 32, Seed: 3, FlowRefine: true, Observer: sink})
+			res, _, err := htp.PipelineCtx(context.Background(), h, spec, htp.Pipeline{Seed: 3,
+				Multilevel: &htp.Multilevel{CoarsenTarget: 32}, FlowRefine: &flowrefine.Options{}, Observer: sink})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,29 +96,13 @@ func New(inner *server.Solvers, cfg Config) *Harness {
 // Solvers returns the fault-injecting solver seam to hand to server.Config.
 func (c *Harness) Solvers() *server.Solvers {
 	return &server.Solvers{
-		Multilevel: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.MultilevelOptions) (*htp.Result, error) {
+		Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
 			ctx, done, err := c.inject(ctx, h)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			defer done()
-			return c.inner.Multilevel(ctx, h, spec, opt)
-		},
-		Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
-			ctx, done, err := c.inject(ctx, h)
-			if err != nil {
-				return nil, err
-			}
-			defer done()
-			return c.inner.Flow(ctx, h, spec, opt)
-		},
-		GFM: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error) {
-			ctx, done, err := c.inject(ctx, h)
-			if err != nil {
-				return nil, err
-			}
-			defer done()
-			return c.inner.GFM(ctx, h, spec, opt)
+			return c.inner.Pipeline(ctx, h, spec, p)
 		},
 		Salvage: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
 			if c.cfg.SkipSalvage {

@@ -126,16 +126,10 @@ func (s *Server) runJob(j *Job) {
 //
 //   - a client cancellation wins the state (cancelled), but a certified
 //     best-so-far result produced before the cancel is still attached;
-//   - otherwise a certified result means done, an error means failed.
+//   - otherwise a certified result means done, an error means failed;
+//   - a result whose dump cannot be written is dropped, with the write
+//     error as the job's error.
 func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
-	state := StateDone
-	switch {
-	case clientCancelled:
-		state = StateCancelled
-	case out.res == nil:
-		state = StateFailed
-	}
-
 	var dump *hierarchy.PartitionDump
 	if out.res != nil {
 		dump = hierarchy.DumpPartition(out.res.Partition, out.res.Cost)
@@ -146,8 +140,22 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 	}
 	// The dump is on disk before the state below tells clients the job is
 	// done. The only second call, from the runner's panic recovery, carries
-	// no result, so it cannot overwrite the first call's dump.
-	s.persistResult(j, dump)
+	// no result, so it cannot overwrite the first call's dump. Served as
+	// done, a job whose dump failed would have no result after a restart.
+	if err := s.persistResult(j, dump); err != nil {
+		s.log.Error("persisting result", "job", j.ID, "err", err)
+		dump = nil
+		out.res, out.stage, out.salvaged = nil, "", false
+		out.err = fmt.Errorf("result dump not written: %w", err)
+	}
+
+	state := StateDone
+	switch {
+	case clientCancelled:
+		state = StateCancelled
+	case out.res == nil:
+		state = StateFailed
+	}
 
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -228,13 +236,11 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 }
 
 // persistResult writes the certified dump atomically into ResultDir.
-func (s *Server) persistResult(j *Job, dump *hierarchy.PartitionDump) {
+func (s *Server) persistResult(j *Job, dump *hierarchy.PartitionDump) error {
 	if dump == nil || s.cfg.ResultDir == "" {
-		return
+		return nil
 	}
-	if err := dump.WriteFile(s.resultPath(j.ID)); err != nil {
-		s.log.Error("persisting result", "job", j.ID, "err", err)
-	}
+	return dump.WriteFile(s.resultPath(j.ID))
 }
 
 // journalState appends a state record, logging (not failing) on error.

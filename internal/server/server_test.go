@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -226,14 +227,15 @@ func terminalCount(s *Server, id string) int {
 func blockingSolvers(release <-chan struct{}) *Solvers {
 	real := RealSolvers()
 	return &Solvers{
-		Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
-			select {
-			case <-release:
-			case <-ctx.Done():
+		Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if p.Algo != "gfm" {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
 			}
-			return real.Flow(ctx, h, spec, opt)
+			return real.Pipeline(ctx, h, spec, p)
 		},
-		GFM:     real.GFM,
 		Salvage: real.Salvage,
 	}
 }
@@ -353,10 +355,12 @@ func TestDegradationFallsToGFM(t *testing.T) {
 		BaseBackoff:   time.Millisecond,
 		DefaultBudget: 20 * time.Second,
 		Solvers: &Solvers{
-			Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
-				return nil, errors.New("synthetic transient failure")
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				if p.Algo != "gfm" {
+					return nil, 0, errors.New("synthetic transient failure")
+				}
+				return real.Pipeline(ctx, h, spec, p)
 			},
-			GFM:     real.GFM,
 			Salvage: real.Salvage,
 		},
 	})
@@ -422,14 +426,12 @@ func TestFlowRefineLadder(t *testing.T) {
 		MultilevelNodes: 64,
 		FlowRefine:      true,
 		Solvers: &Solvers{
-			Multilevel: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.MultilevelOptions) (*htp.Result, error) {
-				if opt.FlowRefine {
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				if p.Multilevel != nil && p.FlowRefine != nil {
 					sawFlowRefine.Store(true)
 				}
-				return real.Multilevel(ctx, h, spec, opt)
+				return real.Pipeline(ctx, h, spec, p)
 			},
-			Flow:    real.Flow,
-			GFM:     real.GFM,
 			Salvage: real.Salvage,
 		},
 	})
@@ -446,7 +448,7 @@ func TestFlowRefineLadder(t *testing.T) {
 		t.Fatal("mlf result not marked verified")
 	}
 	if !sawFlowRefine.Load() {
-		t.Fatal("mlf rung ran without MultilevelOptions.FlowRefine set")
+		t.Fatal("mlf rung ran without Pipeline.FlowRefine set")
 	}
 	vs := waitTerminal(t, ts, small, 30*time.Second)
 	if vs.State != StateDone {
@@ -468,11 +470,12 @@ func TestMultilevelLadderDegrades(t *testing.T) {
 		DefaultBudget:   20 * time.Second,
 		MultilevelNodes: 64,
 		Solvers: &Solvers{
-			Multilevel: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.MultilevelOptions) (*htp.Result, error) {
-				return nil, errors.New("synthetic multilevel failure")
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				if p.Multilevel != nil {
+					return nil, 0, errors.New("synthetic multilevel failure")
+				}
+				return real.Pipeline(ctx, h, spec, p)
 			},
-			Flow:    real.Flow,
-			GFM:     real.GFM,
 			Salvage: real.Salvage,
 		},
 	})
@@ -497,15 +500,15 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 		MaxAttempts:   5,
 		DefaultBudget: 20 * time.Second,
 		Solvers: &Solvers{
-			Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
-				return nil, fmt.Errorf("rung: %w", anytime.ErrOversizedNode)
-			},
-			GFM: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error) {
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				if p.Algo != "gfm" {
+					return nil, 0, fmt.Errorf("rung: %w", anytime.ErrOversizedNode)
+				}
 				select {
 				case gfmCalled <- struct{}{}:
 				default:
 				}
-				return real.GFM(ctx, h, spec, opt)
+				return real.Pipeline(ctx, h, spec, p)
 			},
 			Salvage: real.Salvage,
 		},
@@ -547,11 +550,8 @@ func TestPanickingSolversAreContained(t *testing.T) {
 		BaseBackoff:   time.Millisecond,
 		DefaultBudget: 20 * time.Second,
 		Solvers: &Solvers{
-			Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
-				panic("injected flow panic")
-			},
-			GFM: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error) {
-				panic("injected gfm panic")
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				panic("injected " + cmp.Or(p.Algo, "flow") + " panic")
 			},
 			Salvage: real.Salvage,
 		},
@@ -581,13 +581,9 @@ func TestCancelRunningJob(t *testing.T) {
 		Workers:       1,
 		DefaultBudget: 20 * time.Second,
 		Solvers: &Solvers{
-			Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
 				<-ctx.Done()
-				return nil, ctx.Err()
-			},
-			GFM: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error) {
-				<-ctx.Done()
-				return nil, ctx.Err()
+				return nil, 0, ctx.Err()
 			},
 			Salvage: real.Salvage,
 		},
@@ -712,6 +708,54 @@ func TestResultPersistedAtomically(t *testing.T) {
 	}
 }
 
+// TestResultDumpFailureFailsJob: a result dump that cannot be written fails
+// the job, with an error naming the dump, instead of serving it as done —
+// such a job would have no result after a restart. The status, GET /result
+// and a restart over the same journal agree.
+func TestResultDumpFailureFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	notADir := filepath.Join(dir, "results")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Workers:       1,
+		DefaultBudget: 20 * time.Second,
+		JournalPath:   filepath.Join(dir, "jobs.jsonl"),
+		ResultDir:     notADir,
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s1.Start()
+	ts1 := httptest.NewServer(s1.Handler())
+	id := submitOK(t, ts1, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
+	check := func(ts *httptest.Server, when string) {
+		v := waitTerminal(t, ts, id, 30*time.Second)
+		if v.State != StateFailed || v.Verified || !strings.Contains(v.Error, "result dump") {
+			t.Fatalf("%s: state %q verified %v error %q, want failed on the result dump", when, v.State, v.Verified, v.Error)
+		}
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatalf("%s: GET result: %v", when, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: result code %d, want 404", when, resp.StatusCode)
+		}
+	}
+	check(ts1, "before restart")
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	_, ts2 := newTestServer(t, cfg)
+	check(ts2, "after restart")
+}
+
 func TestShutdownRequeuesAndRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "jobs.jsonl")
@@ -723,13 +767,9 @@ func TestShutdownRequeuesAndRestartRecovers(t *testing.T) {
 		DefaultBudget: 20 * time.Second,
 		JournalPath:   journalPath,
 		Solvers: &Solvers{
-			Flow: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error) {
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
 				<-ctx.Done()
-				return nil, ctx.Err()
-			},
-			GFM: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error) {
-				<-ctx.Done()
-				return nil, ctx.Err()
+				return nil, 0, ctx.Err()
 			},
 			Salvage: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
 				return nil, ctx.Err()

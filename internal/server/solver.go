@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/anytime"
+	"repro/internal/flowrefine"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -18,28 +19,21 @@ import (
 )
 
 // Solvers groups the solver entry points the daemon drives — the seam the
-// chaos harness wraps. Every function follows the anytime contract: on
-// deadline or cancellation it returns the best certified-able result found
-// so far, erroring only when nothing valid exists.
+// chaos harness wraps. Both follow the anytime contract: on deadline or
+// cancellation they return the best certified-able result found so far,
+// erroring only when nothing valid exists.
 type Solvers struct {
-	Multilevel func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.MultilevelOptions) (*htp.Result, error)
-	Flow       func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.FlowOptions) (*htp.Result, error)
-	GFM        func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt htp.GFMOptions) (*htp.Result, error)
-	// Salvage takes the job's span scope explicitly (the other rungs carry
-	// it inside their Options): without it, the inject call would start a
-	// fresh span ID space colliding with the job's own IDs in the merged
-	// trace.
+	// Pipeline runs every rung but metric salvage (htp.PipelineCtx).
+	Pipeline func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error)
+	// Salvage takes the job's span scope explicitly (Pipeline carries it
+	// in its options): without it, the inject call would start a fresh
+	// span ID space colliding with the job's own IDs in the merged trace.
 	Salvage func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error)
 }
 
 // RealSolvers returns the production entry points.
 func RealSolvers() *Solvers {
-	return &Solvers{
-		Multilevel: htp.MultilevelCtx,
-		Flow:       htp.FlowCtx,
-		GFM:        htp.GFMCtx,
-		Salvage:    metricSalvage,
-	}
+	return &Solvers{Pipeline: htp.PipelineCtx, Salvage: metricSalvage}
 }
 
 // salvageGrace is the detached construction window of the final ladder
@@ -78,51 +72,36 @@ func metricSalvage(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy
 	return &htp.Result{Partition: p, Cost: cost, Iterations: 1, Stop: stop}, nil
 }
 
-// rung is one step of the degradation ladder. frac is the cumulative share
-// of the job budget this rung may consume from the job's start: FLOW gets
-// the first 60%, GFM up to 85%, and metric salvage the remainder.
+// rung is one step of the degradation ladder: the pipeline it runs (nil
+// means metric salvage) and frac, the cumulative share of the job budget
+// it may consume from the job's start.
 type rung struct {
-	name string
-	frac float64
+	name     string
+	frac     float64
+	pipeline *htp.Pipeline
 }
 
-var ladder = []rung{
-	{name: "flow", frac: 0.60},
-	{name: "gfm", frac: 0.85},
-	{name: "salvage", frac: 1.00},
-}
-
-// bigLadder serves jobs at or above Config.MultilevelNodes: flat FLOW's
-// metric engine is superlinear in instance size, so the V-cycle goes first
-// and the flat rungs become fallbacks. Every rung still passes the same
-// certification gate before its result is served.
-var bigLadder = []rung{
-	{name: "multilevel", frac: 0.55},
-	{name: "flow", frac: 0.75},
-	{name: "gfm", frac: 0.90},
-	{name: "salvage", frac: 1.00},
-}
-
-// mlfLadder is bigLadder with the leading rung upgraded to the flow-refined
-// V-cycle, selected when Config.FlowRefine is set. The rung keeps the same
-// budget share: flow refinement is monotone (accept-only-improving), so on
-// deadline it degrades to plain multilevel quality rather than failing.
-var mlfLadder = []rung{
-	{name: "mlf", frac: 0.55},
-	{name: "flow", frac: 0.75},
-	{name: "gfm", frac: 0.90},
-	{name: "salvage", frac: 1.00},
-}
-
-// ladderFor picks the degradation ladder for a job by instance size.
-func (s *Server) ladderFor(j *Job) []rung {
-	if s.solvers.Multilevel != nil && j.h.NumNodes() >= s.cfg.MultilevelNodes {
-		if s.cfg.FlowRefine {
-			return mlfLadder
-		}
-		return bigLadder
+// ladder is j's degradation ladder. Small jobs get FLOW for the first 60%
+// of the budget, GFM up to 85%, and metric salvage the remainder. Jobs at
+// or above Config.MultilevelNodes start with the V-cycle — flat FLOW's
+// metric engine is superlinear in instance size — and the flat rungs
+// become fallbacks. With Config.FlowRefine the V-cycle rung becomes "mlf",
+// the flow-refined V-cycle, with the same budget share: flow refinement is
+// monotone (accept-only-improving), so on deadline it degrades to plain
+// multilevel quality rather than failing. Every rung's result passes the
+// same certification gate before it is served.
+func (s *Server) ladder(j *Job) []rung {
+	flow := &htp.Pipeline{Flow: htp.FlowOptions{Iterations: j.Spec.Iters}}
+	gfm := &htp.Pipeline{Algo: "gfm"}
+	if j.h.NumNodes() < s.cfg.MultilevelNodes {
+		return []rung{{"flow", 0.60, flow}, {"gfm", 0.85, gfm}, {"salvage", 1.00, nil}}
 	}
-	return ladder
+	ml := rung{"multilevel", 0.55, &htp.Pipeline{Multilevel: &htp.Multilevel{}}}
+	if s.cfg.FlowRefine {
+		ml.name = "mlf"
+		ml.pipeline.FlowRefine = &flowrefine.Options{Certify: verify.Certifier()}
+	}
+	return []rung{ml, {"flow", 0.75, flow}, {"gfm", 0.90, gfm}, {"salvage", 1.00, nil}}
 }
 
 // solveOutcome is what the ladder hands back to the worker.
@@ -163,7 +142,7 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 	jitter := rand.New(rand.NewSource(j.Spec.Seed ^ 0x5eed))
 
 	var lastErr error
-	rungs := s.ladderFor(j)
+	rungs := s.ladder(j)
 	for ri, r := range rungs {
 		rungDeadline := start.Add(time.Duration(float64(budget) * r.frac))
 		rctx, cancel := context.WithDeadline(ctx, rungDeadline)
@@ -174,7 +153,7 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 			}
 			out.attempts++
 			seed := attemptSeed(j.Spec.Seed, ri, attempt)
-			res, err := s.runAttempt(rctx, j, r.name, seed)
+			res, err := s.runAttempt(rctx, j, r, seed)
 			if err == nil {
 				if vrep := verify.Result(res); !vrep.OK() {
 					cCertFailures.Add(1)
@@ -182,7 +161,7 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 				} else {
 					out.res = res
 					out.stage = r.name
-					out.salvaged = r.name == "salvage" || resultSalvaged(res)
+					out.salvaged = r.pipeline == nil || resultSalvaged(res)
 					out.degraded = ri
 					cancel()
 					return out
@@ -221,11 +200,11 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 // runAttempt executes one rung attempt with panic containment: an injected
 // or genuine panic surfaces as a transient error carrying the stack, never
 // as a dead worker.
-func (s *Server) runAttempt(ctx context.Context, j *Job, rungName string, seed int64) (res *htp.Result, err error) {
+func (s *Server) runAttempt(ctx context.Context, j *Job, r rung, seed int64) (res *htp.Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if v := recover(); v != nil {
 			res = nil
-			err = fmt.Errorf("attempt panicked: %v\n%s", r, debug.Stack())
+			err = fmt.Errorf("attempt panicked: %v\n%s", v, debug.Stack())
 		}
 	}()
 	// All rungs but the last suppress their terminal stop: the job emits
@@ -241,7 +220,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, rungName string, seed i
 		t0 := time.Now()
 		defer func() {
 			obs.Emit(j.sink(), obs.Event{
-				Kind: obs.KindSpan, Phase: "rung:" + rungName,
+				Kind: obs.KindSpan, Phase: "rung:" + r.name,
 				Span: rungSpan, Parent: j.rootSpan,
 				ElapsedMS: obs.Millis(time.Since(t0)),
 			})
@@ -249,31 +228,13 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, rungName string, seed i
 		o = obs.WithSpan(o, rungSpan, j.rootSpan)
 		scope = obs.SpanScope{Ctx: j.spans, Parent: rungSpan}
 	}
-	switch rungName {
-	case "multilevel", "mlf":
-		mo := htp.MultilevelOptions{
-			Seed:     seed,
-			Observer: o,
-			Span:     scope,
-		}
-		if rungName == "mlf" {
-			mo.FlowRefine = true
-			mo.FlowRefineOpt.Certify = verify.Certifier()
-		}
-		return s.solvers.Multilevel(ctx, j.h, j.pspec, mo)
-	case "flow":
-		return s.solvers.Flow(ctx, j.h, j.pspec, htp.FlowOptions{
-			Iterations: j.Spec.Iters,
-			Seed:       seed,
-			Observer:   o,
-			Span:       scope,
-		})
-	case "gfm":
-		return s.solvers.GFM(ctx, j.h, j.pspec, htp.GFMOptions{Seed: seed, Observer: o, Span: scope})
-	case "salvage":
+	if r.pipeline == nil {
 		return s.solvers.Salvage(ctx, j.h, j.pspec, seed, o, scope)
 	}
-	return nil, fmt.Errorf("unknown ladder rung %q", rungName)
+	p := *r.pipeline
+	p.Seed, p.Observer, p.Span = seed, o, scope
+	res, _, err = s.solvers.Pipeline(ctx, j.h, j.pspec, p)
+	return res, err
 }
 
 // attemptSeed derives a distinct deterministic seed per (job, rung,

@@ -35,7 +35,7 @@ func TestMultilevelWithinFlatFlowBound(t *testing.T) {
 			if rep := verify.Result(flat); !rep.OK() {
 				t.Fatalf("flat FLOW failed certification: %v", rep.Err())
 			}
-			ml, err := repro.MultilevelCtx(context.Background(), h, spec, repro.MultilevelOptions{Seed: 1})
+			ml, _, err := repro.PipelineCtx(context.Background(), h, spec, repro.Pipeline{Seed: 1, Multilevel: &repro.Multilevel{}})
 			if err != nil {
 				t.Fatalf("multilevel: %v", err)
 			}

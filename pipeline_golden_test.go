@@ -1,10 +1,12 @@
 // Golden pins for every solver variant the CLIs expose: the exact cost and
 // a fingerprint of the leaf assignment for gfm, rfm, flow, their "+"
 // forms, the V-cycle (ml) and the flow-refined V-cycle (mlf) on c1355 and
-// c2670, plus the two flat flow-refine routes htpart runs. The settings
-// are htpcheck -suite's with every worker count at 1, so the values do not
-// depend on the machine's CPU count. A change that moves one of these
-// numbers changes what the program computes and must re-pin it on purpose.
+// c2670, the V-cycle with every other coarse constructor ("ml rfm+" is
+// htpart -multilevel -algo rfm+) on c2670, plus the two flat flow-refine
+// routes htpart runs. The settings are htpcheck -suite's with every worker
+// count at 1, so the values do not depend on the machine's CPU count. A
+// change that moves one of these numbers changes what the program computes
+// and must re-pin it on purpose.
 package repro_test
 
 import (
@@ -30,33 +32,47 @@ func leafFingerprint(p *repro.Partition) uint64 {
 }
 
 // solveVariant runs one variant the way htpcheck -suite (and, for the
-// "-flow-refine" routes, htpart) does, at seed 1 and one worker.
-func solveVariant(t *testing.T, variant string, h *repro.Hypergraph, spec repro.Spec) *repro.Result {
+// "-flow-refine" routes and the V-cycle's other constructors, htpart)
+// does, at seed 1 and one worker. It returns the result and the
+// constructed cost.
+func solveVariant(t *testing.T, variant string, h *repro.Hypergraph, spec repro.Spec) (*repro.Result, float64) {
 	t.Helper()
-	ctx := context.Background()
-	var res *repro.Result
-	var err error
-	switch variant {
+	var p repro.Pipeline
+	switch ml, strategy, _ := strings.Cut(variant, " "); ml {
 	case "ml", "mlf":
-		mo := repro.MultilevelOptions{Seed: 1, Workers: 1}
+		p = repro.Pipeline{Algo: strategy, Seed: 1, Multilevel: &repro.Multilevel{Workers: 1}}
 		if variant == "mlf" {
-			mo.FlowRefine = true
-			mo.FlowRefineOpt.Certify = verify.Certifier()
+			p.FlowRefine = &repro.FlowRefineOptions{Certify: verify.Certifier()}
 		}
-		res, err = repro.MultilevelCtx(ctx, h, spec, mo)
 	default:
 		algo, _, flowRefine := strings.Cut(variant, " -flow-refine")
-		p := repro.Pipeline{Algo: algo, Seed: 1,
+		p = repro.Pipeline{Algo: algo, Seed: 1,
 			Flow: repro.FlowOptions{Iterations: 2, Inject: repro.InjectOptions{Workers: 1}}}
 		if flowRefine {
 			p.FlowRefine = &repro.FlowRefineOptions{Workers: 1, Certify: verify.Certifier()}
 		}
-		res, _, err = repro.PipelineCtx(ctx, h, spec, p)
 	}
+	res, constructed, err := repro.PipelineCtx(context.Background(), h, spec, p)
 	if err != nil {
 		t.Fatalf("%s: %v", variant, err)
 	}
-	return res
+	return res, constructed
+}
+
+// paperInstance is a generated ISCAS-85 circuit at seed 1 with the paper's
+// height-4 binary tree spec.
+func paperInstance(t *testing.T, circuit string) (*repro.Hypergraph, repro.Spec) {
+	t.Helper()
+	cs, err := repro.CircuitByName(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := repro.GenerateCircuit(cs, 1)
+	spec, err := repro.BinaryTreeSpec(h.TotalSize(), 4, repro.GeometricWeights(4, 2), 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, spec
 }
 
 func TestVariantsGolden(t *testing.T) {
@@ -78,33 +94,31 @@ func TestVariantsGolden(t *testing.T) {
 			"gfm+ -flow-refine": {4235, 0xdcdd1dcbb2cc57e0},
 		},
 		"c2670": {
-			"gfm":   {8462, 0x7d3d632aeab5fe83},
-			"rfm":   {5358, 0x8406b4a2bed446f},
-			"flow":  {8180, 0xe5ba964da1e1fc29},
-			"gfm+":  {6202, 0xce407e5d1790f8eb},
-			"rfm+":  {5044, 0x1a99c849898d4d2b},
-			"flow+": {7344, 0xd159608f370bb530},
-			"ml":    {7073, 0xc38b1717bc739155},
-			"mlf":   {7035, 0xd64b7beb743b931d},
+			"gfm":      {8462, 0x7d3d632aeab5fe83},
+			"rfm":      {5358, 0x8406b4a2bed446f},
+			"flow":     {8180, 0xe5ba964da1e1fc29},
+			"gfm+":     {6202, 0xce407e5d1790f8eb},
+			"rfm+":     {5044, 0x1a99c849898d4d2b},
+			"flow+":    {7344, 0xd159608f370bb530},
+			"ml":       {7073, 0xc38b1717bc739155},
+			"mlf":      {7035, 0xd64b7beb743b931d},
+			"ml flow+": {6901, 0xbc9b84f31d0e9f53},
+			"ml rfm":   {6165, 0xe45cabacf1111816},
+			"ml rfm+":  {5283, 0x32e6d3b854c1fc65},
+			"ml gfm":   {6618, 0x6391c03267a6d8a7},
+			"ml gfm+":  {5287, 0xde7d636cf483760d},
 		},
 	}
 	for _, circuit := range []string{"c1355", "c2670"} {
-		cs, err := repro.CircuitByName(circuit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := repro.GenerateCircuit(cs, 1)
-		spec, err := repro.BinaryTreeSpec(h.TotalSize(), 4, repro.GeometricWeights(4, 2), 1.1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h, spec := paperInstance(t, circuit)
 		for _, variant := range []string{"gfm", "rfm", "flow", "gfm+", "rfm+", "flow+", "ml", "mlf",
+			"ml flow+", "ml rfm", "ml rfm+", "ml gfm", "ml gfm+",
 			"flow -flow-refine", "gfm+ -flow-refine"} {
 			want, ok := golden[circuit][variant]
 			if !ok {
 				continue
 			}
-			res := solveVariant(t, variant, h, spec)
+			res, _ := solveVariant(t, variant, h, spec)
 			if rep := verify.Result(res); !rep.OK() {
 				t.Fatalf("%s/%s failed certification: %v", circuit, variant, rep.Err())
 			}
@@ -112,6 +126,27 @@ func TestVariantsGolden(t *testing.T) {
 			if got != want {
 				t.Errorf("%s/%s: cost %.0f hash %#x, want cost %.0f hash %#x",
 					circuit, variant, got.cost, got.hash, want.cost, want.hash)
+			}
+		}
+	}
+}
+
+// TestVCycleReportsConstructedCost pins the constructed cost the V-cycle's
+// "+" runs return (htpart's "initial"): the coarse constructor's cost, which
+// projection carries to the fine level unchanged, before the coarse FM
+// step and uncoarsening lower it to the final cost.
+func TestVCycleReportsConstructedCost(t *testing.T) {
+	want := map[string]map[string][2]float64{ // {constructed, final}
+		"c1355": {"ml flow+": {4173, 3648}, "ml rfm+": {4086, 3752}, "ml gfm+": {5872, 4245}},
+		"c2670": {"ml flow+": {8266, 6901}, "ml rfm+": {6770, 5283}, "ml gfm+": {9023, 5287}},
+	}
+	for _, circuit := range []string{"c1355", "c2670"} {
+		h, spec := paperInstance(t, circuit)
+		for _, variant := range []string{"ml flow+", "ml rfm+", "ml gfm+"} {
+			res, constructed := solveVariant(t, variant, h, spec)
+			if got := [2]float64{constructed, res.Cost}; got != want[circuit][variant] {
+				t.Errorf("%s/%s: constructed %.0f, final %.0f; want %.0f, %.0f", circuit, variant,
+					got[0], got[1], want[circuit][variant][0], want[circuit][variant][1])
 			}
 		}
 	}
