@@ -9,7 +9,7 @@ import (
 // maxHubLog bounds the per-job event backlog kept for late SSE subscribers.
 // Solver events are round-level, so real jobs emit hundreds, not millions —
 // the cap is a memory guard against pathological runs, not a working limit.
-// When it trips, the oldest half is dropped and the gap is recorded.
+// When it trips, the oldest half is dropped.
 const maxHubLog = 4096
 
 // subBuffer is the per-subscriber channel depth. A subscriber that falls
@@ -30,7 +30,6 @@ const subBuffer = 256
 type eventHub struct {
 	mu      sync.Mutex
 	log     []obs.Event
-	dropped int // events evicted from the backlog by the cap
 	subs    map[int]chan obs.Event
 	nextSub int
 	closed  bool
@@ -49,9 +48,7 @@ func (h *eventHub) Event(e obs.Event) {
 		return
 	}
 	if len(h.log) >= maxHubLog {
-		half := len(h.log) / 2
-		h.dropped += half
-		h.log = append(h.log[:0], h.log[half:]...)
+		h.log = append(h.log[:0], h.log[len(h.log)/2:]...)
 	}
 	h.log = append(h.log, e)
 	for _, ch := range h.subs {
@@ -99,11 +96,7 @@ func (h *eventHub) Close() {
 		delete(h.subs, id)
 		close(ch)
 	}
-}
-
-// Backlog returns a copy of the retained events and the evicted count.
-func (h *eventHub) Backlog() ([]obs.Event, int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]obs.Event(nil), h.log...), h.dropped
+	// The backlog is final: an exact-length copy frees the append slack a
+	// finished job would otherwise keep for as long as it is served.
+	h.log = append(make([]obs.Event, 0, len(h.log)), h.log...)
 }

@@ -84,20 +84,23 @@ func (sp JobSpec) withDefaults() JobSpec {
 }
 
 // Job is one partitioning job owned by the server. All mutable fields are
-// guarded by mu; the parsed netlist and problem spec are set at admission
-// and immutable afterwards.
+// guarded by mu. The solve-only state (h, pspec, spans and Spec.Netlist) is
+// set at admission, read only by the worker that runs the job, and cleared
+// under mu by release at the terminal transition.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
-	// Immutable after admission.
+	// Solve-only state; see release.
 	h     *hypergraph.Hypergraph
 	pspec hierarchy.Spec
-	hub   *eventHub
 	// spans mints this job's span IDs; rootSpan (always 1) is the job-level
 	// root every rung span nests under. Minted at admission so recovered
 	// jobs re-mint deterministically.
-	spans    *obs.SpanCtx
+	spans *obs.SpanCtx
+
+	// Immutable after admission.
+	hub      *eventHub
 	rootSpan obs.SpanID
 	// runSink is the solver-facing observer for the current run: the hub
 	// behind a dropping funnel, merged with the server trace sink. Set by
@@ -183,6 +186,18 @@ func (j *Job) status() StatusView {
 		v.FinishedAt = &t
 	}
 	return v
+}
+
+// release drops the state only a solve reads, so that a finished job keeps
+// just what it serves: status, result dump and event replay. The inline
+// netlist text goes too; the journal's submit record is its durable copy.
+// Called with mu held (or before the job is shared) at every terminal
+// transition.
+func (j *Job) release() {
+	j.h = nil
+	j.pspec = hierarchy.Spec{}
+	j.spans = nil
+	j.Spec.Netlist = ""
 }
 
 // snapshotResult returns the certified result dump, or nil.

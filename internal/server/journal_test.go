@@ -3,6 +3,7 @@ package server
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,23 +59,27 @@ func TestJournalToleratesGarbledFinalLine(t *testing.T) {
 	}
 }
 
+// tornHead is one intact record, and tornTails are what a crash mid-append
+// can leave after it, each with the number of records a replay keeps.
+const tornHead = `{"op":"submit","id":"a","spec":{"netlist":"x"}}` + "\n"
+
+var tornTails = []struct {
+	name, tail string
+	replayed   int
+}{
+	{"unterminated fragment", `{"op":"state","id":"b"`, 1},
+	{"terminated fragment", `{"op":"state","id":"b"` + "\n", 1},
+	{"record without newline", `{"op":"state","id":"a","state":"running"}`, 2},
+}
+
 func TestJournalTornTailSurvivesTwoRestarts(t *testing.T) {
 	// The restart after a crash mid-append must cut the torn line off
 	// before it appends: a record glued onto the fragment becomes a corrupt
 	// line mid-file, and the restart after that refuses to start.
-	good := `{"op":"submit","id":"a","spec":{"netlist":"x"}}` + "\n"
-	cases := []struct {
-		name, tail string
-		replayed   int
-	}{
-		{"unterminated fragment", `{"op":"state","id":"b"`, 1},
-		{"terminated fragment", `{"op":"state","id":"b"` + "\n", 1},
-		{"record without newline", `{"op":"state","id":"a","state":"running"}`, 2},
-	}
-	for _, tc := range cases {
+	for _, tc := range tornTails {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "jobs.jsonl")
-			if err := os.WriteFile(path, []byte(good+tc.tail), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(tornHead+tc.tail), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			jl, records, err := openJournal(path)
@@ -118,6 +123,35 @@ NOT JSON AT ALL
 	if !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("error %q does not locate the corrupt line", err)
 	}
+}
+
+// FuzzJournalReplay: replayJournal decodes any input or returns an error,
+// never panics, and keep marks a prefix of the input (the length openJournal
+// cuts the file back to) whose own replay returns the same records.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(tornHead))
+	for _, tc := range tornTails {
+		f.Add([]byte(tornHead + tc.tail))
+	}
+	f.Add([]byte(tornHead + "NOT JSON\n" + tornHead))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, keep, err := replayJournal(data)
+		if err != nil {
+			return
+		}
+		if keep < 0 || keep > len(data) {
+			t.Fatalf("keep %d outside [0, %d]", keep, len(data))
+		}
+		again, keepAgain, err := replayJournal(data[:keep])
+		if err != nil {
+			t.Fatalf("replaying the kept prefix: %v", err)
+		}
+		if keepAgain != keep || !reflect.DeepEqual(again, records) {
+			t.Fatalf("the kept prefix replays to %d records (keep %d), the input to %d (keep %d)",
+				len(again), keepAgain, len(records), keep)
+		}
+	})
 }
 
 func TestRecoverySkipsInvalidatedSpecs(t *testing.T) {

@@ -58,7 +58,7 @@ func (s *Server) runJob(j *Job) {
 	s.noteDequeued()
 
 	// Cancelled while queued: the cancel handler already journaled the
-	// terminal state; just close out the stream.
+	// terminal state and released the job; just close out the stream.
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -129,7 +129,26 @@ func (s *Server) runJob(j *Job) {
 //   - otherwise a certified result means done, an error means failed;
 //   - a result whose dump cannot be written is dropped, with the write
 //     error as the job's error.
+//
+// The order is write-ahead: the dump, then the terminal journal record,
+// then the state clients see. A crash at any point leaves nothing published
+// that a restart would not serve the same way.
 func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
+	// Claim the transition first, so that a refused second one (a
+	// state-machine bug) writes no dump and no journal record.
+	j.mu.Lock()
+	refused := j.terminally > 0
+	j.terminally++
+	j.mu.Unlock()
+	if refused {
+		cInvariantViolations.Add(1)
+		s.log.Error("refused second terminal transition", "job", j.ID)
+		return
+	}
+	// The stream ends even if a trace sink panics on the stop below, which
+	// the runner's recovery then reports.
+	defer j.hub.Close()
+
 	var dump *hierarchy.PartitionDump
 	if out.res != nil {
 		dump = hierarchy.DumpPartition(out.res.Partition, out.res.Cost)
@@ -138,10 +157,8 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		dump.Seed = j.Spec.Seed
 		dump.Stop = string(out.res.Stop)
 	}
-	// The dump is on disk before the state below tells clients the job is
-	// done. The only second call, from the runner's panic recovery, carries
-	// no result, so it cannot overwrite the first call's dump. Served as
-	// done, a job whose dump failed would have no result after a restart.
+	// Served as done, a job whose dump failed would have no result after
+	// a restart.
 	if err := s.persistResult(j, dump); err != nil {
 		s.log.Error("persisting result", "job", j.ID, "err", err)
 		dump = nil
@@ -156,18 +173,18 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 	case out.res == nil:
 		state = StateFailed
 	}
+	var (
+		stopReason, errMsg string
+		cost               float64
+	)
+	if out.res != nil {
+		stopReason, cost = string(out.res.Stop), out.res.Cost
+	} else if out.err != nil {
+		errMsg = out.err.Error()
+	}
+	s.journalState(j, state, out.stage, stopReason, cost, errMsg)
 
 	j.mu.Lock()
-	if j.state.Terminal() {
-		// Double terminal transition: a state-machine bug. Refuse, count,
-		// and keep the first terminal state.
-		j.terminally++
-		j.mu.Unlock()
-		cInvariantViolations.Add(1)
-		s.log.Error("refused second terminal transition", "job", j.ID, "state", string(state))
-		return
-	}
-	j.terminally++
 	j.state = state
 	j.stage = out.stage
 	j.attempts = out.attempts
@@ -178,14 +195,11 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 	j.cancelFn = nil
 	if out.res != nil {
 		j.stop = out.res.Stop
-		j.cost = out.res.Cost
+		j.cost = cost
 		j.result = dump
 	}
-	if out.err != nil && out.res == nil {
-		j.errMsg = out.err.Error()
-	}
-	stopReason := string(j.stop)
-	cost := j.cost
+	j.errMsg = errMsg
+	j.release()
 	elapsed := j.finished.Sub(j.submitted)
 	j.mu.Unlock()
 
@@ -208,11 +222,6 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		rung = string(state)
 	}
 	mJobDuration.With(rung).Observe(elapsed.Seconds())
-	errMsg := ""
-	if out.err != nil && out.res == nil {
-		errMsg = out.err.Error()
-	}
-	s.journalState(j, state, out.stage, stopReason, cost, errMsg)
 
 	// The job-level terminal stop: exactly one per job stream, after the
 	// rung-level stops were suppressed. Reason follows the anytime
@@ -232,7 +241,6 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		ElapsedMS: obs.Millis(elapsed),
 		Detail:    errMsg,
 	})
-	j.hub.Close()
 }
 
 // persistResult writes the certified dump atomically into ResultDir.

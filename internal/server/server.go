@@ -297,12 +297,12 @@ func (s *Server) recoverJobs(records []journalRecord) []*Job {
 }
 
 // resurrectTerminal registers a finished job from its journal history as a
-// read-only entry: no netlist re-parse, a pre-closed event hub (SSE streams
-// end immediately), and — for done jobs — the certified dump reloaded from
-// ResultDir. The dump was written only after passing the certification
-// gate, and atomically, so a well-formed file is as trustworthy as the
-// journal itself; a missing or corrupt one downgrades the job to
-// unverified status with the result endpoint reporting why.
+// read-only entry: no netlist re-parse or kept netlist text, a pre-closed
+// event hub (SSE streams end immediately), and — for done jobs — the
+// certified dump reloaded from ResultDir. The dump was written only after
+// passing the certification gate, and atomically, so a well-formed file is
+// as trustworthy as the journal itself; a missing or corrupt one downgrades
+// the job to unverified status with the result endpoint reporting why.
 func (s *Server) resurrectTerminal(id string, spec *JobSpec, state JobState, stage, stop string, cost float64, errMsg string, submitted, finished time.Time) {
 	hub := newEventHub()
 	hub.Close()
@@ -320,6 +320,7 @@ func (s *Server) resurrectTerminal(id string, spec *JobSpec, state JobState, sta
 		finished:  finished,
 	}
 	j.terminally = 1
+	j.release()
 	if state == StateDone && s.cfg.ResultDir != "" {
 		f, err := os.Open(s.resultPath(id))
 		if err == nil {
@@ -602,12 +603,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case j.state.Terminal():
 		// Already finished; nothing to do.
 	case j.state == StateQueued:
+		// Journal, then publish. Holding j.mu across both keeps the worker
+		// from starting the job in between.
+		s.journalState(j, StateCancelled, "", "", 0, "cancelled while queued")
 		j.terminally++
 		j.state = StateCancelled
 		j.finished = time.Now()
+		j.release()
 		j.mu.Unlock()
 		cJobsCancelled.Add(1)
-		s.journalState(j, StateCancelled, "", "", 0, "cancelled while queued")
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	default: // running

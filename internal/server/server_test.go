@@ -756,6 +756,66 @@ func TestResultDumpFailureFailsJob(t *testing.T) {
 	check(ts2, "after restart")
 }
 
+// TestTerminalRecordPrecedesPublishedState pins finishJob's write-ahead
+// order: dump, terminal journal record, then the state clients see. A job
+// published as done before its record is journaled would, after a crash
+// between the two, restart as non-terminal and solve again. The solver
+// holds the job until the test has locked the journal; from then on the
+// dump reaches the disk, but GET /jobs/{id} must not report the job
+// terminal until the journal is unlocked.
+func TestTerminalRecordPrecedesPublishedState(t *testing.T) {
+	dir := t.TempDir()
+	real := RealSolvers()
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s, ts := newTestServer(t, Config{
+		Workers:       1,
+		DefaultBudget: 20 * time.Second,
+		JournalPath:   filepath.Join(dir, "jobs.jsonl"),
+		ResultDir:     dir,
+		Solvers: &Solvers{
+			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+				once.Do(func() { close(entered) })
+				<-proceed
+				return real.Pipeline(ctx, h, spec, p)
+			},
+			Salvage: real.Salvage,
+		},
+	})
+	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
+	select {
+	case <-entered: // the running record is journaled; the solve waits
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never reached the solver")
+	}
+	s.journal.mu.Lock()
+	unlock := sync.OnceFunc(s.journal.mu.Unlock)
+	defer unlock()
+	close(proceed)
+
+	dumpPath := filepath.Join(dir, id+".json")
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(dumpPath); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the result dump never reached the disk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		if v := getStatus(t, ts, id); v.State.Terminal() {
+			t.Fatalf("job published %q before its terminal record was journaled", v.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	unlock()
+	if v := waitTerminal(t, ts, id, 30*time.Second); v.State != StateDone || !v.Verified {
+		t.Fatalf("after the journal unlocked: state %q verified %v (error %q)", v.State, v.Verified, v.Error)
+	}
+}
+
 func TestShutdownRequeuesAndRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "jobs.jsonl")
