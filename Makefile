@@ -34,16 +34,21 @@ staticcheck:
 
 # Race-detector pass over every package. The concurrency hot spots (FLOW's
 # iteration pool and event sequencer, the batched metric engine, the SPT
-# growers, the telemetry funnel, the flow-refinement pair pool) get the real
-# exercise; the rest is cheap insurance. The pair pool and the min-cut kernel
-# it drives are schedule-sensitive (worker counts change claim interleavings,
-# not results), so they get a second, repeated pass to shake out orderings
-# the first run happened not to hit. So do the FLOW tests, pinned to two
-# workers: the iteration pool serves every FLOW caller.
+# growers, the self-locking telemetry sinks, the flow-refinement pair pool)
+# get the real exercise; the rest is cheap insurance. The pair pool and the
+# min-cut kernel it drives are schedule-sensitive (worker counts change claim
+# interleavings, not results), so they get a second, repeated pass to shake
+# out orderings the first run happened not to hit. So do the FLOW tests,
+# pinned to two workers: the iteration pool serves every FLOW caller. So does
+# telemetry: solver goroutines emit straight into htpd's event hubs and its
+# shared trace sink, so the sinks, the sequencer and the daemon's event paths
+# get a repeated two-worker pass too.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/maxflow/ ./internal/flowrefine/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Flow' ./internal/htp/
+	GOMAXPROCS=2 $(GO) test -race -count=5 -run 'Sink|Collector|Sequencer' ./internal/obs/
+	GOMAXPROCS=2 $(GO) test -race -count=5 -run 'Event|Trace|Hub|Release' ./internal/server/
 
 # Full pre-merge gate: build, gofmt, vet, htpvet, staticcheck, unit tests,
 # race pass.

@@ -98,11 +98,11 @@ func main() {
 	defer profiles(*cpuprofile, *memprofile)()
 
 	if *metricsOut != "" {
-		// Snapshot at exit, after every solver call ticked the htp.*
+		// Snapshot at exit, after every solver call ticked the htp_*
 		// counters — the same exposition document htpd serves on /metrics.
 		defer func() {
 			var b bytes.Buffer
-			err := metrics.WriteProcessMetrics(&b)
+			err := metrics.Default.WritePrometheus(&b)
 			if err == nil {
 				err = os.WriteFile(*metricsOut, b.Bytes(), 0o644)
 			}

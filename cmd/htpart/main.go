@@ -306,7 +306,7 @@ func main() {
 // record next to its -report.
 func writeMetricsDump(path string) error {
 	var b bytes.Buffer
-	if err := metrics.WriteProcessMetrics(&b); err != nil {
+	if err := metrics.Default.WritePrometheus(&b); err != nil {
 		return err
 	}
 	return os.WriteFile(path, b.Bytes(), 0o644)

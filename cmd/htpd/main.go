@@ -17,8 +17,8 @@
 //	POST /jobs/{id}/cancel   cancel; a running job keeps its best-so-far
 //	GET  /jobs/{id}/events   SSE stream of solver telemetry
 //	GET  /healthz            liveness + queue depth
-//	GET  /metrics            Prometheus text exposition (histograms + counters)
-//	GET  /debug/vars         expvar counters (htpd.* and htp.*)
+//	GET  /metrics            Prometheus text exposition (counters, gauges, histograms)
+//	GET  /debug/vars         Go runtime memstats (expvar)
 //
 // With -trace, every job's full solver telemetry is appended to a JSONL
 // file, tagged with the job ID and span identity — feed it to htptrace for
@@ -98,10 +98,9 @@ func run(addr string, cfg server.Config, tracePath string, drain time.Duration) 
 			return fmt.Errorf("creating result dir: %w", err)
 		}
 	}
-	// The trace file gets the complete stream, so its funnel BLOCKS when
-	// the disk cannot keep up (solver latency is already shielded by the
-	// per-job dropping funnels feeding the SSE hub). Closed only after the
-	// pool drains, when no emitter remains.
+	// The trace file gets the complete stream: the sink locks itself, so
+	// concurrent jobs write to it straight from their solvers. Flushed and
+	// closed only after the pool drains, when no emitter remains.
 	flushTrace := func() error { return nil }
 	if tracePath != "" {
 		f, err := os.OpenFile(tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -109,10 +108,8 @@ func run(addr string, cfg server.Config, tracePath string, drain time.Duration) 
 			return fmt.Errorf("opening trace file: %w", err)
 		}
 		sink := obs.NewJSONLSink(f)
-		funnel := obs.NewFunnel(sink)
-		cfg.Trace = funnel
+		cfg.Trace = sink
 		flushTrace = func() error {
-			funnel.Close()
 			err := sink.Flush()
 			if cerr := f.Close(); err == nil {
 				err = cerr

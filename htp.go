@@ -84,13 +84,14 @@ var (
 // display next to (MultiObserver) a trace. Telemetry is observe-only
 // and zero-cost when disabled: with a nil Observer the solvers pay one nil
 // check per round and allocate nothing, and attaching one cannot change
-// any computed result. Runs also tick expvar process counters —
-// "htp.metric.rounds", "htp.metric.injections", "htp.metric.growths",
-// "htp.solver.salvages" — for long-running services.
+// any computed result. Runs also tick process counters in the metrics
+// registry — htp_metric_rounds, htp_metric_injections, htp_metric_growths,
+// htp_solver_salvages — for long-running services.
 
-// Observer consumes solver trace events. Implementations need no locking:
-// solvers deliver events one call at a time, and FLOW delivers its
-// concurrent iterations' events in iteration order.
+// Observer consumes solver trace events. An observer that serves one run
+// needs no locking: solvers deliver events one call at a time, and FLOW
+// delivers its concurrent iterations' events in iteration order. One that
+// concurrent runs share must lock, as JSONLTrace and RunCollector do.
 type Observer = obs.Observer
 
 // TraceEvent is one telemetry record; TraceKind names its type

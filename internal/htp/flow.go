@@ -234,7 +234,7 @@ func FlowCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 					bt = time.Now()
 				}
 				salvageBuild(out, h, spec, m.D, opt.Build, seeds[i].builds[0])
-				obs.Salvages.Add(1)
+				obs.Salvages.Inc()
 				if iterObs != nil {
 					ev := obs.Event{Kind: obs.KindSalvage, Salvaged: true,
 						Cost: out.cost, ElapsedMS: obs.Millis(time.Since(bt))}

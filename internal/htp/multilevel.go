@@ -212,7 +212,7 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 			ElapsedMS: obs.Millis(time.Since(ut0))})
 	}
 	if salvagedLevels > 0 {
-		obs.Salvages.Add(1)
+		obs.Salvages.Inc()
 		if sink != nil {
 			obs.Emit(sink, obs.Event{Kind: obs.KindSalvage, Salvaged: true, Cost: cost,
 				Detail: fmt.Sprintf("%d level(s) projected without refinement", salvagedLevels)})

@@ -1,9 +1,6 @@
 package hypergraph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes the size and shape of a hypergraph; it corresponds to the
 // columns of Table 1 in the paper (#nodes, #nets, #pins) plus distribution
@@ -69,23 +66,4 @@ func (s Stats) String() string {
 		s.Nodes, s.Nets, s.Pins, s.TotalSize,
 		s.MinNetCard, s.MaxNetCard, s.AvgNetCard,
 		s.MinDegree, s.MaxDegree, s.AvgDegree, s.Components)
-}
-
-// NetCardinalityHistogram returns counts of nets by cardinality, as sorted
-// (cardinality, count) pairs.
-func NetCardinalityHistogram(h *Hypergraph) [][2]int {
-	m := map[int]int{}
-	for e := 0; e < h.NumNets(); e++ {
-		m[len(h.Pins(NetID(e)))]++
-	}
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([][2]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, [2]int{k, m[k]})
-	}
-	return out
 }

@@ -271,9 +271,9 @@ func (g *engine) maxCongestion() float64 {
 // viols the violated trees it found. With no observer attached the cost is
 // three atomic adds per round.
 func (g *engine) endRound(grown, viols int) {
-	obs.MetricRounds.Add(1)
-	obs.TreeGrowths.Add(int64(grown))
-	obs.MetricInjections.Add(int64(viols))
+	obs.MetricRounds.Inc()
+	obs.TreeGrowths.Add(uint64(grown))
+	obs.MetricInjections.Add(uint64(viols))
 	o := g.opt.Observer
 	if o == nil {
 		return

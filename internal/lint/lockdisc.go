@@ -15,13 +15,13 @@ import (
 // locks. Concretely, while a sync.Mutex/RWMutex is held:
 //
 //   - no blocking channel operation: a bare send/receive, a select without
-//     default, or a call whose summary may block (the blocking obs.Funnel's
-//     Event is a channel send — reaching it with a lock held stalls every
-//     other emitter on that lock). Sends guarded by a select+default are
-//     fine: that is exactly the event hub's drop-don't-stall pattern;
+//     default, or a call whose summary may block (a channel send reached
+//     with a lock held stalls every other emitter on that lock). Sends
+//     guarded by a select+default are fine: that is exactly the event hub's
+//     drop-don't-stall pattern;
 //   - no telemetry emission through obs.Emit — observers are caller-
-//     supplied and may block by design (the trace funnel is complete-by-
-//     backpressure);
+//     supplied and may block (htpd's trace sink writes a file under its
+//     own lock);
 //   - no sync.WaitGroup/Cond Wait or time.Sleep, directly or via callees.
 //
 // Separately, the analyzer folds every function's acquisition order —

@@ -14,11 +14,10 @@ import (
 // pool, where the goroutine body is bookkeeping (`defer wg.Done();
 // s.worker()`), the worker is a dispatch loop, and the recovery defer lives
 // in the per-job runner it calls. Deeper chains are flagged: past two hops a
-// reviewer can no longer see the containment from the spawn site. The two
-// vetted exceptions — the metric engine's batched worker pool, whose workers
-// run pure array code and re-create no panic surface, and the telemetry
-// funnel's forwarder — carry //htpvet:allow annotations at the `go`
-// statement.
+// reviewer can no longer see the containment from the spawn site. The one
+// vetted exception — the metric engine's batched worker pool, whose workers
+// run pure array code and re-create no panic surface — carries an
+// //htpvet:allow annotation at its `go` statement.
 var NakedGoroutine = &Analyzer{
 	Name: "nakedgoroutine",
 	Doc:  "go statements must recover panics directly or via a function reached within two calls that installs a top-level recovery defer",

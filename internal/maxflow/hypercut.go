@@ -185,93 +185,3 @@ func HyperCutCtx(ctx context.Context, h *hypergraph.Hypergraph, sources, sinks [
 	}
 	return CutRawCtx(ctx, h.NumNodes(), nets, srcs, snks)
 }
-
-// BalancedBipartition finds a bipartition (A, B) of the hypergraph with
-// s(A) within [lb..ub], trying to minimize the capacity of nets crossing the
-// cut, in the manner of flow-based balanced bipartitioning (FBB): repeated
-// max-flow min-cut computations, collapsing nodes into the source or sink
-// side whenever the cut is out of balance. seedA and seedB anchor the two
-// sides and always end up separated.
-//
-// It returns the membership of side A. The hypergraph must have at least two
-// nodes; if the balance window is infeasible the closest achievable cut is
-// returned. An error from a cut (cancellation, misuse) is returned as is.
-func BalancedBipartition(ctx context.Context, h *hypergraph.Hypergraph, seedA, seedB hypergraph.NodeID, lb, ub int64) ([]bool, error) {
-	fixedA := map[hypergraph.NodeID]bool{seedA: true}
-	fixedB := map[hypergraph.NodeID]bool{seedB: true}
-	n := h.NumNodes()
-	for iter := 0; iter < n; iter++ {
-		srcs := keys(fixedA)
-		snks := keys(fixedB)
-		_, side, err := HyperCutCtx(ctx, h, srcs, snks)
-		if err != nil {
-			return nil, err
-		}
-		var sizeA int64
-		for v := 0; v < n; v++ {
-			if side[v] {
-				sizeA += h.NodeSize(hypergraph.NodeID(v))
-			}
-		}
-		switch {
-		case sizeA < lb:
-			// Source side too small: absorb a boundary node from B into A.
-			v, ok := pickAdjacent(h, side, false, seedB)
-			if !ok {
-				return side, nil
-			}
-			fixedA[v] = true
-			delete(fixedB, v)
-		case sizeA > ub:
-			// Source side too big: pin a boundary node from A to B.
-			v, ok := pickAdjacent(h, side, true, seedA)
-			if !ok {
-				return side, nil
-			}
-			fixedB[v] = true
-			delete(fixedA, v)
-		default:
-			return side, nil
-		}
-	}
-	_, side, err := HyperCutCtx(ctx, h, keys(fixedA), keys(fixedB))
-	return side, err
-}
-
-// pickAdjacent returns a node with sourceSide[v] == wantSide, preferring
-// pins of cut nets (the cut boundary) and never returning forbidden. It
-// falls back to any eligible node when no net crosses the cut.
-func pickAdjacent(h *hypergraph.Hypergraph, sourceSide []bool, wantSide bool, forbidden hypergraph.NodeID) (hypergraph.NodeID, bool) {
-	for e := 0; e < h.NumNets(); e++ {
-		pins := h.Pins(hypergraph.NetID(e))
-		var sawA, sawB bool
-		for _, v := range pins {
-			if sourceSide[v] {
-				sawA = true
-			} else {
-				sawB = true
-			}
-		}
-		if sawA && sawB {
-			for _, v := range pins {
-				if sourceSide[v] == wantSide && v != forbidden {
-					return v, true
-				}
-			}
-		}
-	}
-	for v := 0; v < h.NumNodes(); v++ {
-		if sourceSide[v] == wantSide && hypergraph.NodeID(v) != forbidden {
-			return hypergraph.NodeID(v), true
-		}
-	}
-	return 0, false
-}
-
-func keys(m map[hypergraph.NodeID]bool) []hypergraph.NodeID {
-	out := make([]hypergraph.NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	return out
-}

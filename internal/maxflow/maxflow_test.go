@@ -2,7 +2,6 @@ package maxflow
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,82 +179,6 @@ func TestHyperCutMultiSeed(t *testing.T) {
 	}
 	if !side[0] || !side[1] || side[3] {
 		t.Fatalf("side = %v", side)
-	}
-}
-
-func TestBalancedBipartitionRespectsWindow(t *testing.T) {
-	// Two triangles joined by one net; perfect split is 3|3.
-	b := hypergraph.NewBuilder()
-	b.AddUnitNodes(6)
-	b.AddNet("", 1, 0, 1)
-	b.AddNet("", 1, 1, 2)
-	b.AddNet("", 1, 0, 2)
-	b.AddNet("", 1, 3, 4)
-	b.AddNet("", 1, 4, 5)
-	b.AddNet("", 1, 3, 5)
-	b.AddNet("", 1, 2, 3)
-	h := b.MustBuild()
-	side, err := BalancedBipartition(context.Background(), h, 0, 5, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var size int64
-	for v := 0; v < 6; v++ {
-		if side[v] {
-			size += h.NodeSize(hypergraph.NodeID(v))
-		}
-	}
-	if size != 3 {
-		t.Fatalf("side A size = %d, want 3", size)
-	}
-	c, nets := h.CutCapacity(side)
-	if c != 1 || nets != 1 {
-		t.Fatalf("cut = (%g,%d), want the single bridge", c, nets)
-	}
-}
-
-func TestBalancedBipartitionSkewedWindow(t *testing.T) {
-	// Path of 8 nodes; ask for a 2-node side A anchored at node 0.
-	b := hypergraph.NewBuilder()
-	b.AddUnitNodes(8)
-	for i := 0; i < 7; i++ {
-		b.AddNet("", 1, hypergraph.NodeID(i), hypergraph.NodeID(i+1))
-	}
-	h := b.MustBuild()
-	side, err := BalancedBipartition(context.Background(), h, 0, 7, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var size int64
-	for v := 0; v < 8; v++ {
-		if side[v] {
-			size += 1
-		}
-	}
-	if size != 2 {
-		t.Fatalf("side A size = %d, want 2", size)
-	}
-	if c, _ := h.CutCapacity(side); c != 1 {
-		t.Fatalf("cut = %g, want 1 (a path cut)", c)
-	}
-}
-
-// A failing cut ends the search with its error: a node seeding both sides
-// is misuse, and a done context stops the first max-flow.
-func TestBalancedBipartitionReportsCutErrors(t *testing.T) {
-	b := hypergraph.NewBuilder()
-	b.AddUnitNodes(4)
-	for i := 0; i < 3; i++ {
-		b.AddNet("", 1, hypergraph.NodeID(i), hypergraph.NodeID(i+1))
-	}
-	h := b.MustBuild()
-	if side, err := BalancedBipartition(context.Background(), h, 1, 1, 2, 2); err == nil {
-		t.Fatalf("same seed on both sides: side %v, want an error", side)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := BalancedBipartition(ctx, h, 0, 3, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,13 +1,16 @@
-// Concurrency tests for the two thread-safe pieces of the telemetry stack:
-// the Funnel (channel serializer in front of lock-free sinks) and the
-// Collector (internally locked report folder). These are written for the
-// race detector — `make race` runs them with -race — and additionally assert
-// the Funnel's serialization guarantee directly, so they catch ordering
-// bugs even in a plain `go test` run.
+// Concurrency tests for the thread-safe pieces of the telemetry stack: the
+// Sequencer (one run's concurrent producers, delivered in order) and the
+// sinks that lock themselves so concurrent runs may share them (JSONLSink,
+// Collector). These are written for the race detector — `make race` runs
+// them with -race — and additionally assert ordering and completeness
+// directly, so they catch bugs even in a plain `go test` run.
 package obs_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +23,7 @@ import (
 )
 
 // serialSink counts events and verifies no two Event calls overlap — the
-// exact property sinks behind a Funnel rely on to stay lock-free.
+// property a Sequencer gives the sink of one run.
 type serialSink struct {
 	events   atomic.Int64
 	inFlight atomic.Int32
@@ -33,33 +36,6 @@ func (s *serialSink) Event(e obs.Event) {
 	}
 	s.events.Add(1)
 	s.inFlight.Add(-1)
-}
-
-func TestFunnelSerializesConcurrentEmitters(t *testing.T) {
-	const (
-		emitters   = 16
-		perEmitter = 500
-	)
-	sink := &serialSink{}
-	f := obs.NewFunnel(sink)
-	var wg sync.WaitGroup
-	for g := 0; g < emitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perEmitter; i++ {
-				f.Event(obs.Event{Kind: obs.KindMetricRound, Round: i, Iter: g})
-			}
-		}(g)
-	}
-	wg.Wait()
-	f.Close()
-	if got := sink.events.Load(); got != emitters*perEmitter {
-		t.Fatalf("sink saw %d events, want %d (Close must drain)", got, emitters*perEmitter)
-	}
-	if n := sink.overlaps.Load(); n != 0 {
-		t.Fatalf("sink entered concurrently %d times; Funnel must serialize", n)
-	}
 }
 
 // orderSink records Iter/Round pairs; it takes no lock, so the race
@@ -113,26 +89,44 @@ func TestSequencerDeliversInProducerOrder(t *testing.T) {
 	}
 }
 
-// slowSink sleeps per event so the funnel buffer fills up.
-type slowSink struct{ serialSink }
-
-func (s *slowSink) Event(e obs.Event) {
-	time.Sleep(50 * time.Microsecond)
-	s.serialSink.Event(e)
-}
-
-func TestFunnelCloseDrainsBacklog(t *testing.T) {
-	// A slow sink forces the buffer to fill; Close must still deliver every
-	// queued event before returning.
-	sink := &slowSink{}
-	f := obs.NewFunnel(sink)
-	const total = 600 // > the funnel's buffer
-	for i := 0; i < total; i++ {
-		f.Event(obs.Event{Kind: obs.KindMetricRound, Round: i})
+// TestJSONLSinkConcurrentEmitters shares one JSONL sink between
+// goroutines, as htpd shares its trace file between concurrent jobs: every
+// line must decode whole and none may be lost.
+func TestJSONLSinkConcurrentEmitters(t *testing.T) {
+	const (
+		emitters   = 8
+		perEmitter = 500
+	)
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perEmitter; i++ {
+				sink.Event(obs.Event{Kind: obs.KindMetricRound, Iter: g + 1, Round: i + 1})
+			}
+		}(g)
 	}
-	f.Close()
-	if got := sink.events.Load(); got != total {
-		t.Fatalf("after Close sink saw %d events, want %d", got, total)
+	wg.Wait()
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	lines := 0
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		lines++
+		var e obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("line %d does not decode: %v\n%s", lines, err, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines != emitters*perEmitter {
+		t.Fatalf("sink wrote %d lines, want %d", lines, emitters*perEmitter)
 	}
 }
 
@@ -198,12 +192,12 @@ func TestCollectorConcurrentEmitAndMidStreamReads(t *testing.T) {
 	}
 }
 
-// TestFunnelUnderMidStreamCancellation runs a real parallel metric
-// computation whose context is cancelled mid-stream, with its telemetry
-// routed Funnel -> Collector. The contract under test: cancellation must not
-// deadlock the funnel, drop queued events on Close, or tear the collector's
-// state — the report remains internally consistent afterwards.
-func TestFunnelUnderMidStreamCancellation(t *testing.T) {
+// TestCollectorUnderMidStreamCancellation runs a real parallel metric
+// computation whose context is cancelled mid-stream, with the Collector
+// attached directly. The contract under test: wherever the cut lands, the
+// computation returns, delivers its events one call at a time, and the
+// collector folds every one of them.
+func TestCollectorUnderMidStreamCancellation(t *testing.T) {
 	var b hypergraph.Builder
 	const n = 96
 	b.AddUnitNodes(n)
@@ -219,7 +213,6 @@ func TestFunnelUnderMidStreamCancellation(t *testing.T) {
 
 	for _, cancelAfter := range []time.Duration{0, 200 * time.Microsecond, 2 * time.Millisecond} {
 		c := obs.NewCollector()
-		f := obs.NewFunnel(c)
 		ctx, cancel := context.WithCancel(context.Background())
 		if cancelAfter == 0 {
 			cancel() // already-cancelled context: the earliest possible cut
@@ -227,13 +220,22 @@ func TestFunnelUnderMidStreamCancellation(t *testing.T) {
 			timer := time.AfterFunc(cancelAfter, cancel)
 			defer timer.Stop()
 		}
-		_, _, err := inject.ComputeMetricCtx(ctx, h, spec, inject.Options{Observer: f, Workers: 4})
+		// Cancellation may or may not yield a partial metric; both are
+		// valid. A run that started emits at least its metric-done.
+		delivered := &serialSink{}
+		m, _, _ := inject.ComputeMetricCtx(ctx, h, spec,
+			inject.Options{Observer: obs.Multi(c, delivered), Workers: 4})
 		cancel()
-		f.Close() // must not hang regardless of where the cut landed
 		rep := c.Report()
-		if rep.Events < 0 {
-			t.Fatalf("cancelAfter=%v: torn report: %+v", cancelAfter, rep)
+		if int64(rep.Events) != delivered.events.Load() {
+			t.Fatalf("cancelAfter=%v: report folded %d events, %d delivered",
+				cancelAfter, rep.Events, delivered.events.Load())
 		}
-		_ = err // cancellation may or may not yield a partial metric; both are valid
+		if m != nil && rep.Events == 0 {
+			t.Fatalf("cancelAfter=%v: a started computation left no events", cancelAfter)
+		}
+		if n := delivered.overlaps.Load(); n != 0 {
+			t.Fatalf("cancelAfter=%v: the run's sink was entered concurrently %d times", cancelAfter, n)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"expvar"
 	"math"
 	"strings"
 	"sync"
@@ -177,22 +176,6 @@ func TestRegistryExposition(t *testing.T) {
 	// Re-registration returns the same instrument.
 	if r.Counter("jobs_total", "Jobs accepted.") != c {
 		t.Error("re-registering a counter must return the original")
-	}
-}
-
-func TestExpvarBridge(t *testing.T) {
-	expvar.NewInt("htptest.bridge.jobs").Add(11)
-	expvar.NewString("htptest.bridge.notnum").Set("skip me")
-	var b strings.Builder
-	if err := WriteExpvarBridge(&b, "htptest."); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "htptest_bridge_jobs 11") {
-		t.Errorf("bridge missing renamed counter:\n%s", out)
-	}
-	if strings.Contains(out, "notnum") {
-		t.Errorf("bridge exported a non-numeric var:\n%s", out)
 	}
 }
 

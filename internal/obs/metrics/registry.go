@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,9 +45,10 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*family)}
 }
 
-// Default is the process-wide registry: htpd, htpart, and experiments
-// all register into it so the service and the batch tools share one
-// metrics vocabulary.
+// Default is the process-wide registry. The solver's counters
+// (internal/obs) and htpd's instruments register into it; htpd serves it
+// at /metrics and htpart and experiments write it with -metrics-dump, so
+// the service and the batch tools share one metrics vocabulary.
 var Default = NewRegistry()
 
 func (r *Registry) add(f *family) {
@@ -169,60 +168,4 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// WriteExpvarBridge renders the process's existing expvar counters —
-// the dotted `htp.*` / `htpd.*` names internal/obs and internal/server
-// already publish — as Prometheus counters with dots mapped to
-// underscores (htp.metric.rounds -> htp_metric_rounds), so the legacy
-// counters appear on /metrics without re-instrumenting their call sites.
-// Only vars matching one of the prefixes are exported; non-numeric vars
-// are skipped.
-func WriteExpvarBridge(w io.Writer, prefixes ...string) error {
-	type kv struct {
-		name  string
-		value string
-	}
-	var vars []kv
-	expvar.Do(func(v expvar.KeyValue) {
-		for _, p := range prefixes {
-			if strings.HasPrefix(v.Key, p) {
-				switch v.Value.(type) {
-				case *expvar.Int, *expvar.Float:
-					vars = append(vars, kv{promName(v.Key), v.Value.String()})
-				}
-				return
-			}
-		}
-	})
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
-	var b strings.Builder
-	for _, v := range vars {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %s\n", v.name, v.name, v.value)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteProcessMetrics renders the whole process snapshot: the default
-// registry's instruments followed by the bridged htp.*/htpd.* expvar
-// counters. It is the document htpd serves at GET /metrics and the batch
-// tools write via -metrics-dump, so the service and CLI vocabularies stay
-// identical.
-func WriteProcessMetrics(w io.Writer) error {
-	if err := Default.WritePrometheus(w); err != nil {
-		return err
-	}
-	return WriteExpvarBridge(w, "htp.", "htpd.")
-}
-
-func promName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

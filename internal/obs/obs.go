@@ -1,8 +1,8 @@
 // Package obs is the telemetry layer of the solver stack: typed trace
 // events emitted at phase boundaries (metric sweep rounds, constructions,
 // refinement passes, best-so-far updates, terminal stops), pluggable sinks
-// that consume them, and expvar-backed process counters for long-running
-// use.
+// that consume them, and process counters in the metrics registry for
+// long-running use.
 //
 // The design contract is zero cost when disabled: every emission site
 // nil-checks its Observer before building an event, so a run with no
@@ -12,20 +12,22 @@
 // order — so attaching an observer cannot change any computed result (the
 // golden-hash tests in internal/inject pin this).
 //
-// Concurrency: a sink receives one call at a time. The metric engine emits
-// from its coordinator goroutine only; FLOW runs its iterations
-// concurrently and routes their events through a Sequencer, which hands
-// them to the sink one call at a time in the order a one-at-a-time run
-// would emit them — so sinks never need locking of their own. Sinks
-// shipped here (JSONLSink, SlogSink) assume that discipline; Collector
-// carries its own mutex and is safe anywhere. A Funnel serializes emitters
-// that are not ordered, such as htpd's concurrent jobs.
+// Concurrency: one run is sequenced; a sink shared across runs locks
+// itself. Within a run a sink receives one call at a time: the metric
+// engine emits from its coordinator goroutine only, and FLOW runs its
+// iterations concurrently but routes their events through a Sequencer,
+// which hands them to the sink in the order a one-at-a-time run would
+// emit them. A sink that several runs share, such as htpd's daemon-wide
+// trace fed by concurrent jobs, is called from many goroutines, so
+// JSONLSink and Collector carry their own mutex. SlogSink needs none (a
+// slog.Logger is safe for concurrent use); ProgressObserver serves one
+// run.
 package obs
 
 import (
-	"expvar"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/obs/metrics"
 )
 
 // Kind names an event type. The set of kinds, and the JSON field layout of
@@ -227,97 +229,18 @@ func (m multi) Event(e Event) {
 	}
 }
 
-// Funnel serializes events emitted from several goroutines into a single
-// forwarding goroutine, so sinks behind it need no locking.
-//
-// Delivery policy is an explicit choice with two variants:
-//
-//   - NewFunnel BLOCKS when the buffer fills — telemetry backpressures
-//     rather than drops, and a sink that cannot keep up slows the run
-//     instead of losing the trace. Right for trace files and collectors,
-//     where a complete record matters more than solver latency. The
-//     footgun: a sink that stalls forever (a dead reader, a full pipe)
-//     stalls the solver with it.
-//   - NewFunnelDropping NEVER blocks — when the buffer is full the event
-//     is counted in Dropped and discarded. Right for sinks that must not
-//     backpressure the solver (htpd's SSE event hub), where liveness
-//     beats completeness and the drop count is surfaced as a metric.
-//
-// Close drains the buffer and waits for the forwarder to finish; events
-// must not be emitted after Close.
-type Funnel struct {
-	ch      chan Event
-	done    chan struct{}
-	drop    bool
-	dropped atomic.Int64
-}
-
-// NewFunnel starts a blocking forwarding goroutine for sink (see the
-// delivery-policy note on Funnel).
-func NewFunnel(sink Observer) *Funnel {
-	return newFunnel(sink, 256, false)
-}
-
-// NewFunnelDropping starts a non-blocking forwarding goroutine for sink
-// with an n-event buffer (n <= 0 selects the default 256): when the
-// buffer is full, Event drops and counts instead of blocking. Use it for
-// sinks that must never backpressure the emitter; read the loss via
-// Dropped after Close.
-func NewFunnelDropping(sink Observer, n int) *Funnel {
-	return newFunnel(sink, n, true)
-}
-
-func newFunnel(sink Observer, n int, drop bool) *Funnel {
-	if n <= 0 {
-		n = 256
-	}
-	f := &Funnel{ch: make(chan Event, n), done: make(chan struct{}), drop: drop}
-	//htpvet:allow nakedgoroutine -- vetted funnel forwarder: a panicking sink is a caller bug; containing it would silently drop the rest of the trace (re-audited for the interprocedural suite: the forwarder holds no locks, and its drain loop runs until Close, which no solver entry point reaches now that FLOW sequences its iterations instead)
-	go func() {
-		defer close(f.done)
-		for e := range f.ch {
-			sink.Event(e)
-		}
-	}()
-	return f
-}
-
-// Event enqueues e for the forwarding goroutine. Blocking funnels wait
-// for buffer space; dropping funnels discard e (counted) when full.
-func (f *Funnel) Event(e Event) {
-	if !f.drop {
-		f.ch <- e
-		return
-	}
-	select {
-	case f.ch <- e:
-	default:
-		f.dropped.Add(1)
-	}
-}
-
-// Dropped reports how many events a dropping funnel discarded. Always 0
-// for blocking funnels.
-func (f *Funnel) Dropped() int64 { return f.dropped.Load() }
-
-// Close drains pending events and stops the forwarder.
-func (f *Funnel) Close() {
-	close(f.ch)
-	<-f.done
-}
-
-// Process-wide counters, published via expvar for long-running servers
-// (GET /debug/vars with net/http/pprof or expvar's handler). They tick
-// whether or not an Observer is attached; all updates are per-round or
-// per-run, never per-node, so the cost is a few atomic adds per sweep.
+// Process-wide counters in the metrics registry, rendered on htpd's
+// /metrics and by the batch tools' -metrics-dump. They tick whether or not
+// an Observer is attached; all updates are per-round or per-run, never
+// per-node, so the cost is a few atomic adds per sweep.
 var (
 	// MetricRounds counts Algorithm 2 sweeps over the active set.
-	MetricRounds = expvar.NewInt("htp.metric.rounds")
+	MetricRounds = metrics.Default.Counter("htp_metric_rounds", "Algorithm 2 sweeps over the active set.")
 	// MetricInjections counts violated trees flooded with flow.
-	MetricInjections = expvar.NewInt("htp.metric.injections")
+	MetricInjections = metrics.Default.Counter("htp_metric_injections", "Violated trees flooded with flow.")
 	// TreeGrowths counts shortest-path-tree growths.
-	TreeGrowths = expvar.NewInt("htp.metric.growths")
+	TreeGrowths = metrics.Default.Counter("htp_metric_growths", "Shortest-path-tree growths.")
 	// Salvages counts constructions recovered from partial metrics by the
 	// anytime salvage path.
-	Salvages = expvar.NewInt("htp.solver.salvages")
+	Salvages = metrics.Default.Counter("htp_solver_salvages", "Constructions recovered from partial metrics by the anytime salvage path.")
 )

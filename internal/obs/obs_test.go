@@ -88,9 +88,12 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-func TestFunnelSerializesAndDrainsOnClose(t *testing.T) {
-	var r recorder
-	f := NewFunnel(&r)
+// TestJSONLSinkKeepsProducerOrderThroughFlush: goroutines interleave on
+// one sink, yet each goroutine's events reach the file in the order it
+// emitted them, and Flush writes out everything emitted before it.
+func TestJSONLSinkKeepsProducerOrderThroughFlush(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf)
 	const per = 100
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -98,22 +101,30 @@ func TestFunnelSerializesAndDrainsOnClose(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				f.Event(Event{Kind: KindMetricRound, Iter: w + 1, Round: i + 1})
+				s.Event(Event{Kind: KindMetricRound, Iter: w + 1, Round: i + 1})
 			}
 		}(w)
 	}
 	wg.Wait()
-	f.Event(Event{Kind: KindStop, Reason: "converged"})
-	f.Close()
-	if len(r.events) != 4*per+1 {
-		t.Fatalf("got %d events after Close, want %d", len(r.events), 4*per+1)
+	s.Event(Event{Kind: KindStop, Reason: "converged"})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if last := r.events[len(r.events)-1]; last.Kind != KindStop {
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 4*per+1 {
+		t.Fatalf("got %d lines after Flush, want %d", len(lines), 4*per+1)
+	}
+	events := make([]Event, len(lines))
+	for i, l := range lines {
+		if err := json.Unmarshal([]byte(l), &events[i]); err != nil {
+			t.Fatalf("line %d does not decode: %v\n%s", i+1, err, l)
+		}
+	}
+	if last := events[len(events)-1]; last.Kind != KindStop {
 		t.Errorf("last event is %q, want stop (per-goroutine order must hold)", last.Kind)
 	}
-	// Per-producer order is preserved even though producers interleave.
 	rounds := map[int]int{}
-	for _, e := range r.events[:len(r.events)-1] {
+	for _, e := range events[:len(events)-1] {
 		if e.Round != rounds[e.Iter]+1 {
 			t.Fatalf("iter %d: round %d arrived after %d", e.Iter, e.Round, rounds[e.Iter])
 		}

@@ -31,8 +31,8 @@ type RunReport struct {
 	Events int `json:"events"`
 }
 
-// Collector folds the event stream into a RunReport. Unlike the file
-// sinks it locks internally, so it can sit outside a Funnel.
+// Collector folds the event stream into a RunReport. It locks internally,
+// so concurrent runs may share one.
 type Collector struct {
 	mu  sync.Mutex
 	rep RunReport

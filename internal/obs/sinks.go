@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"sync"
 )
 
 // JSONLSink writes one JSON object per event to an io.Writer — the trace
 // file format (`htpart -trace out.jsonl`). Output is buffered; call Flush
-// (or Close) when the run is done. The sink is single-goroutine like all
-// shipped sinks: the solvers funnel parallel emissions before they reach
-// it (see Funnel).
+// when the run is done. Every method locks, so one sink may be shared by
+// runs on several goroutines (htpd's daemon-wide trace): their lines
+// interleave whole, and each emitter's events keep their order.
 type JSONLSink struct {
+	mu  sync.Mutex
 	bw  *bufio.Writer
 	enc *json.Encoder
 	err error
@@ -28,6 +30,8 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // reported by Err/Flush; later events are dropped rather than interleaving
 // garbage into the trace.
 func (s *JSONLSink) Event(e Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
@@ -36,6 +40,8 @@ func (s *JSONLSink) Event(e Event) {
 
 // Flush writes buffered lines through and returns the first error seen.
 func (s *JSONLSink) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.bw.Flush(); s.err == nil {
 		s.err = err
 	}
@@ -43,7 +49,11 @@ func (s *JSONLSink) Flush() error {
 }
 
 // Err returns the first encode or write error, nil if none.
-func (s *JSONLSink) Err() error { return s.err }
+func (s *JSONLSink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
 
 // SlogSink logs events through a *slog.Logger. High-frequency events
 // (metric rounds, refinement passes) log at Debug; phase completions at

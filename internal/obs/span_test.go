@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestSpanCtxMintsMonotone(t *testing.T) {
 	c := NewSpanCtx()
@@ -107,64 +104,6 @@ func TestWithJob(t *testing.T) {
 	}
 	if r.events[1].Job != "j-other" {
 		t.Fatalf("pre-tagged job overwritten: %q", r.events[1].Job)
-	}
-}
-
-// blockingSink holds every Event call until released — the pathological
-// sink the dropping funnel exists for.
-type blockingSink struct {
-	gate chan struct{}
-	mu   sync.Mutex
-	n    int
-}
-
-func (s *blockingSink) Event(Event) {
-	<-s.gate
-	s.mu.Lock()
-	s.n++
-	s.mu.Unlock()
-}
-
-func TestFunnelDroppingNeverBlocks(t *testing.T) {
-	sink := &blockingSink{gate: make(chan struct{})}
-	f := NewFunnelDropping(sink, 4)
-	// Buffer 4 plus the one event the forwarder has already pulled and is
-	// blocked on: everything past that must drop, not block. If Event ever
-	// blocked, this loop would deadlock the test.
-	for i := 0; i < 100; i++ {
-		f.Event(Event{Kind: KindMetricRound, Round: i + 1})
-	}
-	if f.Dropped() == 0 {
-		t.Fatal("expected drops against a stalled sink")
-	}
-	close(sink.gate) // release; Close drains the buffered remainder
-	f.Close()
-	sink.mu.Lock()
-	delivered := sink.n
-	sink.mu.Unlock()
-	if int64(delivered)+f.Dropped() != 100 {
-		t.Fatalf("delivered %d + dropped %d != 100 emitted", delivered, f.Dropped())
-	}
-	if delivered == 0 {
-		t.Fatal("nothing delivered at all")
-	}
-}
-
-func TestFunnelDroppingKeepsUp(t *testing.T) {
-	var r recorder
-	f := NewFunnelDropping(&r, 0) // default buffer
-	for i := 0; i < 50; i++ {
-		f.Event(Event{Kind: KindMetricRound, Round: i + 1})
-	}
-	f.Close()
-	if f.Dropped() != 0 {
-		t.Fatalf("dropped %d events with an attentive sink", f.Dropped())
-	}
-	r.mu.Lock()
-	got := len(r.events)
-	r.mu.Unlock()
-	if got != 50 {
-		t.Fatalf("delivered %d events, want 50", got)
 	}
 }
 

@@ -5,19 +5,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hierarchy"
 	"repro/internal/hypergraph"
+	"repro/internal/obs/metrics"
 	"repro/internal/server"
 	"repro/internal/server/chaos"
 )
@@ -27,12 +28,27 @@ import (
 // solver depth.
 const chaosJobs = 220
 
-func counter(name string) int64 {
-	v, ok := expvar.Get(name).(*expvar.Int)
-	if !ok {
-		return 0
+// counter reads one sample from the process metrics registry, the
+// document htpd serves at /metrics. A name the registry does not carry
+// fails the test, so a misspelled or renamed counter cannot pass the
+// invariant checks vacuously.
+func counter(tb testing.TB, name string) uint64 {
+	tb.Helper()
+	var b strings.Builder
+	if err := metrics.Default.WritePrometheus(&b); err != nil {
+		tb.Fatalf("rendering metrics: %v", err)
 	}
-	return v.Value()
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				tb.Fatalf("metric %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	tb.Fatalf("metrics registry has no sample %q", name)
+	return 0
 }
 
 func ringNetlist(tb testing.TB, n int) string {
@@ -101,8 +117,8 @@ func TestChaosEndToEnd(t *testing.T) {
 		t.Skip("chaos fleet run is not a -short test")
 	}
 	goroutinesBefore := runtime.NumGoroutine()
-	invariantsBefore := counter("htpd.invariant_violations")
-	certFailuresBefore := counter("htpd.cert_failures")
+	invariantsBefore := counter(t, "htpd_invariant_violations")
+	certFailuresBefore := counter(t, "htpd_cert_failures")
 
 	harness := chaos.New(nil, chaos.Config{
 		PanicEvery:  7,
@@ -203,12 +219,12 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 
 	// Invariant 2: the terminal-transition guard never fired.
-	if d := counter("htpd.invariant_violations") - invariantsBefore; d != 0 {
+	if d := counter(t, "htpd_invariant_violations") - invariantsBefore; d != 0 {
 		t.Fatalf("invariant violations during chaos run: %d", d)
 	}
 	// The certification gate rejecting a real solver's output would be a
 	// solver bug, not chaos: it must stay quiet.
-	if d := counter("htpd.cert_failures") - certFailuresBefore; d != 0 {
+	if d := counter(t, "htpd_cert_failures") - certFailuresBefore; d != 0 {
 		t.Errorf("certification gate rejected %d real-solver results", d)
 	}
 

@@ -13,16 +13,18 @@ import (
 const maxHubLog = 4096
 
 // subBuffer is the per-subscriber channel depth. A subscriber that falls
-// further behind than this loses events (counted, not silently): the event
-// hub sits on the solver's emission path, so it must never block a run on a
-// slow SSE client. Status and the journal remain the source of truth.
+// further behind than this loses events, each counted in
+// htpd_events_dropped: the event hub sits on the solver's emission path, so
+// it must never block a run on a slow SSE client. Status and the journal
+// remain the source of truth.
 const subBuffer = 256
 
 // eventHub is the bridge between a job's solver telemetry (internal/obs
-// events, emitted from the single goroutine running the job) and its SSE
-// subscribers (each reading from its own goroutine). It implements
-// obs.Observer: the job's solver options point at it, possibly behind
-// obs.SuppressStop so that only the job-level terminal stop survives.
+// events, delivered one call at a time by the solver running the job) and
+// its SSE subscribers (each reading from its own goroutine). It implements
+// obs.Observer and is part of the job's sink, which the solver options
+// point at, possibly behind obs.SuppressStop so that only the job-level
+// terminal stop survives. It is the daemon's only drop point.
 //
 // Subscribers get a replay of the backlog and then live events; Close ends
 // every subscription. All methods lock, so emission and subscription may
@@ -40,7 +42,7 @@ func newEventHub() *eventHub {
 }
 
 // Event records e and fans it out. Never blocks: a full subscriber buffer
-// drops the event for that subscriber only.
+// drops the event for that subscriber only, and counts the drop.
 func (h *eventHub) Event(e obs.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -55,6 +57,7 @@ func (h *eventHub) Event(e obs.Event) {
 		select {
 		case ch <- e:
 		default: // slow subscriber: drop rather than stall the solver
+			cEventsDropped.Inc()
 		}
 	}
 }

@@ -102,14 +102,12 @@ type Job struct {
 	// Immutable after admission.
 	hub      *eventHub
 	rootSpan obs.SpanID
-	// runSink is the solver-facing observer for the current run: the hub
-	// behind a dropping funnel, merged with the server trace sink. Set by
-	// runJob before solving, nil otherwise. Only the owning worker touches
-	// it, so it needs no lock.
-	runSink obs.Observer
-	// trace is the server trace sink pre-tagged with this job's ID; nil
-	// when the daemon runs without a trace sink. Set at admission.
-	trace obs.Observer
+	// sink receives every event of the job: the hub, plus the server trace
+	// sink tagged with this job's ID when the daemon traces. release keeps
+	// it, because finishJob emits the job's stop after the terminal
+	// transition. nil for jobs resurrected from the journal, which emit
+	// nothing.
+	sink obs.Observer
 
 	mu         sync.Mutex
 	state      JobState
@@ -205,14 +203,4 @@ func (j *Job) snapshotResult() *hierarchy.PartitionDump {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
-}
-
-// sink returns the observer solver attempts emit into: the funnel+trace
-// pipeline while runJob has one wired, the bare hub otherwise (paths that
-// emit before the pipeline exists, like recovery).
-func (j *Job) sink() obs.Observer {
-	if j.runSink != nil {
-		return j.runSink
-	}
-	return j.hub
 }

@@ -159,7 +159,8 @@ func TestLoadProfile(t *testing.T) {
 	}
 
 	// And the exposition endpoint serves it, per-rung, alongside the
-	// bridged expvar counters.
+	// gauges and every counter of the solver and the daemon, each with its
+	// HELP and TYPE lines.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -169,15 +170,23 @@ func TestLoadProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading /metrics: %v", err)
 	}
-	for _, want := range []string{
+	wants := []string{
 		"# TYPE htpd_job_duration_seconds histogram",
 		`htpd_job_duration_seconds_count{rung=`,
 		`htpd_job_duration_seconds_bucket{rung=`,
-		"htpd_jobs_done",
-		"htp_metric_rounds",
 		"# TYPE htpd_queue_depth gauge",
 		"# TYPE htpd_in_flight gauge",
+	}
+	for _, c := range []string{
+		"htp_metric_rounds", "htp_metric_injections", "htp_metric_growths", "htp_solver_salvages",
+		"htpd_jobs_submitted", "htpd_rejections_overload", "htpd_rejections_oversized",
+		"htpd_retries", "htpd_degradations", "htpd_salvage_serves", "htpd_cert_failures",
+		"htpd_jobs_done", "htpd_jobs_failed", "htpd_jobs_cancelled", "htpd_jobs_recovered",
+		"htpd_invariant_violations", "htpd_events_dropped",
 	} {
+		wants = append(wants, "# HELP "+c+" ", "# TYPE "+c+" counter\n"+c+" ")
+	}
+	for _, want := range wants {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}

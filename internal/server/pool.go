@@ -74,36 +74,9 @@ func (s *Server) runJob(j *Job) {
 	mInFlight.Add(1)
 	defer mInFlight.Add(-1)
 
-	// Solver telemetry pipeline: the SSE hub sits behind a DROPPING funnel
-	// so a stalled consumer can never backpressure the solver — drops are
-	// counted into htpd.events_dropped instead (the blocking Funnel's
-	// silent-stall footgun does not belong in a service). The daemon trace
-	// sink, when configured, sees the same stream tagged with the job ID.
-	// closeDrop drains the funnel exactly once; it runs explicitly before
-	// the normal finishJob — so the terminal stop is ordered after every
-	// solver event — and is deferred for the panic path, where it still
-	// precedes the recovery defer's finishJob (LIFO defer order).
-	drop := obs.NewFunnelDropping(j.hub, 0)
-	drained := false
-	closeDrop := func() {
-		if drained {
-			return
-		}
-		drained = true
-		j.runSink = nil
-		drop.Close()
-		if n := drop.Dropped(); n > 0 {
-			cEventsDropped.Add(n)
-			s.log.Warn("slow event consumers dropped telemetry", "job", j.ID, "dropped", n)
-		}
-	}
-	defer closeDrop()
-	j.runSink = obs.Multi(drop, j.trace)
-
 	s.journalState(j, StateRunning, "", "", 0, "")
 
 	out := s.solveJob(ctx, j)
-	closeDrop()
 
 	// Shutdown interruption: the job goes back to queued (journaled), so a
 	// restarted daemon re-runs it. Not a terminal transition. A job that
@@ -233,7 +206,7 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 	case state == StateFailed:
 		reason = "error"
 	}
-	obs.Emit(obs.Multi(j.hub, j.trace), obs.Event{
+	obs.Emit(j.sink, obs.Event{
 		Kind:      obs.KindStop,
 		Span:      j.rootSpan,
 		Reason:    reason,

@@ -40,23 +40,24 @@ import (
 	"repro/internal/obs/metrics"
 )
 
-// Package-level expvar counters. Registered once per process (expvar panics
-// on duplicate names), so tests with several Server instances assert deltas.
-// The "htpd." prefix keeps clear of the solver's own "htp." namespace.
+// Daemon counters in the process metrics registry, served on /metrics.
+// One registry serves the whole process, so tests with several Server
+// instances assert deltas. The "htpd_" prefix keeps clear of the solver's
+// own "htp_" counters.
 var (
-	cSubmitted           = expvar.NewInt("htpd.jobs_submitted")
-	cRejections          = expvar.NewInt("htpd.rejections_overload")
-	cOversized           = expvar.NewInt("htpd.rejections_oversized")
-	cRetries             = expvar.NewInt("htpd.retries")
-	cDegradations        = expvar.NewInt("htpd.degradations")
-	cSalvageServes       = expvar.NewInt("htpd.salvage_serves")
-	cCertFailures        = expvar.NewInt("htpd.cert_failures")
-	cJobsDone            = expvar.NewInt("htpd.jobs_done")
-	cJobsFailed          = expvar.NewInt("htpd.jobs_failed")
-	cJobsCancelled       = expvar.NewInt("htpd.jobs_cancelled")
-	cRecovered           = expvar.NewInt("htpd.jobs_recovered")
-	cInvariantViolations = expvar.NewInt("htpd.invariant_violations")
-	cEventsDropped       = expvar.NewInt("htpd.events_dropped")
+	cSubmitted           = metrics.Default.Counter("htpd_jobs_submitted", "Jobs admitted to the queue.")
+	cRejections          = metrics.Default.Counter("htpd_rejections_overload", "Submits rejected with 429 because the queue was full.")
+	cOversized           = metrics.Default.Counter("htpd_rejections_oversized", "Submits rejected with 413 for exceeding the node budget.")
+	cRetries             = metrics.Default.Counter("htpd_retries", "Solver attempts retried after a transient failure.")
+	cDegradations        = metrics.Default.Counter("htpd_degradations", "Ladder rungs a job fell through to the next one.")
+	cSalvageServes       = metrics.Default.Counter("htpd_salvage_serves", "Done jobs served by a salvaged result.")
+	cCertFailures        = metrics.Default.Counter("htpd_cert_failures", "Solver results the independent certifier rejected.")
+	cJobsDone            = metrics.Default.Counter("htpd_jobs_done", "Jobs that finished done.")
+	cJobsFailed          = metrics.Default.Counter("htpd_jobs_failed", "Jobs that finished failed.")
+	cJobsCancelled       = metrics.Default.Counter("htpd_jobs_cancelled", "Jobs that finished cancelled.")
+	cRecovered           = metrics.Default.Counter("htpd_jobs_recovered", "Unfinished jobs re-queued from the journal at startup.")
+	cInvariantViolations = metrics.Default.Counter("htpd_invariant_violations", "Refused second terminal transitions of a job.")
+	cEventsDropped       = metrics.Default.Counter("htpd_events_dropped", "Telemetry events dropped for SSE subscribers that fell behind.")
 )
 
 // mJobDuration is the end-to-end job latency histogram served on /metrics,
@@ -122,12 +123,12 @@ type Config struct {
 	// Logger receives operational logs; nil discards them.
 	Logger *slog.Logger
 	// Trace, when set, receives every job's full solver telemetry tagged
-	// with the job ID (obs.Event.Job) — typically a JSONL sink behind a
-	// funnel, for offline analysis with cmd/htptrace. Unlike the SSE hub
-	// the trace sink sees events verbatim and must tolerate concurrent
-	// calls: distinct jobs emit from distinct worker goroutines (htpd
-	// wraps its JSONL file sink in a blocking Funnel for exactly that;
-	// events of different jobs interleave but carry the Job tag).
+	// with the job ID (obs.Event.Job) — typically an obs.JSONLSink, for
+	// offline analysis with cmd/htptrace. Unlike the SSE hub the trace
+	// sink sees events verbatim, straight from the solver, and must
+	// tolerate concurrent calls: distinct jobs emit from distinct worker
+	// goroutines, so events of different jobs interleave but carry the Job
+	// tag. JSONLSink locks itself for exactly that.
 	Trace obs.Observer
 }
 
@@ -365,15 +366,16 @@ func (s *Server) buildJob(id string, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("building hierarchy spec: %w", err)
 	}
 	spans := obs.NewSpanCtx()
+	hub := newEventHub()
 	return &Job{
 		ID:        id,
 		Spec:      spec,
 		h:         h,
 		pspec:     pspec,
-		hub:       newEventHub(),
+		hub:       hub,
+		sink:      obs.Multi(hub, obs.WithJob(s.cfg.Trace, id)),
 		spans:     spans,
 		rootSpan:  spans.NewSpan(), // always 1: the job's root is deterministic
-		trace:     obs.WithJob(s.cfg.Trace, id),
 		state:     StateQueued,
 		submitted: time.Now(),
 	}, nil
@@ -427,17 +429,18 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// The Go runtime's memstats (TotalAlloc is the benchmark's allocation
+	// reading); every counter lives in the metrics registry.
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 
-// handleMetrics serves the process metrics in the Prometheus text
-// exposition format: the registry's native instruments (histograms
-// included) followed by the legacy htp.*/htpd.* expvar counters bridged
-// with dots mapped to underscores.
+// handleMetrics serves the process metrics registry in the Prometheus
+// text exposition format: the solver's htp_* counters and htpd's own
+// counters, gauges and job-latency histogram.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metrics.WriteProcessMetrics(w)
+	_ = metrics.Default.WritePrometheus(w)
 }
 
 // httpError is the uniform JSON error document.

@@ -213,13 +213,13 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, r rung, seed int64) (re
 	// runs under its own span nested in the job root, so the trace shows
 	// where the budget went rung by rung; the scope hands the job's span
 	// minter down so solver-internal spans share the ID space.
-	o := obs.SuppressStop(j.sink())
+	o := obs.SuppressStop(j.sink)
 	var scope obs.SpanScope
 	if o != nil {
 		rungSpan := j.spans.NewSpan()
 		t0 := time.Now()
 		defer func() {
-			obs.Emit(j.sink(), obs.Event{
+			obs.Emit(j.sink, obs.Event{
 				Kind: obs.KindSpan, Phase: "rung:" + r.name,
 				Span: rungSpan, Parent: j.rootSpan,
 				ElapsedMS: obs.Millis(time.Since(t0)),
