@@ -82,12 +82,13 @@ verify-quick:
 
 # Machine-readable benchmark records for the two scaling claims of §3.3:
 # Algorithm 2 (spreading metric; sequential vs parallel workers), the
-# flow-refinement stage, and the paper-table benchmarks. EXPERIMENTS.md
-# quotes these files. GOMAXPROCS=1 keeps the -N suffix off the names, so
-# `make benchdiff` finds them on any CPU count; the benchmarks that measure
-# parallelism (Alg2Scaling's wN, FlowSchedule's procsN) pin their own.
+# V-cycle and its FM descent, the flat and flow refinement stages, and the
+# paper-table benchmarks. EXPERIMENTS.md quotes these files. GOMAXPROCS=1
+# keeps the -N suffix off the names, so `make benchdiff` finds them on any
+# CPU count; the benchmarks that measure parallelism (Alg2Scaling's wN,
+# FlowSchedule's procsN) pin their own.
 bench:
-	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Alg2Scaling|Alg2Coarse|Alg3Scaling|FlowSchedule|MultilevelScaling|FlowRefine' -benchmem -timeout 3600s . \
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Alg2Scaling|Alg2Coarse|Alg3Scaling|FlowSchedule|MultilevelScaling|FlowRefine|Uncoarsen|FlatRefine' -benchmem -timeout 3600s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_alg2.json
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Table1|Table2|Table3' -benchmem -timeout 1800s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_tables.json
@@ -98,13 +99,15 @@ bench-ml:
 	$(GO) test -run=NONE -bench=MultilevelScaling -benchmem -timeout 3600s .
 
 # Benchmark regression gate, two steps. (1) Re-run the sequential Algorithm 2
-# scaling rows and the smaller coarse-level row (a separate run: a -bench
-# pattern with a slash filters every family's sub-benchmarks) once and diff
-# allocation counts against the committed baseline. Their allocs/op is
-# deterministic even at -benchtime=1x (where ns/op is pure noise), so the
-# tolerance is zero: any new allocation on the metric hot path fails. The
-# batched engine's rows (wN, N >= 2) are skipped: which worker grows which
-# root depends on scheduling, and so does its arena growth. (2) Re-run the carve, the V-cycle and flow refinement once and
+# scaling rows, then (a separate run: a -bench pattern with a slash filters
+# every family's sub-benchmarks) the smaller coarse-level row and the
+# smaller FM descent, once, and diff allocation counts against the committed
+# baseline. Each runs sequentially from a fixed seed, so its allocs/op is
+# deterministic even at -benchtime=1x (where ns/op is pure noise) and the
+# tolerance is zero: any new allocation on the metric or move-selection hot
+# path fails. The batched engine's rows (wN, N >= 2) are skipped: which
+# worker grows which root depends on scheduling, and so does its arena
+# growth. (2) Re-run the carve, the V-cycle and flow refinement once and
 # diff allocs/op and B/op against BENCH_gate.json at 1%: these rows drift by
 # a few allocations and under 0.3% of their bytes from run to run, far less
 # than a lost arena or a map per net would move them. GOMAXPROCS=1 keeps the
@@ -114,7 +117,7 @@ GATE_BENCH = Alg3Scaling/n2048|MultilevelScaling/n16384|FlowRefine/c1355
 
 benchdiff:
 	{ GOMAXPROCS=1 $(GO) test -run=NONE -bench=Alg2Scaling -skip='Alg2Scaling/./w([2-9]|[1-9][0-9]+)$$' -benchtime=1x -benchmem -timeout 900s . && \
-	  GOMAXPROCS=1 $(GO) test -run=NONE -bench='Alg2Coarse/n16384$$' -benchtime=1x -benchmem -timeout 900s . ; } \
+	  GOMAXPROCS=1 $(GO) test -run=NONE -bench='(Alg2Coarse|Uncoarsen)/n16384$$' -benchtime=1x -benchmem -timeout 900s . ; } \
 		| $(GO) run ./cmd/benchjson -o /tmp/htp-bench-head.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -tolerance 0 BENCH_alg2.json /tmp/htp-bench-head.json
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench='$(GATE_BENCH)' -benchtime=1x -benchmem -timeout 900s . \

@@ -186,14 +186,9 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 func BenchmarkAlg2Coarse(b *testing.B) {
 	for _, n := range []int{16384, 65536} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			cs := repro.ScaledCircuit(n)
-			h, ok := benchCircuits[cs.Name]
-			if !ok {
-				h = repro.GenerateCircuit(cs, 1)
-				benchCircuits[cs.Name] = h
-			}
+			h := scaledCircuit(n)
 			spec := paperSpec(b, h)
-			coarse := coarsestLevel(b, h, spec)
+			coarse := coarsen(b, h, spec).Coarsest()
 			runtime.GC() // collect coarsening's garbage before the timed region
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -205,9 +200,20 @@ func BenchmarkAlg2Coarse(b *testing.B) {
 	}
 }
 
-// coarsestLevel coarsens h as the V-cycle does by default: 300 target
-// nodes, clusters capped at min(s(V)/300, ceil(C_0/2)), one worker, seed 1.
-func coarsestLevel(b *testing.B, h *repro.Hypergraph, spec repro.Spec) *repro.Hypergraph {
+// scaledCircuit returns ScaledCircuit(n) generated with seed 1, cached.
+func scaledCircuit(n int) *repro.Hypergraph {
+	cs := repro.ScaledCircuit(n)
+	h, ok := benchCircuits[cs.Name]
+	if !ok {
+		h = repro.GenerateCircuit(cs, 1)
+		benchCircuits[cs.Name] = h
+	}
+	return h
+}
+
+// coarsen coarsens h as the V-cycle does by default: 300 target nodes,
+// clusters capped at min(s(V)/300, ceil(C_0/2)), one worker, seed 1.
+func coarsen(b *testing.B, h *repro.Hypergraph, spec repro.Spec) *multilevel.Stack {
 	b.Helper()
 	const target = 300
 	maxCluster := max(min(h.TotalSize()/target, (spec.Capacity[0]+1)/2), 1)
@@ -216,7 +222,39 @@ func coarsestLevel(b *testing.B, h *repro.Hypergraph, spec repro.Spec) *repro.Hy
 	if err != nil {
 		b.Fatal(err)
 	}
-	return stack.Coarsest()
+	return stack
+}
+
+// BenchmarkUncoarsen measures the V-cycle's FM descent alone (DESIGN.md
+// §5h): coarsening and the coarse FLOW solve (one metric of 24 rounds, two
+// constructions) run outside the timer, as the V-cycle runs them at seed 1,
+// and every iteration projects and refines from the same coarse partition
+// down to ScaledCircuit(n), with the V-cycle's 8 passes per level and its
+// descent seed. Uncoarsen leaves the coarse partition unmodified. The cost
+// metric records the descended cost.
+func BenchmarkUncoarsen(b *testing.B) {
+	for _, n := range []int{16384, 65536} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			h := scaledCircuit(n)
+			spec := paperSpec(b, h)
+			stack := coarsen(b, h, spec)
+			res, err := repro.FlowCtx(context.Background(), stack.Coarsest(), spec, repro.FlowOptions{
+				Iterations: 1, PartitionsPerMetric: 2, Seed: 1, Inject: repro.InjectOptions{MaxRounds: 24}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC() // collect the coarse solve's garbage before the timed region
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, cost, _, err := stack.Uncoarsen(context.Background(), res.Partition, res.Cost,
+					multilevel.UncoarsenOptions{MaxPasses: 8, Seed: 1 + 11})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(cost, "cost")
+			}
+		})
+	}
 }
 
 // BenchmarkAlg3Scaling measures the top-down construction alone across
@@ -335,6 +373,27 @@ func BenchmarkRefinement(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatRefine measures the flat "+" refinement step alone on a
+// large synthetic: each iteration clones a GFM partition of
+// ScaledCircuit(16384) and runs RefineCtx over it with default options.
+// Unlike the V-cycle's boundary refiner it scans every net, giant ones
+// included.
+func BenchmarkFlatRefine(b *testing.B) {
+	h := scaledCircuit(16384)
+	spec := paperSpec(b, h)
+	base, err := repro.GFMCtx(context.Background(), h, spec, repro.GFMOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("n16384", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := base.Partition.Clone()
+			cost, _ := repro.RefineCtx(context.Background(), p, repro.RefineOptions{})
+			b.ReportMetric(cost, "cost")
+		}
+	})
+}
+
 // BenchmarkMultilevelScaling measures the multilevel V-cycle end-to-end
 // across the synthetic scale rungs. The claim under test (DESIGN.md §5h):
 // near-linear growth in gate count, because coarsening is O(pins) per
@@ -342,12 +401,7 @@ func BenchmarkRefinement(b *testing.B) {
 // touches the boundary.
 func BenchmarkMultilevelScaling(b *testing.B) {
 	for _, n := range []int{2048, 16384, 65536, 262144} {
-		cs := repro.ScaledCircuit(n)
-		h, ok := benchCircuits[cs.Name]
-		if !ok {
-			h = repro.GenerateCircuit(cs, 1)
-			benchCircuits[cs.Name] = h
-		}
+		h := scaledCircuit(n)
 		spec := paperSpec(b, h)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

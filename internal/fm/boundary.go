@@ -14,13 +14,6 @@ import (
 type BoundaryOptions struct {
 	// MaxPasses bounds worklist sweeps. Default 8.
 	MaxPasses int
-	// MaxNetScan skips nets with more pins than this during candidate
-	// collection, worklist seeding, and re-enqueueing. Giant nets (clock
-	// trees, global enables) span most blocks whatever the refiner does;
-	// scanning their full pin lists per visited node is the dominant cost
-	// on large instances and almost never yields a move. Their pins still
-	// participate through every smaller net they touch. Default 256.
-	MaxNetScan int
 	// Rng orders each sweep. Defaults to a fixed seed.
 	Rng *rand.Rand
 	// Observer receives one refine-pass event per pass and a terminal
@@ -32,12 +25,18 @@ type BoundaryOptions struct {
 	Span obs.SpanScope
 }
 
+// maxNetScan caps the nets the boundary refiner scans for candidate
+// leaves, worklist seeds and re-enqueued neighbours. Giant nets (clock
+// trees, global enables) span most blocks whatever the refiner does;
+// scanning their full pin lists per visited node is the dominant cost on
+// large instances and almost never yields a move. Their pins still
+// participate through every smaller net they touch, and their span terms
+// still count in every move's delta.
+const maxNetScan = 256
+
 func (o BoundaryOptions) withDefaults() BoundaryOptions {
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 8
-	}
-	if o.MaxNetScan == 0 {
-		o.MaxNetScan = 256
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
@@ -55,8 +54,10 @@ func (o BoundaryOptions) withDefaults() BoundaryOptions {
 // work per pass is proportional to the boundary, not to n, which is what
 // makes per-level refinement affordable on 10^5-node instances.
 //
-// Moves, candidate leaves, and feasibility (K_l/C_l via CostState.CanMove)
-// are exactly RefineHierarchicalCtx's; only the visit set differs.
+// Moves and feasibility (K_l/C_l via CostState.CanMove) are
+// RefineHierarchicalCtx's, chosen by the same routine (mover). Two things
+// differ: the visit set, and the candidate leaves, which come only from
+// nets of at most maxNetScan pins.
 // Determinism: the worklist is built by index-ordered scans (never map
 // iteration) and shuffled by opt.Rng, so a fixed seed reproduces the run.
 //
@@ -82,16 +83,8 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 	// mark guards worklist membership while a list is being built; entries
 	// are unmarked once the list is adopted so the next pass can rebuild.
 	mark := make([]bool, n)
-	_, work := CollectBoundary(p, opt.MaxNetScan)
-
-	// seen deduplicates candidate leaves per node with generation stamps —
-	// an O(1) reset, where clearing a map per visited node dominated the
-	// whole pass on profile.
-	seen := make([]int32, p.Tree.NumVertices())
-	for i := range seen {
-		seen[i] = -1
-	}
-	gen := int32(0)
+	_, work := CollectBoundary(p, maxNetScan)
+	mv := newMover(cs, maxNetScan)
 	for pass := 0; pass < opt.MaxPasses && len(work) > 0 && ctx.Err() == nil; pass++ {
 		opt.Rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
 		var next []int
@@ -100,37 +93,14 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 				return cs.Cost(), initial - cs.Cost()
 			}
 			v := hypergraph.NodeID(vi)
-			from := p.LeafOf[v]
-			gen++
-			bestDelta := -1e-12
-			bestLeaf := -1
-			for _, e := range p.H.Incident(v) {
-				pins := p.H.Pins(e)
-				if len(pins) > opt.MaxNetScan {
-					continue
-				}
-				for _, u := range pins {
-					leaf := p.LeafOf[u]
-					if leaf == from || seen[leaf] == gen {
-						continue
-					}
-					seen[leaf] = gen
-					if !cs.CanMove(v, int(leaf)) {
-						continue
-					}
-					if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
-						bestDelta = d
-						bestLeaf = int(leaf)
-					}
-				}
-			}
-			if bestLeaf < 0 {
+			leaf, _ := mv.best(v)
+			if leaf < 0 {
 				continue
 			}
-			cs.Apply(v, bestLeaf)
+			cs.Apply(v, leaf)
 			for _, e := range p.H.Incident(v) {
 				pins := p.H.Pins(e)
-				if len(pins) > opt.MaxNetScan {
+				if len(pins) > maxNetScan {
 					continue
 				}
 				for _, u := range pins {
@@ -156,19 +126,19 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 // CollectBoundary scans the partition's nets once and returns the crossing
 // nets (pins touching more than one leaf) in ascending net order, plus the
 // distinct pins of those nets in first-touch order — the partition's
-// boundary. Nets with more than maxNetScan pins are skipped, matching
-// BoundaryOptions.MaxNetScan (pass 0 for the 256 default). It is the shared
+// boundary. Nets with more than maxPins pins are skipped (pass 0 for the
+// boundary refiner's cap, maxNetScan). It is the shared
 // seed scan of the boundary-localized FM worklist and of flowrefine's
 // pairwise corridor extraction; both orders are index-derived, so the result
 // is deterministic.
-func CollectBoundary(p *hierarchy.Partition, maxNetScan int) (crossing []hypergraph.NetID, nodes []int) {
-	if maxNetScan == 0 {
-		maxNetScan = 256
+func CollectBoundary(p *hierarchy.Partition, maxPins int) (crossing []hypergraph.NetID, nodes []int) {
+	if maxPins == 0 {
+		maxPins = maxNetScan
 	}
 	mark := make([]bool, p.H.NumNodes())
 	for e := 0; e < p.H.NumNets(); e++ {
 		pins := p.H.Pins(hypergraph.NetID(e))
-		if len(pins) > maxNetScan {
+		if len(pins) > maxPins {
 			continue
 		}
 		first := p.LeafOf[pins[0]]

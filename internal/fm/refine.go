@@ -2,6 +2,7 @@ package fm
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"time"
 
@@ -41,7 +42,8 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // iterative improvement of Kuo, Liu & Cheng [9] that turns GFM/RFM/FLOW into
 // GFM+/RFM+/FLOW+. Each pass visits every node in random order and applies
 // the best capacity-feasible move among candidate leaves (the leaves holding
-// other pins of the node's nets, the natural K-way-FM candidate set).
+// other pins of the node's nets, the natural K-way-FM candidate set), chosen
+// by the routine RefineBoundaryCtx shares (mover) with no net-scan cap.
 // Passes repeat until one yields no improvement or MaxPasses is reached.
 //
 // Returns the final cost and the total improvement (initial − final >= 0).
@@ -71,8 +73,7 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 	for i := range order {
 		order[i] = i
 	}
-	// Candidate-leaf scratch, deduplicated with a generation stamp.
-	seen := make(map[int32]bool, 16)
+	mv := newMover(cs, math.MaxInt)
 
 	for pass := 0; pass < opt.MaxPasses && ctx.Err() == nil; pass++ {
 		improved := false
@@ -82,28 +83,8 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 				return cs.Cost(), initial - cs.Cost()
 			}
 			v := hypergraph.NodeID(vi)
-			from := p.LeafOf[v]
-			clear(seen)
-			bestDelta := -1e-12
-			bestLeaf := -1
-			for _, e := range p.H.Incident(v) {
-				for _, u := range p.H.Pins(e) {
-					leaf := p.LeafOf[u]
-					if leaf == from || seen[leaf] {
-						continue
-					}
-					seen[leaf] = true
-					if !cs.CanMove(v, int(leaf)) {
-						continue
-					}
-					if d := cs.MoveDelta(v, int(leaf)); d < bestDelta {
-						bestDelta = d
-						bestLeaf = int(leaf)
-					}
-				}
-			}
-			if bestLeaf >= 0 {
-				cs.Apply(v, bestLeaf)
+			if leaf, _ := mv.best(v); leaf >= 0 {
+				cs.Apply(v, leaf)
 				improved = true
 			}
 		}

@@ -28,6 +28,13 @@ type CostState struct {
 	win   []spanWindow // win[e*top+l] = net e's window at level l
 	sizes []int64      // per-vertex assigned size
 	cost  float64
+
+	width []int32 // tree vertices per level below top
+
+	// MoveDeltas scratch: stamp[q] == gen marks block q as live in the
+	// window being scored.
+	stamp []uint32
+	gen   uint32
 }
 
 type spanSlot struct{ block, count int32 }
@@ -70,17 +77,17 @@ func NewCostState(p *Partition) *CostState {
 			cs.sizes[q] += s
 		}
 	}
-	width := make([]int, top) // tree vertices per level
+	cs.width = make([]int32, top)
 	for q := 0; q < p.Tree.NumVertices(); q++ {
 		if l := p.Tree.Level(q); l < top {
-			width[l]++
+			cs.width[l]++
 		}
 	}
 	total := 0
 	for e := 0; e < p.H.NumNets(); e++ {
 		card := len(p.H.Pins(hypergraph.NetID(e)))
 		for l := 0; l < top; l++ {
-			total += min(card, width[l])
+			total += min(card, int(cs.width[l]))
 		}
 	}
 	if total > math.MaxInt32 {
@@ -108,7 +115,7 @@ func NewCostState(p *Partition) *CostState {
 				cs.slots[at[b]].count++
 			}
 			cs.cost += p.Spec.Weight[l] * spanValue(int(w.live)) * p.H.NetCapacity(hypergraph.NetID(e))
-			start += min(len(pins), width[l])
+			start += min(len(pins), int(cs.width[l]))
 		}
 	}
 	return cs
@@ -168,10 +175,99 @@ func (cs *CostState) MoveDelta(v hypergraph.NodeID, toLeaf int) float64 {
 			if slotOf(live, b) < 0 {
 				now++
 			}
-			delta += cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old))
+			// The explicit conversion rounds the term before the sum, so a
+			// fused multiply-add cannot make it differ from MoveDeltas'.
+			delta += float64(cs.P.Spec.Weight[l] * c * (spanValue(now) - spanValue(old)))
 		}
 	}
 	return delta
+}
+
+// CanImprove reports whether some move of v could lower the cost. A
+// MoveDelta term is negative only where v is the sole pin of net e in its
+// level-l block and e spans two or more level-l blocks. At any higher level
+// v's block holds at least as many pins of e, and e spans no more blocks, so
+// level 0 decides: when no net of v passes there, weights and capacities are
+// non-negative and spanValue never decreases, so every MoveDelta(v, ·) is
+// ≥ 0. A root-only tree (top 0) has no level to move across.
+func (cs *CostState) CanImprove(v hypergraph.NodeID) bool {
+	if cs.top == 0 {
+		return false
+	}
+	from := cs.P.LeafOf[v]
+	for _, e := range cs.P.H.Incident(v) {
+		live := cs.live(int(e) * cs.top)
+		if len(live) >= 2 && live[slotOf(live, from)].count == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// MoveDeltas sets delta[i] to MoveDelta(v, to[i]) for every candidate leaf,
+// bit for bit, in one sweep over v's nets and levels: each (net, level)
+// window is scanned at most once, and each candidate's terms are added in
+// MoveDelta's order (net, then level). A scan stamps the window's blocks,
+// so each candidate's block is one lookup. Two facts skip parts of a scan:
+// a window holding every level-l block holds each candidate's, and once v
+// shares its block with another pin of the net, it does at every higher
+// level too. delta must be as long as to. The scratch lives in cs, so
+// calls must not overlap.
+func (cs *CostState) MoveDeltas(v hypergraph.NodeID, to []int32, delta []float64) {
+	from := cs.P.LeafOf[v]
+	depth := 0
+	for i, t := range to {
+		depth = max(depth, cs.divergeLevel(from, t))
+		delta[i] = 0
+	}
+	if cs.stamp == nil {
+		cs.stamp = make([]uint32, cs.P.Tree.NumVertices())
+	}
+	stamp, gen := cs.stamp, cs.gen
+	ra, w := cs.anc[from], cs.P.Spec.Weight
+	for _, e := range cs.P.H.Incident(v) {
+		c := cs.P.H.NetCapacity(e)
+		shared := false // another pin of e sits in v's block
+		for l := 0; l < depth; l++ {
+			live := cs.live(int(e)*cs.top + l)
+			old := len(live)
+			full := old == int(cs.width[l])
+			if !full {
+				if gen++; gen == 0 {
+					clear(stamp)
+					gen = 1
+				}
+				for _, s := range live {
+					stamp[s.block] = gen
+				}
+			}
+			if !shared {
+				shared = live[slotOf(live, ra[l])].count > 1
+			}
+			// v's leaving drops its block unless shared; a candidate's block
+			// that holds no pin of e is one more. The explicit conversion
+			// rounds each term as MoveDelta's does.
+			now := old
+			if !shared {
+				now--
+			}
+			wc := w[l] * c
+			in := float64(wc * (spanValue(now) - spanValue(old)))
+			out := float64(wc * (spanValue(now+1) - spanValue(old)))
+			for i, t := range to {
+				b := cs.anc[t][l]
+				if b == ra[l] {
+					continue // at or above t's diverge level, as in MoveDelta
+				}
+				if full || stamp[b] == gen {
+					delta[i] += in
+				} else {
+					delta[i] += out
+				}
+			}
+		}
+	}
+	cs.gen = gen
 }
 
 // live returns the live slots of window idx.
@@ -234,7 +330,7 @@ func (cs *CostState) Apply(v hypergraph.NodeID, toLeaf int) float64 {
 				live[len(live)-1] = spanSlot{block: b, count: 1}
 			}
 			cs.win[idx].live = int32(len(live))
-			delta += cs.P.Spec.Weight[l] * c * (spanValue(len(live)) - spanValue(old))
+			delta += float64(cs.P.Spec.Weight[l] * c * (spanValue(len(live)) - spanValue(old)))
 		}
 	}
 	s := cs.P.H.NodeSize(v)
