@@ -149,13 +149,50 @@ func ComputeMetricCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierar
 		return nil, Stats{}, fmt.Errorf("inject: metric computation not started: %w", context.Cause(ctx))
 	}
 
+	g := newEngine(ctx, h, spec, opt)
+	if opt.Workers > 1 {
+		g.runParallel()
+	} else {
+		g.runSequential()
+	}
+
+	g.st.Converged = len(g.active) == 0 && !g.interrupted
+	for e := range g.flow {
+		if g.flow[e] > g.st.MaxFlow {
+			g.st.MaxFlow = g.flow[e]
+		}
+	}
+	if opt.Observer != nil {
+		// metric-done is emitted on interrupted exits too, so traces of
+		// deadline-stopped runs still account the metric phase.
+		obs.Emit(opt.Observer, obs.Event{
+			Kind:          obs.KindMetricDone,
+			Round:         g.st.Rounds,
+			Injections:    g.st.Injections,
+			TreeNets:      g.st.TreeNets,
+			Converged:     g.st.Converged,
+			MaxCongestion: g.maxCongestion(),
+			ElapsedMS:     obs.Millis(time.Since(g.t0)),
+		})
+	}
+	if g.interrupted {
+		return g.m, g.st, fmt.Errorf("inject: metric computation interrupted after %d rounds, %d injections: %w",
+			g.st.Rounds, g.st.Injections, context.Cause(ctx))
+	}
+	return g.m, g.st, nil
+}
+
+// newEngine prepares a run of Algorithm 2 on (h, spec): the initial
+// lengths, the tabulated bound g(x), and an active set holding every node.
+func newEngine(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, opt Options) *engine {
 	g := &engine{
-		ctx:  ctx,
-		h:    h,
-		spec: spec,
-		opt:  opt,
-		m:    metric.New(h),
-		flow: make([]float64, h.NumNets()),
+		ctx:     ctx,
+		h:       h,
+		spec:    spec,
+		opt:     opt,
+		m:       metric.New(h),
+		flow:    make([]float64, h.NumNets()),
+		uniform: true,
 	}
 	if opt.Observer != nil {
 		g.t0 = time.Now()
@@ -195,38 +232,11 @@ func ComputeMetricCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierar
 	g.active = make([]hypergraph.NodeID, h.NumNodes())
 	for i := range g.active {
 		g.active[i] = hypergraph.NodeID(i)
-	}
-
-	if opt.Workers > 1 {
-		g.runParallel()
-	} else {
-		g.runSequential()
-	}
-
-	g.st.Converged = len(g.active) == 0 && !g.interrupted
-	for e := range g.flow {
-		if g.flow[e] > g.st.MaxFlow {
-			g.st.MaxFlow = g.flow[e]
+		if h.NodeSize(hypergraph.NodeID(i)) != h.NodeSize(0) {
+			g.uniform = false
 		}
 	}
-	if opt.Observer != nil {
-		// metric-done is emitted on interrupted exits too, so traces of
-		// deadline-stopped runs still account the metric phase.
-		obs.Emit(opt.Observer, obs.Event{
-			Kind:          obs.KindMetricDone,
-			Round:         g.st.Rounds,
-			Injections:    g.st.Injections,
-			TreeNets:      g.st.TreeNets,
-			Converged:     g.st.Converged,
-			MaxCongestion: g.maxCongestion(),
-			ElapsedMS:     obs.Millis(time.Since(g.t0)),
-		})
-	}
-	if g.interrupted {
-		return g.m, g.st, fmt.Errorf("inject: metric computation interrupted after %d rounds, %d injections: %w",
-			g.st.Rounds, g.st.Injections, context.Cause(ctx))
-	}
-	return g.m, g.st, nil
+	return g
 }
 
 // maxGTableSize bounds the total design size for which g(x) is tabulated
@@ -245,6 +255,7 @@ type engine struct {
 	total       int64     // s(V), the size of the whole design
 	gX          float64   // g(total), the largest bound any prefix faces
 	active      []hypergraph.NodeID
+	uniform     bool // every node has the same size: retirements may come from Settle
 	st          Stats
 	interrupted bool
 	t0          time.Time // start of the run; zero when no observer
@@ -305,20 +316,127 @@ func (g *engine) relength(e hypergraph.NetID) {
 	g.m.D[e] = math.Exp(x) - 1
 }
 
+// grower is the scratch of one sequence of tree growths (the sequential
+// sweep has one, the batched engine one per worker): an SPT grower and a
+// tree-net arena reused across growths, so steady-state growth allocates
+// nothing.
+type grower struct {
+	spt    *shortest.HyperSPT
+	inTree []bool
+	nets   []hypergraph.NetID
+	visits int
+	// retired is the verdict of the grower's previous growth: the next one
+	// tries the distance-only pass first only after a retirement.
+	retired bool
+}
+
+func (g *engine) newGrower(netsCap int) *grower {
+	return &grower{
+		spt:    shortest.NewHyperSPT(g.h),
+		inTree: make([]bool, g.h.NumNets()),
+		nets:   make([]hypergraph.NetID, 0, netsCap),
+	}
+}
+
+// prefix is what constraint (5) reads of one growth's settled prefix: its
+// total size and its left side, the size-weighted sum of its distances.
+type prefix struct {
+	size     int64
+	lhs      float64
+	violated bool
+}
+
+// extend is the constraint-(5) prefix test, shared by both passes of both
+// engines. It adds node v, settled at distance dist, to the prefix and
+// reports whether the growth must go on. It stops the growth when the new
+// prefix violates the constraint (p.violated is set), and when the finish
+// line shows that no larger prefix can.
+func (g *engine) extend(p *prefix, v hypergraph.NodeID, dist float64) bool {
+	sz := g.h.NodeSize(v)
+	p.size += sz
+	p.lhs += dist * float64(sz)
+	var bound float64
+	if g.gTab != nil {
+		bound = g.gTab[p.size]
+	} else {
+		bound = g.spec.G(p.size)
+	}
+	if p.lhs < bound-1e-12*(1+bound) {
+		p.violated = true
+		return false
+	}
+	// Nodes settle in distance order, so every prefix the rest of this
+	// growth can reach has left side at least lhs + dist·(its size − size),
+	// a line that g — convex, and already below lhs at the current prefix —
+	// can only cross past the design's total size. If the line clears
+	// g(total), no larger prefix can violate: the rest of the growth is
+	// provably pointless and the root retires either way.
+	return p.lhs+dist*float64(g.total-p.size) < g.gX
+}
+
+// grow decides constraint (5) for root under the current lengths. A
+// violated growth appends its tree's distinct nets to w.nets; any other
+// leaves w.nets as it was. aborted reports that the stop flag or the
+// context ended the growth first, and the verdict is then void; a growth
+// that polls them and finds them set sets the stop flag.
+//
+// On a design whose nodes all have one size, a grower whose previous
+// growth retired runs the distance-only Settle pass first, and a root it
+// finds satisfied retires without Grow. With equal sizes, the prefix test
+// sees the same (lhs, size, bound) sequence from either pass, bit for bit,
+// so both stop at the same prefix with the same verdict. A violated root
+// then runs Grow to collect its tree, whose tied nodes and nets only Grow
+// decides. After an injection the grower goes straight to Grow, so roots
+// that mostly inject do not pay for both passes.
+func (g *engine) grow(w *grower, root hypergraph.NodeID, stop *atomic.Bool) (violated, aborted bool) {
+	halt := func() bool {
+		w.visits++
+		if w.visits&4095 == 0 && (stop.Load() || g.ctx.Err() != nil) {
+			stop.Store(true)
+			aborted = true
+		}
+		return aborted
+	}
+	if g.uniform && w.retired {
+		var p prefix
+		w.spt.Settle(root, g.m.D, func(v hypergraph.NodeID, dist float64) bool {
+			return !halt() && g.extend(&p, v, dist)
+		})
+		if aborted || !p.violated {
+			return false, aborted
+		}
+	}
+	var p prefix
+	off := len(w.nets)
+	w.spt.Grow(root, g.m.D, func(v shortest.Visit) bool {
+		if halt() {
+			return false
+		}
+		if v.Via >= 0 && !w.inTree[v.Via] {
+			w.inTree[v.Via] = true
+			w.nets = append(w.nets, v.Via)
+		}
+		return g.extend(&p, v.Node, v.Dist)
+	})
+	for _, e := range w.nets[off:] {
+		w.inTree[e] = false
+	}
+	if aborted || !p.violated {
+		// Satisfied roots retire; their tree nets are never injected.
+		w.nets = w.nets[:off]
+	}
+	if !aborted {
+		w.retired = !p.violated
+	}
+	return p.violated, aborted
+}
+
 // runSequential is the historical exact sweep: one tree growth at a time,
 // each seeing every injection made before it, roots retired by swap-delete.
 func (g *engine) runSequential() {
-	h, spec, opt := g.h, g.spec, g.opt
-	spt := shortest.NewHyperSPT(h)
-	gTab, total, gX := g.gTab, g.total, g.gX
-
-	// Per-growth scratch: the distinct nets of the current tree.
-	treeNets := make([]hypergraph.NetID, 0, 64)
-	inTree := make([]bool, h.NumNets())
-
-	// visits counts settled SPT nodes across growths so even a single huge
-	// growth hits a context checkpoint every few thousand nodes.
-	visits := 0
+	opt := g.opt
+	w := g.newGrower(64)
+	var stop atomic.Bool
 	for g.st.Rounds = 0; g.st.Rounds < opt.MaxRounds && len(g.active) > 0 && !g.interrupted; g.st.Rounds++ {
 		opt.Rng.Shuffle(len(g.active), func(i, j int) {
 			g.active[i], g.active[j] = g.active[j], g.active[i]
@@ -332,56 +450,17 @@ func (g *engine) runSequential() {
 				break
 			}
 			root := g.active[idx]
-			var (
-				lhs      float64
-				size     int64
-				violated bool
-			)
-			treeNets = treeNets[:0]
-			spt.Grow(root, g.m.D, func(v shortest.Visit) bool {
-				visits++
-				if visits&4095 == 0 && g.ctx.Err() != nil {
-					g.interrupted = true
-					return false
-				}
-				if v.Via >= 0 && !inTree[v.Via] {
-					inTree[v.Via] = true
-					treeNets = append(treeNets, v.Via)
-				}
-				sz := h.NodeSize(v.Node)
-				size += sz
-				lhs += v.Dist * float64(sz)
-				var bound float64
-				if gTab != nil {
-					bound = gTab[size]
-				} else {
-					bound = spec.G(size)
-				}
-				if lhs < bound-1e-12*(1+bound) {
-					violated = true
-					return false
-				}
-				// Nodes settle in distance order, so every prefix the rest
-				// of this growth can reach has left side at least
-				// lhs + Dist·(its size − size), a line that g — convex,
-				// and already below lhs at the current prefix — can only
-				// cross past the design's total size. If the line clears
-				// g(total), no larger prefix can violate: the rest of the
-				// growth is provably pointless and the root retires either
-				// way.
-				return lhs+v.Dist*float64(total-size) < gX
-			})
-			for _, e := range treeNets {
-				inTree[e] = false
-			}
-			if g.interrupted {
+			w.nets = w.nets[:0]
+			violated, aborted := g.grow(w, root, &stop)
+			if aborted {
+				g.interrupted = true
 				break
 			}
 			grown++
 			if violated {
 				g.st.Injections++
-				g.st.TreeNets += len(treeNets)
-				for _, e := range treeNets {
+				g.st.TreeNets += len(w.nets)
+				for _, e := range w.nets {
 					g.flow[e] += opt.Delta
 					g.relength(e)
 				}
@@ -413,15 +492,6 @@ type rootResult struct {
 	off, n   int
 }
 
-// injectWorker is the per-worker scratch: an SPT grower and a tree-net arena
-// reused across batches so steady-state growth allocates nothing.
-type injectWorker struct {
-	spt    *shortest.HyperSPT
-	inTree []bool
-	nets   []hypergraph.NetID
-	visits int
-}
-
 // runParallel is the batched engine: per round, shuffle the active set with
 // a round-local rng seeded from opt.Rng, then process it in fixed batches.
 // Workers grow trees for a batch's roots concurrently against d(e) frozen
@@ -432,7 +502,7 @@ type injectWorker struct {
 // cannot influence the metric. See DESIGN.md "Parallel metric engine" for
 // the determinism and convergence arguments.
 func (g *engine) runParallel() {
-	h, opt := g.h, g.opt
+	opt := g.opt
 	workers := opt.Workers
 	if workers > parallelBatch {
 		workers = parallelBatch
@@ -448,15 +518,11 @@ func (g *engine) runParallel() {
 	)
 	defer close(startCh)
 
-	scratch := make([]*injectWorker, workers)
+	scratch := make([]*grower, workers)
 	for w := range scratch {
-		scratch[w] = &injectWorker{
-			spt:    shortest.NewHyperSPT(h),
-			inTree: make([]bool, h.NumNets()),
-			nets:   make([]hypergraph.NetID, 0, 256),
-		}
+		scratch[w] = g.newGrower(256)
 		//htpvet:allow nakedgoroutine -- vetted worker pool: growRoot is pure array code over caller-owned scratch; a panic here is a solver bug that must surface, not be contained (DESIGN.md "Parallel metric engine"; re-audited for the interprocedural suite: workers take no locks and stop via the shared stop flag growRoot polls)
-		go func(id int32, ws *injectWorker) {
+		go func(id int32, ws *grower) {
 			for range startCh {
 				for {
 					i := int(next.Add(1) - 1)
@@ -550,62 +616,18 @@ func (g *engine) runParallel() {
 // and records whether the root's spreading constraint is violated, plus the
 // violating tree's nets in the worker's arena. It is a pure function of
 // (root, g.m.D): workers share no mutable state except their own scratch.
-func (g *engine) growRoot(ws *injectWorker, id int32, root hypergraph.NodeID, r *rootResult, stop *atomic.Bool) {
+// Which pass decides a root depends on the worker's previous growth, and so
+// on scheduling, but both passes give the same verdict and the tree always
+// comes from Grow.
+func (g *engine) growRoot(ws *grower, id int32, root hypergraph.NodeID, r *rootResult, stop *atomic.Bool) {
 	if stop.Load() || g.ctx.Err() != nil {
 		stop.Store(true)
 		return
 	}
-	h, spec := g.h, g.spec
-	gTab, total, gX := g.gTab, g.total, g.gX
 	off := len(ws.nets)
-	var (
-		lhs      float64
-		size     int64
-		violated bool
-		aborted  bool
-	)
-	ws.spt.Grow(root, g.m.D, func(v shortest.Visit) bool {
-		ws.visits++
-		if ws.visits&4095 == 0 && (stop.Load() || g.ctx.Err() != nil) {
-			stop.Store(true)
-			aborted = true
-			return false
-		}
-		if v.Via >= 0 && !ws.inTree[v.Via] {
-			ws.inTree[v.Via] = true
-			ws.nets = append(ws.nets, v.Via)
-		}
-		sz := h.NodeSize(v.Node)
-		size += sz
-		lhs += v.Dist * float64(sz)
-		var bound float64
-		if gTab != nil {
-			bound = gTab[size]
-		} else {
-			bound = spec.G(size)
-		}
-		if lhs < bound-1e-12*(1+bound) {
-			violated = true
-			return false
-		}
-		// The straight-line finish lhs + Dist·(remaining size) lower-bounds
-		// every future prefix; once it clears the convex g at the total
-		// size, no larger prefix can violate (see runSequential).
-		return lhs+v.Dist*float64(total-size) < gX
-	})
-	for _, e := range ws.nets[off:] {
-		ws.inTree[e] = false
-	}
+	violated, aborted := g.grow(ws, root, stop)
 	if aborted {
-		ws.nets = ws.nets[:off]
 		return
 	}
-	if !violated {
-		// Satisfied roots retire; their tree nets are never injected, so
-		// give the arena space back.
-		ws.nets = ws.nets[:off]
-		*r = rootResult{done: true}
-		return
-	}
-	*r = rootResult{done: true, violated: true, worker: id, off: off, n: len(ws.nets) - off}
+	*r = rootResult{done: true, violated: violated, worker: id, off: off, n: len(ws.nets) - off}
 }

@@ -1,3 +1,8 @@
+// Package shortest grows shortest-path trees over hypergraphs in order of
+// increasing distance from a root: the primitive behind the separation of
+// spreading constraints in Kuo & Cheng's Algorithm 2. HyperSPT.Grow reports
+// every settled node with the net and pin that reached it; HyperSPT.Settle
+// runs the same search for callers that only need the distances.
 package shortest
 
 import (
@@ -10,9 +15,18 @@ import (
 // HyperSPT grows shortest-path trees over a hypergraph under a per-net
 // length function: traversing from any pin of net e to any other pin costs
 // length(e). This is the hypergraph extension of the paper's S(v,k) trees —
-// nodes are settled in increasing distance from the root, and the tree
-// records, for every settled node, the net that connected it (its "shortest
-// connecting edge").
+// nodes are settled in increasing distance from the root.
+//
+// It offers two passes of the same Dijkstra over the same workspaces:
+//
+//   - Grow records the tree: for every settled node, the net that connected
+//     it (its "shortest connecting edge") and the pin it came from. Its
+//     frontier is an indexed binary heap, so ties settle in one fixed
+//     order. Lengths may be finite values of either sign.
+//   - Settle reports only (node, distance). Its frontier is a radix heap,
+//     where a push costs one list link. Ties may settle in another order
+//     than Grow's, but the distance sequence is the same, bit for bit.
+//     Lengths must be finite and non-negative.
 //
 // The struct owns reusable workspaces so that Algorithm 2, which grows trees
 // from every node over many rounds, allocates nothing per growth after the
@@ -22,7 +36,7 @@ type HyperSPT struct {
 	h *hypergraph.Hypergraph
 
 	// key[v] is +Inf while v is untouched, its tentative distance while it
-	// waits in the heap, and -Inf once settled, so `nd < key[u]` is the
+	// waits in the frontier, and -Inf once settled, so `nd < key[u]` is the
 	// whole relaxation test for any finite offer nd.
 	key    []float64
 	via    []hypergraph.NetID  // net that reached v; -1 for the root
@@ -30,8 +44,9 @@ type HyperSPT struct {
 
 	netGen []uint32
 	gen    uint32
-	heap   *pqueue.IndexedMinHeap
-	touch  []hypergraph.NodeID // nodes whose key must be reset before the next growth
+	heap   *pqueue.IndexedMinHeap // Grow's frontier
+	radix  radixQueue             // Settle's frontier, allocated by the first Settle
+	touch  []hypergraph.NodeID    // nodes whose key must be reset before the next growth
 }
 
 // Visit describes one settled node during SPT growth.

@@ -1,8 +1,10 @@
 package shortest
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -640,5 +642,125 @@ func TestGrowLengthsEarlyStop(t *testing.T) {
 	})
 	if settled != 5 || seen != 5 {
 		t.Fatalf("settled %d, seen %d; want 5, 5", settled, seen)
+	}
+}
+
+// ---- distance-only pass vs Grow ----
+
+// newSettleCase draws an instance for Settle from newGrowCase's shapes,
+// with non-negative lengths only. lenMode picks one of newGrowCase's
+// non-negative families (ties from {0,1,2,3}, uniform, near exp(60)-1) or
+// one of three that stress the radix heap's ties and bucket range: one
+// length on every net, all zeros, and a log-uniform spread over
+// 1e-300..1e26.
+func newSettleCase(seed int64, nodes uint16, shape, lenMode uint8, stop uint16) growCase {
+	mode := lenMode % 6
+	c := newGrowCase(seed, nodes, shape, [3]uint8{0, 1, 3}[mode%3], stop)
+	rng := rand.New(rand.NewSource(^seed))
+	one := []float64{0.1, 1, 3}[rng.Intn(3)]
+	for e := range c.lengths {
+		switch mode {
+		case 3:
+			c.lengths[e] = one
+		case 4:
+			c.lengths[e] = 0
+		case 5:
+			c.lengths[e] = math.Pow(10, -300+326*rng.Float64())
+		}
+	}
+	return c
+}
+
+// checkSettleMatchesGrow grows every root of c with Settle and with Grow
+// (one reused grower each) and requires the same settled count, the same
+// distance sequence bit for bit, and the same node set in every tie group
+// both passes settled in full. Only the last group can be cut short by the
+// stop-after-k, and there the two may have picked different tied nodes.
+func checkSettleMatchesGrow(t *testing.T, c growCase) {
+	t.Helper()
+	type rec struct {
+		node hypergraph.NodeID
+		dist uint64
+	}
+	more := func(n int) bool { return c.stopK == 0 || n < c.stopK }
+	s, ref := NewHyperSPT(c.h), NewHyperSPT(c.h)
+	var got, want []rec
+	for _, root := range c.roots {
+		got, want = got[:0], want[:0]
+		ng := s.Settle(root, c.lengths, func(v hypergraph.NodeID, d float64) bool {
+			got = append(got, rec{v, math.Float64bits(d)})
+			return more(len(got))
+		})
+		nw := ref.Grow(root, c.lengths, func(v Visit) bool {
+			want = append(want, rec{v.Node, math.Float64bits(v.Dist)})
+			return more(len(want))
+		})
+		if ng != nw || len(got) != len(want) {
+			t.Fatalf("root %d: Settle settled %d (%d visits), Grow %d (%d visits)", root, ng, len(got), nw, len(want))
+		}
+		for i := range want {
+			if got[i].dist != want[i].dist {
+				t.Fatalf("root %d visit %d: Settle distance %g, Grow %g", root, i,
+					math.Float64frombits(got[i].dist), math.Float64frombits(want[i].dist))
+			}
+		}
+		full := len(want)
+		if !more(len(want)) {
+			// The stop cut the growth: its last tie group may be partial.
+			for full > 0 && want[full-1].dist == want[len(want)-1].dist {
+				full--
+			}
+		}
+		less := func(a, b rec) int { return cmp.Compare(a.node, b.node) }
+		for lo := 0; lo < full; {
+			hi := lo + 1
+			for hi < full && want[hi].dist == want[lo].dist {
+				hi++
+			}
+			g, w := slices.Clone(got[lo:hi]), slices.Clone(want[lo:hi])
+			slices.SortFunc(g, less)
+			slices.SortFunc(w, less)
+			if !slices.Equal(g, w) {
+				t.Fatalf("root %d: tie group at distance %g settles %v, Grow %v", root,
+					math.Float64frombits(want[lo].dist), g, w)
+			}
+			lo = hi
+		}
+	}
+}
+
+func TestSettleMatchesGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	for trial := 0; trial < 96; trial++ {
+		c := newSettleCase(rng.Int63(), uint16(rng.Intn(400)), uint8(trial), uint8(trial/4), uint16(rng.Intn(3)*rng.Intn(400)))
+		checkSettleMatchesGrow(t, c)
+	}
+}
+
+func FuzzSettleMatchesGrow(f *testing.F) {
+	f.Add(int64(1), uint16(30), uint8(0), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(398), uint8(2), uint8(1), uint16(0))
+	f.Add(int64(3), uint16(200), uint8(1), uint8(2), uint16(17))
+	f.Add(int64(4), uint16(350), uint8(3), uint8(3), uint16(0))
+	f.Add(int64(5), uint16(120), uint8(2), uint8(4), uint16(40))
+	f.Add(int64(6), uint16(300), uint8(0), uint8(5), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint16, shape, lenMode uint8, stop uint16) {
+		checkSettleMatchesGrow(t, newSettleCase(seed, nodes, shape, lenMode, stop))
+	})
+}
+
+// TestSettleAllocatesNothing checks that Settle, once its radix heap is
+// allocated, runs without allocating.
+func TestSettleAllocatesNothing(t *testing.T) {
+	c := newSettleCase(7, 300, 2, 1, 0)
+	s := NewHyperSPT(c.h)
+	visit := func(hypergraph.NodeID, float64) bool { return true }
+	s.Settle(0, c.lengths, visit)
+	root := hypergraph.NodeID(0)
+	if allocs := testing.AllocsPerRun(20, func() {
+		root = (root + 1) % hypergraph.NodeID(c.h.NumNodes())
+		s.Settle(root, c.lengths, visit)
+	}); allocs != 0 {
+		t.Fatalf("warmed-up Settle allocates %v times per run", allocs)
 	}
 }
