@@ -157,13 +157,6 @@ func BenchmarkAlg2Scaling(b *testing.B) {
 		cs := repro.CircuitSpec{Name: "scale", Gates: n, PIs: n / 16, POs: n / 16}
 		h := repro.GenerateCircuit(cs, 1)
 		spec := paperSpec(b, h)
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := repro.ComputeSpreadingMetricCtx(context.Background(), h, spec, repro.InjectOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))

@@ -12,11 +12,13 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// TestISCASMetricHashes pins the metric and Stats of two generated ISCAS
+// TestISCASMetricHashes pins the metric and Stats of generated ISCAS
 // circuits under htpart's default hierarchy, for the sequential sweep and
-// the batched engine. The values were recorded before growths could retire
-// from distances alone, so they check that the distance-only pass moves no
-// bit of the metric on circuits of realistic shape.
+// the batched engine. The c1355 and c2670 values were recorded before
+// growths could retire from distances alone, and the c7552 one (the
+// flat-c7552 benchmark's engine) before that pass queued nets instead of
+// nodes, so they check that the distance-only pass moves no bit of the
+// metric on circuits of realistic shape.
 func TestISCASMetricHashes(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -28,6 +30,7 @@ func TestISCASMetricHashes(t *testing.T) {
 		{"c1355", 2, 0xf141331ecc7ae521, Stats{Rounds: 2, Injections: 316, TreeNets: 13101, Converged: true, MaxFlow: 1.0201000000000005}},
 		{"c2670", 1, 0x015a9f671b974504, Stats{Rounds: 2, Injections: 225, TreeNets: 18572, Converged: true, MaxFlow: 0.7801000000000003}},
 		{"c2670", 2, 0x30dcb3edff85e806, Stats{Rounds: 2, Injections: 288, TreeNets: 23075, Converged: true, MaxFlow: 1.1401000000000006}},
+		{"c7552", 1, 0x7550c4f0ff58aa03, Stats{Rounds: 2, Injections: 239, TreeNets: 50404, Converged: true, MaxFlow: 0.7601000000000003}},
 	}
 	for _, tc := range cases {
 		cs, err := circuits.ByName(tc.name)

@@ -52,9 +52,6 @@ func (s *Summary) init() {
 // AcquiresSorted returns the acquired lock identities in stable order.
 func (s *Summary) AcquiresSorted() []string { return sortedSet(s.Acquires) }
 
-// ReleasesSorted returns the released lock identities in stable order.
-func (s *Summary) ReleasesSorted() []string { return sortedSet(s.Releases) }
-
 func sortedSet(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -2,7 +2,8 @@
 // increasing distance from a root: the primitive behind the separation of
 // spreading constraints in Kuo & Cheng's Algorithm 2. HyperSPT.Grow reports
 // every settled node with the net and pin that reached it; HyperSPT.Settle
-// runs the same search for callers that only need the distances.
+// settles the same distances for callers that need nothing else, queueing
+// nets instead of nodes.
 package shortest
 
 import (
@@ -17,16 +18,18 @@ import (
 // length(e). This is the hypergraph extension of the paper's S(v,k) trees —
 // nodes are settled in increasing distance from the root.
 //
-// It offers two passes of the same Dijkstra over the same workspaces:
+// It offers two passes over the same workspaces, which settle the same
+// distances:
 //
 //   - Grow records the tree: for every settled node, the net that connected
 //     it (its "shortest connecting edge") and the pin it came from. Its
 //     frontier is an indexed binary heap, so ties settle in one fixed
 //     order. Lengths may be finite values of either sign.
-//   - Settle reports only (node, distance). Its frontier is a radix heap,
-//     where a push costs one list link. Ties may settle in another order
-//     than Grow's, but the distance sequence is the same, bit for bit.
-//     Lengths must be finite and non-negative.
+//   - Settle reports only (node, distance). Its frontier is a radix heap
+//     of nets: each reached net is pushed once, with its only useful
+//     offer, and its pins are read only when it pops. Ties may settle in
+//     another order than Grow's, but the distance sequence is the same,
+//     bit for bit. Lengths must be finite and non-negative.
 //
 // The struct owns reusable workspaces so that Algorithm 2, which grows trees
 // from every node over many rounds, allocates nothing per growth after the
@@ -36,8 +39,9 @@ type HyperSPT struct {
 	h *hypergraph.Hypergraph
 
 	// key[v] is +Inf while v is untouched, its tentative distance while it
-	// waits in the frontier, and -Inf once settled, so `nd < key[u]` is the
-	// whole relaxation test for any finite offer nd.
+	// waits in Grow's frontier, and -Inf once settled, so `nd < key[u]` is
+	// the whole relaxation test for any finite offer nd. Settle's frontier
+	// holds nets, so it only ever sets -Inf.
 	key    []float64
 	via    []hypergraph.NetID  // net that reached v; -1 for the root
 	parent []hypergraph.NodeID // pin of via already in the tree; -1 for the root
@@ -45,7 +49,7 @@ type HyperSPT struct {
 	netGen []uint32
 	gen    uint32
 	heap   *pqueue.IndexedMinHeap // Grow's frontier
-	radix  radixQueue             // Settle's frontier, allocated by the first Settle
+	radix  netQueue               // Settle's frontier, allocated by the first Settle
 	touch  []hypergraph.NodeID    // nodes whose key must be reset before the next growth
 }
 

@@ -7,160 +7,151 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// Settle runs Grow's Dijkstra from root, with net e's length given by
-// lengths[e], and reports every settled node and its distance to visit in
-// increasing distance order (the root first, at distance 0). Growth stops
-// when visit returns false or when every reachable node is settled. It
-// returns the number of settled nodes.
+// Settle grows the distances Grow would from root, with net e's length
+// given by lengths[e], and reports every settled node and its distance to
+// visit in increasing distance order (the root first, at distance 0).
+// Growth stops when visit returns false or when every reachable node is
+// settled. It returns the number of settled nodes.
 //
-// Settle keeps no tree, and its frontier is a radix heap instead of Grow's
-// indexed binary heap: a push is one list link, so a node that is reached
-// but never settled costs O(1) instead of a sift. Tied nodes may settle in
-// another order than Grow's, but the sequence of distances is Grow's, bit
-// for bit. Each distance is a minimum over float offers, and float
-// addition is monotone, so it does not depend on which tied node settled
-// first.
+// Settle keeps no tree, and its frontier holds nets instead of nodes. When
+// a node settles at distance d, each of its nets not yet queued is pushed
+// once with key d + lengths[e]: as in Grow, the first settled pin of a net
+// makes the net's only useful offer. Popping net e at key k settles every
+// still-unsettled pin of e at distance k and pushes that pin's unqueued
+// nets. There is no decrease-key, and a net that never pops never has its
+// pins read.
+//
+// This is exact. A node's distance is the minimum over its nets of (the
+// net's first settled pin's distance + its length), the same float offers
+// Grow takes. The first of u's nets to pop carries that minimum: every
+// smaller key pops first, and a net pushed later gets a key at least the
+// one popped last, because lengths are non-negative. So the sequence of
+// distances is Grow's, bit for bit. Tied nodes may settle in another order
+// than Grow's.
 //
 // lengths must hold one finite, non-negative entry per net, and stay
-// unmodified for the duration of the call. The radix heap orders keys by
-// their IEEE bits, and that order is the numeric one only for keys ≥ 0.
+// unmodified for the duration of the call. The frontier is a radix heap
+// over the keys' IEEE bits, and that order is the numeric one only for
+// keys ≥ 0.
 func (s *HyperSPT) Settle(root hypergraph.NodeID, lengths []float64, visit func(hypergraph.NodeID, float64) bool) int {
 	s.reset()
 	s.gen++
 	q := &s.radix
 	if q.next == nil {
-		q.init(len(s.key))
+		q.init(len(s.netGen))
 	}
 	q.reset()
 	key, netGen, gen := s.key, s.netGen, s.gen
 	incOff, incident := s.h.IncidenceArena()
 	pinOff, pins := s.h.PinArena()
 	inf, settledKey := math.Inf(1), math.Inf(-1)
-	key[root] = 0
-	s.touch = append(s.touch, root)
-	q.link(root, 0)
 
+	// The root settles as the one pin of a net popped at key 0.
+	rootPin := [1]hypergraph.NodeID{root}
+	popped, k := rootPin[:], 0.0
 	settled := 0
-	//htpvet:allow ctxpoll -- each iteration settles a node, so the loop is bounded by reached nodes; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
-	for q.used != 0 {
-		v := q.pop(key)
-		dv := key[v]
-		key[v] = settledKey
-		settled++
-		if !visit(v, dv) {
-			break
-		}
-		for _, e := range incident[incOff[v]:incOff[v+1]] {
-			// As in Grow, the first settled pin of a net makes the net's
-			// only useful offer.
-			if netGen[e] == gen {
+	//htpvet:allow ctxpoll -- each iteration pops a queued net, and a net is queued at most once, so the loop is bounded by reached nets; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
+	for {
+		for _, u := range popped {
+			if key[u] != inf {
 				continue
 			}
-			netGen[e] = gen
-			nd := dv + lengths[e]
-			for _, u := range pins[pinOff[e]:pinOff[e+1]] {
-				if ku := key[u]; nd < ku {
-					if ku == inf {
-						s.touch = append(s.touch, u)
-						q.link(u, q.bucket(nd))
-					} else if b := q.bucket(nd); b != q.bucket(ku) {
-						q.unlink(u, ku)
-						q.link(u, b)
-					}
-					key[u] = nd
+			key[u] = settledKey
+			s.touch = append(s.touch, u)
+			settled++
+			if !visit(u, k) {
+				return settled
+			}
+			for _, e := range incident[incOff[u]:incOff[u+1]] {
+				if netGen[e] != gen {
+					netGen[e] = gen
+					q.push(e, k+lengths[e])
 				}
 			}
 		}
+		if q.used == 0 {
+			return settled
+		}
+		var e hypergraph.NetID
+		e, k = q.pop()
+		popped = pins[pinOff[e]:pinOff[e+1]]
 	}
-	return settled
 }
 
-// radixQueue is Settle's frontier: a radix heap (Ahuja, Mehlhorn, Orlin &
-// Tarjan, JACM 1990) over the IEEE bits of non-negative float64 keys, which
-// it reads from the grower's key array. Dijkstra never queues a key below
-// the one it popped last (last), so a key k lives in bucket
-// bits.Len64(k^last): bucket 0 holds keys equal to last, and bucket b > 0
-// keys that agree with last above bit b-1 and have that bit set. Pop takes
-// from bucket 0; when it is empty, the smallest key of the lowest non-empty
-// bucket becomes last and that bucket's keys move to lower buckets, while
-// every other key stays where it is. So a queued node's bucket is always a
-// function of its key, and no per-node bucket is stored.
+// netQueue is Settle's frontier: a push-only radix heap (Ahuja, Mehlhorn,
+// Orlin & Tarjan, JACM 1990) over the IEEE bits of non-negative float64
+// net keys. Dijkstra never queues a key below the one it popped last
+// (last), so a key k lives in bucket bits.Len64(k^last): bucket 0 holds
+// keys equal to last, and bucket b > 0 keys that agree with last above bit
+// b-1 and have that bit set. Pop takes from bucket 0; when it is empty, the
+// smallest key of the lowest non-empty bucket becomes last and that
+// bucket's keys move to lower buckets, while every other key stays where it
+// is.
 //
-// Buckets are doubly linked lists threaded through per-node arrays (8 B per
-// node): a push is one link, and a key decrease that changes the bucket is
-// one unlink and one link.
-type radixQueue struct {
-	next, prev []hypergraph.NodeID // bucket list links; -1 ends a list
-	head       [64]hypergraph.NodeID
-	used       uint64 // bit b is set while bucket b is not empty
-	last       uint64 // bits of the key popped last
+// Each net is pushed at most once per growth and its key never changes, so
+// the buckets are singly linked lists threaded through per-net arrays, with
+// the key's bits stored beside the link: 12 B per net.
+type netQueue struct {
+	next []hypergraph.NetID // bucket list links; -1 ends a list
+	key  []uint64           // bits of each queued net's key
+	head [64]hypergraph.NetID
+	used uint64 // bit b is set while bucket b is not empty
+	last uint64 // bits of the key popped last
 }
 
-func (q *radixQueue) init(n int) {
-	links := make([]hypergraph.NodeID, 2*n)
-	q.next, q.prev = links[:n:n], links[n:]
+func (q *netQueue) init(m int) {
+	q.next = make([]hypergraph.NetID, m)
+	q.key = make([]uint64, m)
 }
 
-// reset empties the queue. The list links of the nodes left in it are
-// overwritten when they are linked again.
-func (q *radixQueue) reset() {
+// reset empties the queue. The links and keys of the nets left in it are
+// overwritten when they are pushed again.
+func (q *netQueue) reset() {
 	q.used, q.last = 0, 0
 }
 
-// bucket returns the bucket of key k. Keys are non-negative, so bit 63 of
-// k^last is clear and the bucket is at most 63.
-func (q *radixQueue) bucket(k float64) int {
-	return bits.Len64(math.Float64bits(k) ^ q.last)
+// push queues net e with key k, which must not be below the key popped
+// last.
+func (q *netQueue) push(e hypergraph.NetID, k float64) {
+	kb := math.Float64bits(k)
+	q.key[e] = kb
+	q.link(e, kb)
 }
 
-// link pushes v onto the front of bucket b.
-func (q *radixQueue) link(v hypergraph.NodeID, b int) {
-	h := hypergraph.NodeID(-1)
+// link puts net e, whose key bits are kb, at the front of its bucket.
+// Keys are non-negative, so bit 63 of kb^last is clear and the bucket is at
+// most 63.
+func (q *netQueue) link(e hypergraph.NetID, kb uint64) {
+	b := bits.Len64(kb ^ q.last)
+	q.next[e] = -1
 	if q.used&(1<<b) != 0 {
-		h = q.head[b]
-		q.prev[h] = v
+		q.next[e] = q.head[b]
 	}
-	q.next[v], q.prev[v] = h, -1
-	q.head[b] = v
+	q.head[b] = e
 	q.used |= 1 << b
 }
 
-// unlink removes v, whose key is k, from its bucket.
-func (q *radixQueue) unlink(v hypergraph.NodeID, k float64) {
-	p, n := q.prev[v], q.next[v]
-	if p >= 0 {
-		q.next[p] = n
-	} else {
-		b := q.bucket(k)
-		q.head[b] = n
-		if n < 0 {
-			q.used &^= 1 << b
-		}
-	}
-	if n >= 0 {
-		q.prev[n] = p
-	}
-}
-
-// pop removes and returns a node with the smallest key. The queue must not
-// be empty.
-func (q *radixQueue) pop(key []float64) hypergraph.NodeID {
+// pop removes and returns a net with the smallest key, and that key. The
+// queue must not be empty.
+func (q *netQueue) pop() (hypergraph.NetID, float64) {
 	if q.used&1 == 0 {
 		b := bits.TrailingZeros64(q.used)
 		first := q.head[b]
-		low := math.Float64bits(key[first])
-		for v := q.next[first]; v >= 0; v = q.next[v] {
-			low = min(low, math.Float64bits(key[v]))
+		low := q.key[first]
+		for e := q.next[first]; e >= 0; e = q.next[e] {
+			low = min(low, q.key[e])
 		}
 		q.last = low
 		q.used &^= 1 << b
-		for v := first; v >= 0; {
-			n := q.next[v]
-			q.link(v, q.bucket(key[v]))
-			v = n
+		for e := first; e >= 0; {
+			n := q.next[e]
+			q.link(e, q.key[e])
+			e = n
 		}
 	}
-	v := q.head[0]
-	q.unlink(v, key[v])
-	return v
+	e := q.head[0]
+	if q.head[0] = q.next[e]; q.head[0] < 0 {
+		q.used &^= 1
+	}
+	return e, math.Float64frombits(q.last)
 }

@@ -652,7 +652,8 @@ func TestGrowLengthsEarlyStop(t *testing.T) {
 // non-negative families (ties from {0,1,2,3}, uniform, near exp(60)-1) or
 // one of three that stress the radix heap's ties and bucket range: one
 // length on every net, all zeros, and a log-uniform spread over
-// 1e-300..1e26.
+// 1e-300..1e26. Shape bit 2 adds one of addFrontierCase's cases, picked by
+// shape>>3 mod 3.
 func newSettleCase(seed int64, nodes uint16, shape, lenMode uint8, stop uint16) growCase {
 	mode := lenMode % 6
 	c := newGrowCase(seed, nodes, shape, [3]uint8{0, 1, 3}[mode%3], stop)
@@ -668,7 +669,55 @@ func newSettleCase(seed int64, nodes uint16, shape, lenMode uint8, stop uint16) 
 			c.lengths[e] = math.Pow(10, -300+326*rng.Float64())
 		}
 	}
+	if shape&4 != 0 {
+		addFrontierCase(&c, rng, shape>>3%3)
+	}
 	return c
+}
+
+// addFrontierCase adds nets to c that stress Settle's net-keyed frontier:
+//   - 0: one net over every node, as long as a random net of c;
+//   - 1: a twin of every net, over the same pins and 2l+1 long, so every
+//     pin of a twin has settled by the time the twin pops;
+//   - 2: one zero-length net over every node, every other length raised by
+//     1, and the stop after 2..n-1 settles: the root's first pop settles
+//     every other node at distance 0, and the stop lands inside that net's
+//     pin list.
+func addFrontierCase(c *growCase, rng *rand.Rand, which uint8) {
+	n, m := c.h.NumNodes(), c.h.NumNets()
+	b := hypergraph.NewBuilder()
+	b.AddUnitNodes(n)
+	for e := range m {
+		b.AddNet("", 1, c.h.Pins(hypergraph.NetID(e))...)
+	}
+	all := make([]hypergraph.NodeID, n)
+	for i, v := range rng.Perm(n) {
+		all[i] = hypergraph.NodeID(v)
+	}
+	switch which {
+	case 0:
+		l := 1.0
+		if m > 0 {
+			l = c.lengths[rng.Intn(m)]
+		}
+		b.AddNet("", 1, all...)
+		c.lengths = append(c.lengths, l)
+	case 1:
+		for e := range m {
+			b.AddNet("", 1, c.h.Pins(hypergraph.NetID(e))...)
+			c.lengths = append(c.lengths, 2*c.lengths[e]+1)
+		}
+	default:
+		for e := range c.lengths {
+			c.lengths[e]++
+		}
+		b.AddNet("", 1, all...)
+		c.lengths = append(c.lengths, 0)
+		if n > 2 {
+			c.stopK = 2 + c.stopK%(n-2)
+		}
+	}
+	c.h = b.MustBuild()
 }
 
 // checkSettleMatchesGrow grows every root of c with Settle and with Grow
@@ -731,8 +780,13 @@ func checkSettleMatchesGrow(t *testing.T, c growCase) {
 
 func TestSettleMatchesGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
-	for trial := 0; trial < 96; trial++ {
-		c := newSettleCase(rng.Int63(), uint16(rng.Intn(400)), uint8(trial), uint8(trial/4), uint16(rng.Intn(3)*rng.Intn(400)))
+	for trial := 0; trial < 144; trial++ {
+		// The last 48 trials add each frontier case under every length family.
+		shape := uint8(trial) & 3
+		if trial >= 96 {
+			shape |= 4 | uint8(trial%3)<<3
+		}
+		c := newSettleCase(rng.Int63(), uint16(rng.Intn(400)), shape, uint8(trial/4), uint16(rng.Intn(3)*rng.Intn(400)))
 		checkSettleMatchesGrow(t, c)
 	}
 }
@@ -744,12 +798,16 @@ func FuzzSettleMatchesGrow(f *testing.F) {
 	f.Add(int64(4), uint16(350), uint8(3), uint8(3), uint16(0))
 	f.Add(int64(5), uint16(120), uint8(2), uint8(4), uint16(40))
 	f.Add(int64(6), uint16(300), uint8(0), uint8(5), uint16(0))
+	f.Add(int64(7), uint16(250), uint8(4), uint8(1), uint16(0))
+	f.Add(int64(8), uint16(180), uint8(4|1<<3|2), uint8(3), uint16(0))
+	f.Add(int64(9), uint16(90), uint8(4|2<<3), uint8(5), uint16(33))
+	f.Add(int64(10), uint16(320), uint8(4|1<<3), uint8(0), uint16(150))
 	f.Fuzz(func(t *testing.T, seed int64, nodes uint16, shape, lenMode uint8, stop uint16) {
 		checkSettleMatchesGrow(t, newSettleCase(seed, nodes, shape, lenMode, stop))
 	})
 }
 
-// TestSettleAllocatesNothing checks that Settle, once its radix heap is
+// TestSettleAllocatesNothing checks that Settle, once its frontier is
 // allocated, runs without allocating.
 func TestSettleAllocatesNothing(t *testing.T) {
 	c := newSettleCase(7, 300, 2, 1, 0)
