@@ -86,9 +86,13 @@ verify-quick:
 # paper-table benchmarks. EXPERIMENTS.md quotes these files. GOMAXPROCS=1
 # keeps the -N suffix off the names, so `make benchdiff` finds them on any
 # CPU count; the benchmarks that measure parallelism (Alg2Scaling's wN,
-# FlowSchedule's procsN) pin their own.
+# FlowSchedule's procsN) pin their own. The scaling half runs every
+# benchmark 5 times and benchjson records each unit's median, so one slow
+# run on a shared box does not set a row's time that DESIGN.md and
+# EXPERIMENTS.md quote (a single run moved rows of unchanged code by up to
+# 2x). allocs/op is the same on every run of a sequential row.
 bench:
-	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Alg2Scaling|Alg2Coarse|Alg3Scaling|FlowSchedule|MultilevelScaling|FlowRefine|Uncoarsen|FlatRefine' -benchmem -timeout 3600s . \
+	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Alg2Scaling|Alg2Coarse|Alg3Scaling|FlowSchedule|MultilevelScaling|FlowRefine|Uncoarsen|FlatRefine' -count=5 -benchmem -timeout 3600s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_alg2.json
 	GOMAXPROCS=1 $(GO) test -run=NONE -bench='Table1|Table2|Table3' -benchmem -timeout 1800s . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_tables.json

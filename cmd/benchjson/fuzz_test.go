@@ -8,9 +8,10 @@ import (
 
 // FuzzBenchjsonParse feeds arbitrary text through parse and checks the
 // structural invariants every downstream consumer of the JSON relies on:
-// result names carry the Benchmark prefix, iteration counts are positive,
-// every result has at least one metric, and the whole report marshals to
-// JSON (which rejects NaN/Inf, so no such value may survive parsing).
+// result names carry the Benchmark prefix and appear once, iteration and
+// run counts are positive, every result has at least one metric, and the
+// whole report marshals to JSON (which rejects NaN/Inf, so no such value
+// may survive parsing).
 func FuzzBenchjsonParse(f *testing.F) {
 	f.Add("goos: linux\ngoarch: amd64\npkg: repro\ncpu: Xeon\n" +
 		"BenchmarkFoo/sub-8   \t     123\t   9876543 ns/op\t      12 B/op\t       3 allocs/op\nPASS\n")
@@ -24,18 +25,24 @@ func FuzzBenchjsonParse(f *testing.F) {
 	f.Add("Benchmark")
 	f.Add("")
 	f.Add("pkg: \ncpu: \nok  \trepro\t1.2s\n")
+	f.Add("BenchmarkRep 9000000000000000000 1 ns/op\nBenchmarkRep 9000000000000000000 3 ns/op 2 B/op\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		rep, err := parse(strings.NewReader(input))
 		if err != nil {
 			return // scanner errors (e.g. over-long lines) are the caller's problem
 		}
+		seen := map[string]bool{}
 		for _, r := range rep.Results {
 			if !strings.HasPrefix(r.Name, "Benchmark") {
 				t.Fatalf("result name %q lacks the Benchmark prefix", r.Name)
 			}
-			if r.Iters <= 0 {
-				t.Fatalf("result %q has non-positive iteration count %d", r.Name, r.Iters)
+			if seen[r.Name] {
+				t.Fatalf("result name %q appears twice", r.Name)
+			}
+			seen[r.Name] = true
+			if r.Iters <= 0 || r.Runs <= 0 {
+				t.Fatalf("result %q has non-positive iteration or run count %d, %d", r.Name, r.Iters, r.Runs)
 			}
 			if len(r.Metrics) == 0 {
 				t.Fatalf("result %q has no metrics", r.Name)

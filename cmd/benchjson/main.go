@@ -5,10 +5,12 @@
 //
 //	go test -run=NONE -bench=Alg2Scaling -benchmem . | benchjson -o BENCH_alg2.json
 //
-// Every benchmark line becomes one record carrying the sub-benchmark path,
-// iteration count, ns/op, and any further unit pairs the line reports
-// (B/op, allocs/op, and custom b.ReportMetric units like cost). Context
-// lines (goos/goarch/pkg/cpu) land in the header.
+// Every benchmark becomes one record carrying the sub-benchmark path,
+// iteration count, ns/op, and any further unit pairs its line reports
+// (B/op, allocs/op, and custom b.ReportMetric units like cost). Lines that
+// share a name, as `go test -count=N` prints them, fold into one record
+// whose units are the medians over the repeats and which carries the
+// repeat count. Context lines (goos/goarch/pkg/cpu) land in the header.
 package main
 
 import (
@@ -19,20 +21,25 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark line: name, parallelism suffix stripped from the
-// name, iterations, and a unit -> value map ("ns/op", "B/op", ...).
+// Result is one benchmark: its name, iterations, a unit -> value map
+// ("ns/op", "B/op", ...), and the number of runs folded into it. Over
+// several runs, Iters and every unit are medians: the middle run's value,
+// or the lower of the two middle values for an even count, so each is a
+// value some run reported.
 type Result struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
 	Metrics map[string]float64 `json:"metrics"`
+	Runs    int                `json:"runs"`
 }
 
-// Report is the whole document: environment header plus results in input
-// order.
+// Report is the whole document: environment header plus results in the
+// order their names first appear.
 type Report struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
@@ -66,8 +73,8 @@ func main() {
 
 // parse reads `go test -bench` text output and builds the Report: header
 // context lines fill the environment fields, benchmark result lines become
-// Results in input order, and anything unrecognized (PASS/FAIL, test logs,
-// garbled lines) is skipped rather than treated as an error.
+// Results (one per name, see fold), and anything unrecognized (PASS/FAIL,
+// test logs, garbled lines) is skipped rather than treated as an error.
 func parse(in io.Reader) (Report, error) {
 	rep := Report{Results: []Result{}}
 	sc := bufio.NewScanner(in)
@@ -89,7 +96,50 @@ func parse(in io.Reader) (Report, error) {
 			}
 		}
 	}
+	rep.Results = fold(rep.Results)
 	return rep, sc.Err()
+}
+
+// fold merges the results that share a name into one, in first-seen order.
+// One run's ns/op at the default benchtime moves by far more than the code
+// does; the median of repeats is steadier.
+func fold(rs []Result) []Result {
+	idx := map[string]int{}
+	var runs [][]Result
+	for _, r := range rs {
+		i, ok := idx[r.Name]
+		if !ok {
+			i = len(runs)
+			idx[r.Name] = i
+			runs = append(runs, nil)
+		}
+		runs[i] = append(runs[i], r)
+	}
+	out := make([]Result, 0, len(runs))
+	for _, g := range runs {
+		f := Result{Name: g[0].Name, Metrics: map[string]float64{}, Runs: len(g)}
+		iters := make([]int64, len(g))
+		vals := map[string][]float64{}
+		for i, r := range g {
+			iters[i] = r.Iters
+			for u, v := range r.Metrics {
+				vals[u] = append(vals[u], v)
+			}
+		}
+		f.Iters = median(iters)
+		for u, vs := range vals {
+			f.Metrics[u] = median(vs)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle of vs, the lower middle for an even count. It
+// sorts vs in place.
+func median[T int64 | float64](vs []T) T {
+	slices.Sort(vs)
+	return vs[(len(vs)-1)/2]
 }
 
 // parseLine decodes one benchmark result line of the form

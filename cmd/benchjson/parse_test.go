@@ -74,3 +74,39 @@ func TestParseEmptyInput(t *testing.T) {
 		t.Fatalf("want empty non-nil results, got %#v", rep.Results)
 	}
 }
+
+// TestParseFoldsRepeatedRows: `go test -count=3` prints each benchmark three
+// times, interleaved with the others; each name becomes one record, in
+// first-seen order, whose units are the per-unit medians and whose Runs
+// counts the repeats. An even count takes the lower middle value.
+func TestParseFoldsRepeatedRows(t *testing.T) {
+	const in = `BenchmarkA/n1	10	300 ns/op	16 B/op	2 allocs/op
+BenchmarkB	4	50 ns/op
+BenchmarkA/n1	12	100 ns/op	16 B/op	2 allocs/op	7 cost
+BenchmarkB	6	70 ns/op
+BenchmarkA/n1	11	200 ns/op	48 B/op	3 allocs/op
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 2 {
+		t.Fatalf("got %d results, want one per name: %+v", len(rep.Results), rep.Results)
+	}
+	a, b := rep.Results[0], rep.Results[1]
+	if a.Name != "BenchmarkA/n1" || a.Runs != 3 || a.Iters != 11 {
+		t.Fatalf("A = %+v, want 3 runs with median iters 11", a)
+	}
+	want := map[string]float64{"ns/op": 200, "B/op": 16, "allocs/op": 2, "cost": 7}
+	if len(a.Metrics) != len(want) {
+		t.Fatalf("A metrics = %v, want %v", a.Metrics, want)
+	}
+	for u, v := range want {
+		if a.Metrics[u] != v {
+			t.Fatalf("A metrics = %v, want %v", a.Metrics, want)
+		}
+	}
+	if b.Name != "BenchmarkB" || b.Runs != 2 || b.Iters != 4 || b.Metrics["ns/op"] != 50 {
+		t.Fatalf("B = %+v, want 2 runs, lower-middle iters 4 and ns/op 50", b)
+	}
+}

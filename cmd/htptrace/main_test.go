@@ -111,6 +111,55 @@ func TestJobFilterSplitsTraces(t *testing.T) {
 	}
 }
 
+// requireNamedSpans fails for every span of tr that no event names, which
+// the table would print as "span-N".
+func requireNamedSpans(t *testing.T, tr *tree) {
+	t.Helper()
+	for _, n := range tr.nodes {
+		if n.nameRank == 0 {
+			t.Errorf("span %d (%d events, %.1fms) carries no name", n.span, n.events, n.totalMS)
+		}
+	}
+}
+
+// TestFlatPipelineTraceNamesEverySpan traces each flat "+" pipeline on
+// c1355: the constructor's run span nests under the pipeline's, and its
+// stop, which the pipeline suppresses, must still leave it a name.
+func TestFlatPipelineTraceNamesEverySpan(t *testing.T) {
+	cs, err := circuits.ByName("c1355")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := circuits.Generate(cs, 1)
+	spec, err := hierarchy.BinaryTreeSpec(h.TotalSize(), 4, hierarchy.GeometricWeights(4, 2), 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"flow+", "rfm+", "gfm+"} {
+		var b bytes.Buffer
+		sink := obs.NewJSONLSink(&b)
+		if _, _, err := htp.PipelineCtx(context.Background(), h, spec, htp.Pipeline{
+			Algo: algo, Flow: htp.FlowOptions{Iterations: 2}, Observer: sink,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		trees, err := readTrees(bytes.NewReader(b.Bytes()), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trees) != 1 || len(trees[0].roots) != 1 || trees[0].roots[0].name != "run" {
+			t.Fatalf("%s: want one tree with one root named run", algo)
+		}
+		if stops := strings.Count(b.String(), `"ev":"stop"`); stops != 1 {
+			t.Fatalf("%s: trace has %d stop events, want exactly 1", algo, stops)
+		}
+		requireNamedSpans(t, trees[0])
+	}
+}
+
 // TestMultilevelTraceReconstruction is the acceptance pin: trace a real
 // multilevel run on a 65536-gate synthetic circuit, rebuild the span tree,
 // and check the top-level phase totals account for the measured wall clock
@@ -188,6 +237,7 @@ func TestMultilevelTraceReconstruction(t *testing.T) {
 	if coarsenLevels == 0 || uncoarsenLevels == 0 {
 		t.Fatalf("level spans missing: %d coarsen, %d uncoarsen", coarsenLevels, uncoarsenLevels)
 	}
+	requireNamedSpans(t, tr)
 	t.Logf("wall %.0fms, root %.0fms, %d spans, %d coarsen + %d uncoarsen levels",
 		wallMS, root.totalMS, len(tr.nodes), coarsenLevels, uncoarsenLevels)
 }

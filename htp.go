@@ -303,7 +303,9 @@ func FlowRefineCtx(ctx context.Context, p *Partition, opt FlowRefineOptions) (co
 // SpreadingMetric is a fractional length assignment d(e) over nets.
 type SpreadingMetric = metric.Metric
 
-// InjectOptions tunes the stochastic flow injection (Algorithm 2).
+// InjectOptions tunes the stochastic flow injection (Algorithm 2): α,
+// Δ, the round budget, the random source and the worker count. The initial
+// flow ε (1e-4) and the exponent cap (60) are fixed.
 type InjectOptions = inject.Options
 
 // InjectStats reports the flow-injection work.
@@ -387,7 +389,10 @@ func Figure2Partition() *Partition { return circuits.Figure2Partition() }
 // ---- Related formulations (internal/ratiocut, internal/treemap) ----
 
 // RatioCutOptions tunes the stochastic flow-injection ratio-cut
-// bipartitioner (the Yeh-Cheng-Lin / Lang-Rao lineage the paper builds on).
+// bipartitioner (the Yeh-Cheng-Lin / Lang-Rao lineage the paper builds on):
+// the number of routed pairs and the random source. Its injection and
+// sweep schedule (Δ = 0.1, α = 2, ε = 1e-4, exponent cap 60, 8 sweeps) is
+// fixed.
 type RatioCutOptions = ratiocut.Options
 
 // RatioCutResult reports a ratio-cut bipartition.

@@ -28,16 +28,26 @@ type proposal struct {
 	err   error
 }
 
+const (
+	// maxPairSpan skips nets whose pins touch more than this many leaves
+	// during pair seeding: they would seed a quadratic pair fan-out while
+	// almost never becoming pair-internal.
+	maxPairSpan = 8
+	// corridorNodes caps the corridor size per block side, on top of the
+	// slack-derived size budget.
+	corridorNodes = 2048
+)
+
 // collectPairs enumerates adjacent leaf pairs from the boundary scan: every
-// crossing net with at most MaxPairSpan distinct leaves contributes each of
+// crossing net with at most maxPairSpan distinct leaves contributes each of
 // its leaf pairs. Pairs come out in first-witness order — index-derived and
 // therefore deterministic; the map is only a membership index and is never
 // ranged over.
 func collectPairs(p *hierarchy.Partition, opt Options) []*pairTask {
-	crossing, _ := fm.CollectBoundary(p, opt.MaxNetScan)
+	crossing, _ := fm.CollectBoundary(p)
 	idx := make(map[int64]int)
 	var pairs []*pairTask
-	leaves := make([]int32, 0, opt.MaxPairSpan+1)
+	leaves := make([]int32, 0, maxPairSpan+1)
 	for _, e := range crossing {
 		leaves = leaves[:0]
 		tooWide := false
@@ -53,7 +63,7 @@ func collectPairs(p *hierarchy.Partition, opt Options) []*pairTask {
 			if known {
 				continue
 			}
-			if len(leaves) == opt.MaxPairSpan {
+			if len(leaves) == maxPairSpan {
 				tooWide = true
 				break
 			}
@@ -147,7 +157,7 @@ func solvePair(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostSt
 			side = 1
 		}
 		s := p.H.NodeSize(hypergraph.NodeID(u))
-		if count[side] >= opt.CorridorNodes || budget[side] < s {
+		if count[side] >= corridorNodes || budget[side] < s {
 			return false
 		}
 		count[side]++
@@ -188,7 +198,7 @@ func solvePair(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostSt
 		u := hypergraph.NodeID(sc.corridor[qi])
 		for _, e := range p.H.Incident(u) {
 			pins := p.H.Pins(e)
-			if len(pins) > opt.MaxNetScan {
+			if len(pins) > fm.MaxNetScan {
 				continue
 			}
 			for _, v := range pins {
@@ -216,7 +226,7 @@ func solvePair(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostSt
 			}
 			sc.netGen[e] = gen
 			pins := p.H.Pins(e)
-			if len(pins) > opt.MaxNetScan {
+			if len(pins) > fm.MaxNetScan {
 				continue
 			}
 			lo := len(sc.pins)

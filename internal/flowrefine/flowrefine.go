@@ -39,22 +39,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Options tunes the pairwise flow refinement.
+// Options tunes the pairwise flow refinement. Its caps are constants:
+// fm.MaxNetScan on net size everywhere (pair seeding, corridor growth, the
+// flow model), maxPairSpan and corridorNodes.
 type Options struct {
 	// MaxRounds bounds the sweeps over the adjacent-pair list; a round with
 	// no accepted batch ends the refinement early. Default 2.
 	MaxRounds int
-	// MaxNetScan skips nets with more pins than this everywhere: pair
-	// seeding, corridor growth, and the flow model. Giant nets span most
-	// blocks whatever the refiner does. Default 256.
-	MaxNetScan int
-	// MaxPairSpan skips nets whose pins touch more than this many leaves
-	// during pair seeding (they would seed a quadratic pair fan-out while
-	// almost never becoming pair-internal). Default 8.
-	MaxPairSpan int
-	// CorridorNodes caps the corridor size per block side, on top of the
-	// slack-derived size budget. Default 2048.
-	CorridorNodes int
 	// Workers parallelizes the pair solves. Results are bit-identical at
 	// any value. Default 1.
 	Workers int
@@ -78,15 +69,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 2
-	}
-	if o.MaxNetScan == 0 {
-		o.MaxNetScan = 256
-	}
-	if o.MaxPairSpan == 0 {
-		o.MaxPairSpan = 8
-	}
-	if o.CorridorNodes == 0 {
-		o.CorridorNodes = 2048
 	}
 	if o.Workers < 1 {
 		o.Workers = 1

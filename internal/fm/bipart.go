@@ -13,19 +13,18 @@ import (
 	"repro/internal/pqueue"
 )
 
-// BiOptions tunes RefineBipartitionCtx.
+// BiOptions tunes RefineBipartitionCtx. Its pass budget is the constant
+// maxBiPasses (16), not an option.
 type BiOptions struct {
-	// MaxPasses bounds FM passes; each pass moves every free node once and
-	// rolls back to the best prefix. Default 16.
-	MaxPasses int
 	// Rng drives tie-breaking move order. Defaults to a fixed seed.
 	Rng *rand.Rand
 }
 
+// maxBiPasses bounds RefineBipartitionCtx's FM passes; each pass moves
+// every free node once and rolls back to the best prefix.
+const maxBiPasses = 16
+
 func (o BiOptions) withDefaults() BiOptions {
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 16
-	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
 	}
@@ -198,7 +197,7 @@ func (s *bistate) move(v hypergraph.NodeID) float64 {
 func RefineBipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, inA []bool, lbA, ubA int64, opt BiOptions) float64 {
 	opt = opt.withDefaults()
 	var finalCut float64
-	for pass := 0; pass < opt.MaxPasses && ctx.Err() == nil; pass++ {
+	for pass := 0; pass < maxBiPasses && ctx.Err() == nil; pass++ {
 		s := newBistate(h, inA)
 		startCut := s.cut
 		s.pushAll()

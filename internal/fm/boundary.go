@@ -25,14 +25,16 @@ type BoundaryOptions struct {
 	Span obs.SpanScope
 }
 
-// maxNetScan caps the nets the boundary refiner scans for candidate
-// leaves, worklist seeds and re-enqueued neighbours. Giant nets (clock
-// trees, global enables) span most blocks whatever the refiner does;
-// scanning their full pin lists per visited node is the dominant cost on
-// large instances and almost never yields a move. Their pins still
-// participate through every smaller net they touch, and their span terms
-// still count in every move's delta.
-const maxNetScan = 256
+// MaxNetScan caps the nets the boundary refiner scans for candidate
+// leaves, worklist seeds and re-enqueued neighbours, and the nets
+// CollectBoundary returns; internal/flowrefine applies the same cap to its
+// pair seeding, corridor growth and flow model. Giant nets (clock trees,
+// global enables) span most blocks whatever the refiner does; scanning
+// their full pin lists per visited node is the dominant cost on large
+// instances and almost never yields a move. Their pins still participate
+// through every smaller net they touch, and their span terms still count
+// in every move's delta.
+const MaxNetScan = 256
 
 func (o BoundaryOptions) withDefaults() BoundaryOptions {
 	if o.MaxPasses == 0 {
@@ -57,7 +59,7 @@ func (o BoundaryOptions) withDefaults() BoundaryOptions {
 // Moves and feasibility (K_l/C_l via CostState.CanMove) are
 // RefineHierarchicalCtx's, chosen by the same routine (mover). Two things
 // differ: the visit set, and the candidate leaves, which come only from
-// nets of at most maxNetScan pins.
+// nets of at most MaxNetScan pins.
 // Determinism: the worklist is built by index-ordered scans (never map
 // iteration) and shuffled by opt.Rng, so a fixed seed reproduces the run.
 //
@@ -83,8 +85,8 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 	// mark guards worklist membership while a list is being built; entries
 	// are unmarked once the list is adopted so the next pass can rebuild.
 	mark := make([]bool, n)
-	_, work := CollectBoundary(p, maxNetScan)
-	mv := newMover(cs, maxNetScan)
+	_, work := CollectBoundary(p)
+	mv := newMover(cs, MaxNetScan)
 	for pass := 0; pass < opt.MaxPasses && len(work) > 0 && ctx.Err() == nil; pass++ {
 		opt.Rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
 		var next []int
@@ -100,7 +102,7 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 			cs.Apply(v, leaf)
 			for _, e := range p.H.Incident(v) {
 				pins := p.H.Pins(e)
-				if len(pins) > maxNetScan {
+				if len(pins) > MaxNetScan {
 					continue
 				}
 				for _, u := range pins {
@@ -126,19 +128,15 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 // CollectBoundary scans the partition's nets once and returns the crossing
 // nets (pins touching more than one leaf) in ascending net order, plus the
 // distinct pins of those nets in first-touch order — the partition's
-// boundary. Nets with more than maxPins pins are skipped (pass 0 for the
-// boundary refiner's cap, maxNetScan). It is the shared
-// seed scan of the boundary-localized FM worklist and of flowrefine's
-// pairwise corridor extraction; both orders are index-derived, so the result
-// is deterministic.
-func CollectBoundary(p *hierarchy.Partition, maxPins int) (crossing []hypergraph.NetID, nodes []int) {
-	if maxPins == 0 {
-		maxPins = maxNetScan
-	}
+// boundary. Nets with more than MaxNetScan pins are skipped. It is the
+// shared seed scan of the boundary-localized FM worklist and of
+// flowrefine's pairwise corridor extraction; both orders are index-derived,
+// so the result is deterministic.
+func CollectBoundary(p *hierarchy.Partition) (crossing []hypergraph.NetID, nodes []int) {
 	mark := make([]bool, p.H.NumNodes())
 	for e := 0; e < p.H.NumNets(); e++ {
 		pins := p.H.Pins(hypergraph.NetID(e))
-		if len(pins) > maxPins {
+		if len(pins) > MaxNetScan {
 			continue
 		}
 		first := p.LeafOf[pins[0]]

@@ -101,7 +101,7 @@ func newMoveCase(seed int64, nodes, height, slack, base, shape uint8) moveCase {
 			sizes[q] += s
 		}
 	}
-	scan := []int{math.MaxInt, maxNetScan, 5, 4, 3}[int(shape>>1)%5]
+	scan := []int{math.MaxInt, MaxNetScan, 5, 4, 3}[int(shape>>1)%5]
 	return moveCase{p: p, scan: scan, rng: rng}
 }
 

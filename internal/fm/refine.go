@@ -11,10 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// RefineOptions tunes the hierarchical improvement.
+// RefineOptions tunes the hierarchical improvement. Its pass budget is the
+// constant maxRefinePasses (20), not an option.
 type RefineOptions struct {
-	// MaxPasses bounds sweeps over all nodes. Default 20.
-	MaxPasses int
 	// Rng orders the sweep. Defaults to a fixed seed.
 	Rng *rand.Rand
 	// Observer receives one refine-pass event per pass (cost after the
@@ -27,10 +26,10 @@ type RefineOptions struct {
 	Span obs.SpanScope
 }
 
+// maxRefinePasses bounds RefineHierarchicalCtx's sweeps over all nodes.
+const maxRefinePasses = 20
+
 func (o RefineOptions) withDefaults() RefineOptions {
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 20
-	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
 	}
@@ -44,7 +43,8 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // the best capacity-feasible move among candidate leaves (the leaves holding
 // other pins of the node's nets, the natural K-way-FM candidate set), chosen
 // by the routine RefineBoundaryCtx shares (mover) with no net-scan cap.
-// Passes repeat until one yields no improvement or MaxPasses is reached.
+// Passes repeat until one yields no improvement or maxRefinePasses is
+// reached.
 //
 // Returns the final cost and the total improvement (initial − final >= 0).
 // The context is checked on every pass and periodically within a pass.
@@ -75,7 +75,7 @@ func RefineHierarchicalCtx(ctx context.Context, p *hierarchy.Partition, opt Refi
 	}
 	mv := newMover(cs, math.MaxInt)
 
-	for pass := 0; pass < opt.MaxPasses && ctx.Err() == nil; pass++ {
+	for pass := 0; pass < maxRefinePasses && ctx.Err() == nil; pass++ {
 		improved := false
 		opt.Rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for oi, vi := range order {

@@ -100,18 +100,6 @@ func (s Spec) G(x int64) float64 {
 	return g
 }
 
-// MaxCost returns a finite upper bound on any partition's cost for a
-// hypergraph with the given total net capacity and maximum span: every net
-// can cross at most at every level with full weight. Useful as an "infinite"
-// sentinel that still compares sanely.
-func (s Spec) MaxCost(totalNetCapacity float64, maxSpan int) float64 {
-	var wsum float64
-	for _, w := range s.Weight {
-		wsum += w
-	}
-	return wsum*totalNetCapacity*float64(maxSpan) + 1
-}
-
 // BinaryTreeSpec builds the experimental setup of the paper (§4): a full
 // binary tree of the given height over a design of totalSize, i.e.
 // K_l = 2 at every level and C_l sized for a balanced binary split with the

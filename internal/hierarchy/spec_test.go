@@ -138,13 +138,3 @@ func TestGeometricWeights(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxCostExceedsAnyRealCost(t *testing.T) {
-	s := validSpec()
-	// 3 nets of capacity 2, max span 5: any partition cost is below this.
-	bound := s.MaxCost(6, 5)
-	worst := (1.0 + 2.0) * 6 * 5
-	if bound <= worst-1 {
-		t.Fatalf("MaxCost %g is not above worst case %g", bound, worst)
-	}
-}

@@ -56,16 +56,6 @@ func (t *Tree) AddChild(parent int) int {
 	return id
 }
 
-// AddLeafChain creates a chain of single-child vertices from parent down to
-// level 0 and returns the leaf. If parent is at level 1 this is one AddChild.
-func (t *Tree) AddLeafChain(parent int) int {
-	v := parent
-	for t.level[v] > 0 {
-		v = t.AddChild(v)
-	}
-	return v
-}
-
 // AncestorAt returns the ancestor of q at the given level (possibly q
 // itself). It panics if level exceeds q's root path.
 func (t *Tree) AncestorAt(q, level int) int {
@@ -92,55 +82,6 @@ func (t *Tree) Leaves() []int {
 		}
 	}
 	return out
-}
-
-// VerticesAtLevel returns all vertices at the given level in ID order.
-func (t *Tree) VerticesAtLevel(level int) []int {
-	var out []int
-	for q := 0; q < len(t.level); q++ {
-		if int(t.level[q]) == level {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// Graft attaches other's root as a new child of parent in t, returning the
-// mapping from other's vertex IDs to t's vertex IDs. If other's root level
-// is lower than parent.level-1, a chain of intermediate single-child
-// vertices is inserted so the layering invariant holds; the mapped root is
-// the top of that chain (the direct child of parent).
-//
-// This realizes the paper's T + (r ← T') tree-combination step of
-// Algorithm 3.
-func (t *Tree) Graft(parent int, other *Tree) (mapped []int, topChild int) {
-	rootLevel := other.Level(other.Root())
-	if rootLevel >= t.Level(parent) {
-		panic("hierarchy: grafted subtree too tall for parent")
-	}
-	// Chain down from parent to one level above the subtree root; the first
-	// chain vertex (if any) is parent's direct child.
-	attach := parent
-	topChild = -1
-	for t.Level(attach) > rootLevel+1 {
-		attach = t.AddChild(attach)
-		if topChild == -1 {
-			topChild = attach
-		}
-	}
-	mapped = make([]int, other.NumVertices())
-	// Iterating in ID order is safe: parents precede children by construction.
-	for q := 0; q < other.NumVertices(); q++ {
-		if q == other.Root() {
-			mapped[q] = t.AddChild(attach)
-			if topChild == -1 {
-				topChild = mapped[q]
-			}
-		} else {
-			mapped[q] = t.AddChild(mapped[other.Parent(q)])
-		}
-	}
-	return mapped, topChild
 }
 
 // Validate checks the layering invariants.

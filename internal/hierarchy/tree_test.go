@@ -36,25 +36,6 @@ func TestAddChildBelowLeafPanics(t *testing.T) {
 	tr.AddChild(leaf)
 }
 
-func TestAddLeafChain(t *testing.T) {
-	tr := NewTree(3)
-	leaf := tr.AddLeafChain(0)
-	if !tr.IsLeaf(leaf) {
-		t.Fatal("chain end is not a leaf")
-	}
-	// Walk up: levels 0,1,2,3.
-	v, lvl := leaf, 0
-	for v != -1 {
-		if tr.Level(v) != lvl {
-			t.Fatalf("chain level %d at %d", tr.Level(v), v)
-		}
-		v, lvl = tr.Parent(v), lvl+1
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAncestorAt(t *testing.T) {
 	tr := NewTree(3)
 	c := tr.AddChild(0)
@@ -88,59 +69,4 @@ func TestLeavesAndVerticesAtLevel(t *testing.T) {
 			t.Fatalf("leaves = %v, want %v", leaves, want)
 		}
 	}
-	mid := tr.VerticesAtLevel(1)
-	if len(mid) != 2 || mid[0] != a || mid[1] != b {
-		t.Fatalf("level-1 vertices = %v", mid)
-	}
-}
-
-func TestGraftSameHeight(t *testing.T) {
-	tr := NewTree(2)
-	sub := NewTree(1)
-	s0 := sub.AddChild(0)
-	s1 := sub.AddChild(0)
-	mapped, top := tr.Graft(tr.Root(), sub)
-	if tr.Level(top) != 1 {
-		t.Fatalf("grafted root level = %d", tr.Level(top))
-	}
-	if mapped[sub.Root()] != top {
-		t.Fatal("mapped root is not the top child")
-	}
-	if tr.Parent(mapped[s0]) != top || tr.Parent(mapped[s1]) != top {
-		t.Fatal("grafted children misattached")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGraftWithChainPadding(t *testing.T) {
-	tr := NewTree(3)
-	sub := NewTree(0) // a single leaf as a subtree
-	mapped, top := tr.Graft(tr.Root(), sub)
-	if tr.Level(top) != 2 {
-		t.Fatalf("direct child level = %d, want 2", tr.Level(top))
-	}
-	leaf := mapped[sub.Root()]
-	if tr.Level(leaf) != 0 {
-		t.Fatalf("grafted leaf level = %d", tr.Level(leaf))
-	}
-	// Chain must connect leaf up to top and top to root.
-	if tr.AncestorAt(leaf, 2) != top || tr.Parent(top) != tr.Root() {
-		t.Fatal("chain padding broken")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGraftTooTallPanics(t *testing.T) {
-	tr := NewTree(1)
-	sub := NewTree(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.Graft(tr.Root(), sub)
 }

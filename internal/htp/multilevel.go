@@ -103,7 +103,7 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 	// on the finest level instead, after uncoarsening.
 	coarse := p
 	coarse.Seed, coarse.Flow, coarse.FlowRefine = seed, coarseFlow(p.Flow), nil
-	construct, steps, err := coarse.stages()
+	name, construct, steps, err := coarse.stages()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -151,8 +151,9 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 	}
 
 	// Coarse-level construction. The constructor traces into the run's
-	// sink with its terminal stop suppressed, nested under the construct
-	// span; the composed run emits exactly one stop, after flow refinement.
+	// sink nested under the construct span, its terminal stop turned into
+	// a span event named after the algorithm; the composed run emits
+	// exactly one stop, after flow refinement.
 	var st0 time.Time
 	var constructSpan obs.SpanID
 	if sink != nil {
@@ -168,8 +169,9 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 	// spec is feasible at all — so on a non-cancellation construction
 	// failure the engine drops the coarsest level and re-runs the stage one
 	// level finer. Uncoarsening then starts from whatever level solved.
-	stageObs := obs.SuppressStop(sink)
-	res, constructed, err := compose(ctx, stack.Coarsest(), spec, construct, steps, stageObs, stageScope)
+	algo := cmp.Or(p.Algo, "flow")
+	stageObs := obs.SuppressStop(sink, algo)
+	res, constructed, err := compose(ctx, stack.Coarsest(), spec, name, construct, steps, stageObs, stageScope)
 	for err != nil && errors.Is(err, anytime.ErrNoPartition) && ctx.Err() == nil && len(stack.Levels) > 0 {
 		stack.Levels = stack.Levels[:len(stack.Levels)-1]
 		if sink != nil {
@@ -177,7 +179,7 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 				Active: stack.Coarsest().NumNodes(),
 				Detail: "coarsest level unpackable; retrying one level finer"})
 		}
-		res, constructed, err = compose(ctx, stack.Coarsest(), spec, construct, steps, stageObs, stageScope)
+		res, constructed, err = compose(ctx, stack.Coarsest(), spec, name, construct, steps, stageObs, stageScope)
 	}
 	if err != nil {
 		emitStop(sink, "error", 0, start, err)
@@ -186,7 +188,7 @@ func (p Pipeline) vcycle(ctx context.Context, h *hypergraph.Hypergraph, spec hie
 	if sink != nil {
 		obs.Emit(sink, obs.Event{Kind: obs.KindSpan, Phase: "construct",
 			Span: constructSpan, Parent: scope.Parent, Cost: res.Cost,
-			Active: stack.Coarsest().NumNodes(), Detail: cmp.Or(p.Algo, "flow"),
+			Active: stack.Coarsest().NumNodes(), Detail: algo,
 			ElapsedMS: obs.Millis(time.Since(st0))})
 	}
 

@@ -61,12 +61,13 @@ type constructor func(ctx context.Context, h *hypergraph.Hypergraph, spec hierar
 // interrupted step returns the best cost it reached.
 type refineStep func(ctx context.Context, p *hierarchy.Partition, o obs.Observer, span obs.SpanScope) (float64, error)
 
-// stages resolves p.Algo to its constructor and refine steps. It is the
-// only place the names "flow", "rfm" and "gfm", each with an optional
-// "+", are resolved. The refine steps derive their seeds from the
-// constructor's seed (zero defaulted to 1): the FM step uses it plus 7,
-// the flow-refine step uses it as is unless FlowRefine.Seed is set.
-func (p Pipeline) stages() (constructor, []refineStep, error) {
+// stages resolves p.Algo to its constructor's name ("flow", "rfm" or
+// "gfm"), the constructor and its refine steps. It is the only place those
+// names, each with an optional "+", are resolved. The refine steps derive
+// their seeds from the constructor's seed (zero defaulted to 1): the FM
+// step uses it plus 7, the flow-refine step uses it as is unless
+// FlowRefine.Seed is set.
+func (p Pipeline) stages() (string, constructor, []refineStep, error) {
 	algo := p.Algo
 	if algo == "" {
 		algo = "flow"
@@ -103,7 +104,7 @@ func (p Pipeline) stages() (constructor, []refineStep, error) {
 			return GFMCtx(ctx, h, spec, gg)
 		}
 	default:
-		return nil, nil, fmt.Errorf("htp: unknown algorithm %q: %w", p.Algo, anytime.ErrInvalidSpec)
+		return "", nil, nil, fmt.Errorf("htp: unknown algorithm %q: %w", p.Algo, anytime.ErrInvalidSpec)
 	}
 	var steps []refineStep
 	if plus {
@@ -114,7 +115,7 @@ func (p Pipeline) stages() (constructor, []refineStep, error) {
 		fr.Seed = cmp.Or(fr.Seed, seed)
 		steps = append(steps, flowRefineStep(fr))
 	}
-	return construct, steps, nil
+	return base, construct, steps, nil
 }
 
 // fmStep is the "+" step: the hierarchical FM refinement of [9].
@@ -148,18 +149,19 @@ func PipelineCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.S
 	if p.Multilevel != nil {
 		return p.vcycle(ctx, h, spec)
 	}
-	construct, steps, err := p.stages()
+	name, construct, steps, err := p.stages()
 	if err != nil {
 		return nil, 0, err
 	}
-	return compose(ctx, h, spec, construct, steps, p.Observer, p.Span)
+	return compose(ctx, h, spec, name, construct, steps, p.Observer, p.Span)
 }
 
 // compose runs construct and then steps as one traced run. With no steps
 // the constructor's trace is the run's. Otherwise the run enters one span,
-// the constructor's stop is suppressed, and exactly one terminal stop is
-// emitted after the last step, carrying the final cost.
-func compose(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, construct constructor, steps []refineStep, sink obs.Observer, span obs.SpanScope) (*Result, float64, error) {
+// the constructor's stop becomes a span event named after it (name), and
+// exactly one terminal stop is emitted after the last step, carrying the
+// final cost.
+func compose(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, name string, construct constructor, steps []refineStep, sink obs.Observer, span obs.SpanScope) (*Result, float64, error) {
 	if len(steps) == 0 {
 		res, err := construct(ctx, h, spec, sink, span)
 		if err != nil {
@@ -172,7 +174,7 @@ func compose(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec,
 	if sink != nil {
 		start = time.Now()
 	}
-	res, err := construct(ctx, h, spec, obs.SuppressStop(sink), scope)
+	res, err := construct(ctx, h, spec, obs.SuppressStop(sink, name), scope)
 	if err != nil {
 		emitStop(sink, "error", 0, start, err)
 		return nil, 0, err

@@ -2,8 +2,8 @@
 // with sizes and nets (hyperedges) with capacities, connected by pins. It is
 // the input representation for every partitioning algorithm in this module
 // and provides the structural operations they need — induced subgraphs,
-// connected components, cluster contraction, graph expansions, statistics,
-// and a simple hMETIS-style text format.
+// connected components, cluster contraction, cut capacity, statistics, and
+// a simple hMETIS-style text format.
 //
 // Terminology follows Kuo & Cheng (DAC'97): a hypergraph H = (V, E) has
 // |V| = n nodes, |E| = m nets, and p total pins; node v has size s(v) and
@@ -94,15 +94,6 @@ func (h *Hypergraph) IncidenceArena() (off []int32, nets []NetID) { return h.inc
 
 // Degree returns the number of nets incident to v.
 func (h *Hypergraph) Degree(v NodeID) int { return int(h.incOff[v+1] - h.incOff[v]) }
-
-// SizeOf returns the total size of a set of nodes, s(V').
-func (h *Hypergraph) SizeOf(nodes []NodeID) int64 {
-	var s int64
-	for _, v := range nodes {
-		s += h.nodeSizes[v]
-	}
-	return s
-}
 
 // Validate checks internal consistency and the structural rules of a
 // netlist hypergraph: every pin references a valid node, nets have
@@ -397,55 +388,15 @@ func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap [
 	return sub, nodeMap, netMap
 }
 
-// Contract collapses clusters of nodes into single nodes. clusterOf[v] gives
-// the cluster index of node v; cluster indices must be dense 0..k-1. The
-// contracted node's size is the sum of member sizes. Each net maps to the
-// set of distinct clusters it touches; nets touching fewer than 2 clusters
-// disappear. Parallel nets between the same cluster sets are retained
-// (capacities are not merged), matching netlist semantics.
-func (h *Hypergraph) Contract(clusterOf []int, k int) (*Hypergraph, error) {
-	if len(clusterOf) != h.NumNodes() {
-		return nil, fmt.Errorf("hypergraph: clusterOf has %d entries, want %d", len(clusterOf), h.NumNodes())
-	}
-	sizes := make([]int64, k)
-	for v, c := range clusterOf {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("hypergraph: node %d has cluster %d out of range [0,%d)", v, c, k)
-		}
-		sizes[c] += h.nodeSizes[v]
-	}
-	b := NewBuilder()
-	for c := 0; c < k; c++ {
-		if sizes[c] == 0 {
-			return nil, fmt.Errorf("hypergraph: cluster %d is empty", c)
-		}
-		b.AddNode(fmt.Sprintf("cluster%d", c), sizes[c])
-	}
-	mark := make([]bool, k)
-	for e := 0; e < h.NumNets(); e++ {
-		var touched []NodeID
-		for _, v := range h.Pins(NetID(e)) {
-			c := clusterOf[v]
-			if !mark[c] {
-				mark[c] = true
-				touched = append(touched, NodeID(c))
-			}
-		}
-		for _, c := range touched {
-			mark[c] = false
-		}
-		if len(touched) >= 2 {
-			b.AddNet(h.netNames[e], h.netCaps[e], touched...)
-		}
-	}
-	return b.Build()
-}
-
-// ContractDedup is Contract with the two reductions a multilevel coarsener
-// needs for pin counts to shrink monotonically level over level:
+// ContractDedup collapses clusters of nodes into single nodes, as a
+// multilevel coarsener needs. clusterOf[v] gives the cluster index of node
+// v; cluster indices must be dense 0..k-1, and every cluster non-empty. The
+// contracted node's size is the sum of its members' sizes. Each net maps to
+// the set of distinct clusters it touches, and two reductions keep pin
+// counts shrinking level over level:
 //
-//   - nets whose pins collapse into fewer than 2 distinct clusters disappear
-//     (as in Contract);
+//   - nets whose pins collapse into fewer than 2 distinct clusters
+//     disappear;
 //   - nets that collapse onto the same cluster set merge into one net whose
 //     capacity is the sum of the merged capacities.
 //

@@ -40,9 +40,6 @@ func TestBuilderBasics(t *testing.T) {
 	if h.Degree(0) != 2 || h.Degree(2) != 1 {
 		t.Fatalf("degrees: %d %d", h.Degree(0), h.Degree(2))
 	}
-	if got := h.SizeOf([]NodeID{0, 2}); got != 4 {
-		t.Fatalf("SizeOf = %d", got)
-	}
 }
 
 func TestBuildRejectsSmallNets(t *testing.T) {
@@ -250,39 +247,6 @@ func TestInducedSubgraphPanicsOnDuplicate(t *testing.T) {
 	h.InducedSubgraph([]NodeID{0, 0})
 }
 
-func TestContract(t *testing.T) {
-	// 4 nodes; nets {0,1}, {1,2}, {2,3}, {0,1,2,3}.
-	b := NewBuilder()
-	for i := 0; i < 4; i++ {
-		b.AddNode("", 1)
-	}
-	b.AddNet("", 1, 0, 1)
-	b.AddNet("", 1, 1, 2)
-	b.AddNet("", 1, 2, 3)
-	b.AddNet("", 5, 0, 1, 2, 3)
-	h := b.MustBuild()
-
-	// Clusters {0,1} and {2,3}.
-	ch, err := h.Contract([]int{0, 0, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.NumNodes() != 2 {
-		t.Fatalf("contracted nodes = %d", ch.NumNodes())
-	}
-	// net {0,1} and {2,3} vanish; net {1,2} and the 4-pin net survive as
-	// 2-pin nets between the clusters.
-	if ch.NumNets() != 2 {
-		t.Fatalf("contracted nets = %d", ch.NumNets())
-	}
-	if ch.NodeSize(0) != 2 || ch.NodeSize(1) != 2 {
-		t.Fatal("contracted sizes wrong")
-	}
-	if ch.NetCapacity(1) != 5 {
-		t.Fatal("capacity not preserved under contraction")
-	}
-}
-
 func TestContractDedup(t *testing.T) {
 	// 4 nodes; nets {0,1}, {1,2}, {2,3}, {0,1,2,3}, plus a duplicate of
 	// {1,2}. Under clusters {0,1}/{2,3} the three surviving fine nets all
@@ -315,24 +279,15 @@ func TestContractDedup(t *testing.T) {
 	if ch.NetName(0) != "b" {
 		t.Fatalf("merged net kept name %q, want first contributor \"b\"", ch.NetName(0))
 	}
-
-	// Plain Contract keeps all three as parallel nets.
-	cp, err := h.Contract([]int{0, 0, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.NumNets() != 3 {
-		t.Fatalf("plain contract nets = %d, want 3", cp.NumNets())
-	}
 }
 
 // TestContractDedupPinShrink is the memory-hazard regression test for the
 // multilevel coarsener. A chain where every edge is duplicated many times
-// keeps its full parallel-net population under plain Contract at every
-// level — pin counts never shrink, so a deep level stack holds
-// levels × dup × n pins at once (the OOM blow-up mode). ContractDedup must
-// collapse each parallel bundle to one net so pins drop geometrically with
-// the node count.
+// would keep its full parallel-net population at every level if
+// contraction kept parallel nets — pin counts would never shrink, so a deep
+// level stack would hold levels × dup × n pins at once (the OOM blow-up
+// mode). ContractDedup must collapse each parallel bundle to one net so pins
+// drop geometrically with the node count.
 func TestContractDedupPinShrink(t *testing.T) {
 	const (
 		n   = 256
@@ -357,23 +312,13 @@ func TestContractDedupPinShrink(t *testing.T) {
 		return cl
 	}
 
-	plain, dedup := h, h
+	dedup := h
 	var err error
-	for level := 0; plain.NumNodes() > 4; level++ {
-		m := plain.NumNodes()
-		plain, err = plain.Contract(pairUp(m), (m+1)/2)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for level := 0; dedup.NumNodes() > 4; level++ {
+		m := dedup.NumNodes()
 		dedup, err = dedup.ContractDedup(pairUp(m), (m+1)/2)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Plain contraction carries every surviving parallel net along:
-		// half the chain edges survive each level, each still dup-wide.
-		wantPlain := (plain.NumNodes() - 1) * dup * 2
-		if plain.NumPins() != wantPlain {
-			t.Fatalf("level %d: plain pins = %d, want %d", level, plain.NumPins(), wantPlain)
 		}
 		// Dedup keeps exactly one net per surviving chain edge.
 		wantDedup := (dedup.NumNodes() - 1) * 2
@@ -404,19 +349,6 @@ func TestContractDedupErrors(t *testing.T) {
 	}
 }
 
-func TestContractErrors(t *testing.T) {
-	h := triangleNet(t)
-	if _, err := h.Contract([]int{0, 0}, 1); err == nil {
-		t.Fatal("accepted short clusterOf")
-	}
-	if _, err := h.Contract([]int{0, 0, 2}, 2); err == nil {
-		t.Fatal("accepted out-of-range cluster")
-	}
-	if _, err := h.Contract([]int{0, 0, 0}, 2); err == nil {
-		t.Fatal("accepted empty cluster")
-	}
-}
-
 func TestCutCapacity(t *testing.T) {
 	b := NewBuilder()
 	for i := 0; i < 4; i++ {
@@ -434,67 +366,6 @@ func TestCutCapacity(t *testing.T) {
 	capacity, nets = h.CutCapacity([]bool{true, true, true, true})
 	if capacity != 0 || nets != 0 {
 		t.Fatalf("uncut = (%g,%d)", capacity, nets)
-	}
-}
-
-func TestExternalDegree(t *testing.T) {
-	h := triangleNet(t)
-	deg := h.ExternalDegree()
-	want := []float64{3, 3, 1}
-	for i, w := range want {
-		if deg[i] != w {
-			t.Fatalf("deg[%d] = %g, want %g", i, deg[i], w)
-		}
-	}
-}
-
-func TestCliqueExpansion(t *testing.T) {
-	h := triangleNet(t)
-	g, netOf := h.CliqueExpansion()
-	// net0 (3 pins) -> 3 edges of weight 1/2; net1 -> 1 edge of weight 2.
-	if g.NumEdges() != 4 || len(netOf) != 4 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	var half, two int
-	for i := 0; i < g.NumEdges(); i++ {
-		switch g.Edge(i).Weight {
-		case 0.5:
-			half++
-			if netOf[i] != 0 {
-				t.Fatal("netOf wrong for clique edge")
-			}
-		case 2.0:
-			two++
-			if netOf[i] != 1 {
-				t.Fatal("netOf wrong for 2-pin edge")
-			}
-		default:
-			t.Fatalf("unexpected weight %g", g.Edge(i).Weight)
-		}
-	}
-	if half != 3 || two != 1 {
-		t.Fatalf("weights: half=%d two=%d", half, two)
-	}
-}
-
-func TestStarExpansion(t *testing.T) {
-	h := triangleNet(t)
-	g, netOf := h.StarExpansion()
-	if g.NumVertices() != 3+2 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	if g.NumEdges() != 5 || len(netOf) != 5 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(i)
-		star := e.V
-		if star < 3 {
-			t.Fatalf("edge %d does not touch a star vertex: %+v", i, e)
-		}
-		if int(netOf[i]) != star-3 {
-			t.Fatalf("netOf[%d] = %d, star = %d", i, netOf[i], star)
-		}
 	}
 }
 

@@ -39,11 +39,9 @@ import (
 )
 
 // Options tunes Algorithm 2. Zero values select the defaults noted on each
-// field.
+// field. The initial flow ε and the exponent cap are constants, epsilon and
+// maxExponent, not options.
 type Options struct {
-	// Epsilon is the initial flow on every net (paper's ε), keeping initial
-	// lengths positive but near zero. Default 1e-4.
-	Epsilon float64
 	// Alpha scales the congestion exponent (paper's α). Default 4.
 	Alpha float64
 	// Delta is the flow injected into each net of a violating tree per
@@ -51,9 +49,6 @@ type Options struct {
 	// discriminate congested nets much better than coarse ones (compared in
 	// the ablation bench). Default 0.02.
 	Delta float64
-	// MaxExponent caps α·f(e)/c(e) to keep exp() finite; a net at the cap
-	// has effectively infinite length. Default 60.
-	MaxExponent float64
 	// MaxRounds bounds the sweeps over the active node set; a safety net
 	// that does not bind on sane inputs. Default 500.
 	MaxRounds int
@@ -86,18 +81,21 @@ type Options struct {
 	Span obs.SpanScope
 }
 
+const (
+	// epsilon is the initial flow on every net (the paper's ε), keeping
+	// initial lengths positive but near zero.
+	epsilon = 1e-4
+	// maxExponent caps α·f(e)/c(e) to keep exp() finite; a net at the cap
+	// has effectively infinite length.
+	maxExponent = 60
+)
+
 func (o Options) withDefaults() Options {
-	if o.Epsilon == 0 {
-		o.Epsilon = 1e-4
-	}
 	if o.Alpha == 0 {
 		o.Alpha = 4
 	}
 	if o.Delta == 0 {
 		o.Delta = 0.02
-	}
-	if o.MaxExponent == 0 {
-		o.MaxExponent = 60
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 500
@@ -202,9 +200,9 @@ func newEngine(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spe
 	// length once here (it contributes c·d = 0 to the metric value) and is
 	// never re-lengthened — its length is a constant, which the injection
 	// loops exploit by skipping the exp().
-	freeLen := math.Exp(opt.MaxExponent) - 1
+	freeLen := math.Exp(maxExponent) - 1
 	for e := 0; e < h.NumNets(); e++ {
-		g.flow[e] = opt.Epsilon
+		g.flow[e] = epsilon
 		if h.NetCapacity(hypergraph.NetID(e)) <= 0 {
 			g.m.D[e] = freeLen
 		} else {
@@ -310,8 +308,8 @@ func (g *engine) relength(e hypergraph.NetID) {
 		return
 	}
 	x := g.opt.Alpha * g.flow[e] / c
-	if x > g.opt.MaxExponent {
-		x = g.opt.MaxExponent
+	if x > maxExponent {
+		x = maxExponent
 	}
 	g.m.D[e] = math.Exp(x) - 1
 }

@@ -31,7 +31,9 @@ import (
 	"repro/internal/obs"
 )
 
-// CoarsenOptions tunes the heavy-edge coarsener.
+// CoarsenOptions tunes the heavy-edge coarsener. The rating net-size cap
+// (ratingNetCap) and the stack depth bound (maxLevels) are constants, not
+// options.
 type CoarsenOptions struct {
 	// TargetNodes stops coarsening once a level has at most this many
 	// nodes — small enough that the spreading-metric LP is cheap, large
@@ -43,14 +45,6 @@ type CoarsenOptions struct {
 	// callers normally pass min(totalSize/TargetNodes, (C_0+1)/2).
 	// Default: max(1, totalSize/TargetNodes).
 	MaxClusterSize int64
-	// RatingNetCap excludes nets with more pins than this from ratings.
-	// Huge nets (global control signals) carry almost no locality signal,
-	// cost O(|e|) per incident node to score, and would make rating
-	// quadratic in the worst case. They still survive contraction.
-	// Default 256.
-	RatingNetCap int
-	// MaxLevels bounds the stack depth. Default 64.
-	MaxLevels int
 	// Workers parallelizes the rating phase. Results are identical at any
 	// value. Default 1.
 	Workers int
@@ -65,6 +59,16 @@ type CoarsenOptions struct {
 	Span obs.SpanScope
 }
 
+const (
+	// ratingNetCap excludes nets with more pins than this from ratings.
+	// Huge nets (global control signals) carry almost no locality signal,
+	// cost O(|e|) per incident node to score, and would make rating
+	// quadratic in the worst case. They still survive contraction.
+	ratingNetCap = 256
+	// maxLevels bounds the stack depth.
+	maxLevels = 64
+)
+
 func (o CoarsenOptions) withDefaults(h *hypergraph.Hypergraph) CoarsenOptions {
 	if o.TargetNodes == 0 {
 		o.TargetNodes = 300
@@ -74,12 +78,6 @@ func (o CoarsenOptions) withDefaults(h *hypergraph.Hypergraph) CoarsenOptions {
 		if o.MaxClusterSize < 1 {
 			o.MaxClusterSize = 1
 		}
-	}
-	if o.RatingNetCap == 0 {
-		o.RatingNetCap = 256
-	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 64
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -139,14 +137,14 @@ func (s *Stack) graphAbove(i int) *hypergraph.Hypergraph {
 //     invariant that keeps net and pin counts shrinking with node counts.
 //
 // Coarsening stops at TargetNodes, when a level shrinks less than 5%
-// (diminishing returns), at MaxLevels, or when the context fires (the stack
+// (diminishing returns), at maxLevels, or when the context fires (the stack
 // built so far is returned; callers observe ctx themselves).
 func Coarsen(ctx context.Context, h *hypergraph.Hypergraph, opt CoarsenOptions) (*Stack, error) {
 	opt = opt.withDefaults(h)
 	s := &Stack{Fine: h}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cur := h
-	for len(s.Levels) < opt.MaxLevels && cur.NumNodes() > opt.TargetNodes && ctx.Err() == nil {
+	for len(s.Levels) < maxLevels && cur.NumNodes() > opt.TargetNodes && ctx.Err() == nil {
 		var t0 time.Time
 		if opt.Observer != nil {
 			t0 = time.Now()
@@ -193,13 +191,13 @@ func newRatingScratch(n int) *ratingScratch {
 
 // rate fills sc with the heavy-edge scores of v's neighbors and returns the
 // touched list in deterministic (incidence-order) sequence. Nets above
-// netCap pins are skipped.
-func rate(h *hypergraph.Hypergraph, v hypergraph.NodeID, netCap int, sc *ratingScratch) []hypergraph.NodeID {
+// ratingNetCap pins are skipped.
+func rate(h *hypergraph.Hypergraph, v hypergraph.NodeID, sc *ratingScratch) []hypergraph.NodeID {
 	sc.gen++
 	sc.touched = sc.touched[:0]
 	for _, e := range h.Incident(v) {
 		pins := h.Pins(e)
-		if len(pins) > netCap {
+		if len(pins) > ratingNetCap {
 			continue
 		}
 		w := h.NetCapacity(e) / float64(len(pins)-1)
@@ -259,7 +257,7 @@ func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand) 
 				sv := h.NodeSize(v)
 				best := int32(-1)
 				var bestScore float64
-				for _, u := range rate(h, v, opt.RatingNetCap, sc) {
+				for _, u := range rate(h, v, sc) {
 					if sv+h.NodeSize(u) > opt.MaxClusterSize {
 						continue
 					}
@@ -325,7 +323,7 @@ func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand) 
 			// against the live cluster state for the best feasible join.
 			best := int32(-1)
 			var bestScore float64
-			for _, u := range rate(h, v, opt.RatingNetCap, sc) {
+			for _, u := range rate(h, v, sc) {
 				var room int64
 				if cu := clusterOf[u]; cu >= 0 {
 					room = clusterSizes[cu] + sv

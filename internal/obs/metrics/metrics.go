@@ -126,84 +126,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Sub returns the delta snapshot s − prev: the observations recorded
-// between the two snapshots. Bucket counts are monotone, so the result
-// is itself a valid snapshot of that window (used by the loadtest to
-// isolate one fleet's latencies on a shared registry).
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Count:  s.Count - prev.Count,
-		Sum:    s.Sum - prev.Sum,
-	}
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i]
-		if i < len(prev.Counts) {
-			d.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return d
-}
-
-// Merge returns the element-wise sum of two snapshots over the same
-// bounds (used to pool per-label histograms before a quantile estimate).
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(s.Counts) == 0 {
-		return o
-	}
-	m := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: append([]uint64(nil), s.Counts...),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range o.Counts {
-		if i < len(m.Counts) {
-			m.Counts[i] += o.Counts[i]
-		}
-	}
-	return m
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation within the bucket holding the target rank — the same
-// estimator as PromQL's histogram_quantile. Values in the +Inf bucket
-// clamp to the largest finite bound. Returns NaN on an empty snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range s.Counts {
-		next := cum + float64(c)
-		if next >= rank && c > 0 {
-			if i >= len(s.Bounds) { // +Inf bucket
-				if len(s.Bounds) == 0 {
-					return math.NaN()
-				}
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			hi := s.Bounds[i]
-			return lo + (hi-lo)*((rank-cum)/float64(c))
-		}
-		cum = next
-	}
-	if len(s.Bounds) == 0 {
-		return math.NaN()
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // ExponentialBuckets returns count upper bounds starting at start and
 // multiplying by factor: start, start*factor, ..., start*factor^(count-1).
 func ExponentialBuckets(start, factor float64, count int) []float64 {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -100,43 +99,6 @@ func TestHistogramConcurrency(t *testing.T) {
 	}
 	if s.Sum != wantSum {
 		t.Fatalf("final sum = %v, want %v", s.Sum, wantSum)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	h := NewHistogram(DurationBuckets())
-	// Uniform 1..1000 ms: true p50 = 0.5s, p99 = 0.99s.
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i) / 1000)
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, want float64 }{{0.5, 0.5}, {0.99, 0.99}} {
-		got := s.Quantile(tc.q)
-		if math.Abs(got-tc.want)/tc.want > 0.15 {
-			t.Errorf("q%v = %v, want %v within bucket ratio 15%%", tc.q, got, tc.want)
-		}
-	}
-	if !math.IsNaN(NewHistogram(nil).Snapshot().Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-}
-
-func TestSnapshotSubMerge(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	h.Observe(0.5)
-	before := h.Snapshot()
-	h.Observe(1.5)
-	h.Observe(3)
-	delta := h.Snapshot().Sub(before)
-	if delta.Count != 2 || delta.Counts[0] != 0 || delta.Counts[1] != 1 || delta.Counts[2] != 1 {
-		t.Fatalf("delta = %+v", delta)
-	}
-	if delta.Sum != 4.5 {
-		t.Fatalf("delta sum = %v, want 4.5", delta.Sum)
-	}
-	merged := delta.Merge(before)
-	if merged.Count != 3 || merged.Counts[0] != 1 {
-		t.Fatalf("merged = %+v", merged)
 	}
 }
 

@@ -179,24 +179,28 @@ func (t iterTagger) Event(e Event) {
 	t.next.Event(e)
 }
 
-// SuppressStop filters terminal stop events out of the stream, forwarding
-// everything else to next. A construct-then-refine pipeline (htp.Pipeline)
-// wraps its constructor with it and emits its own stop after the last
-// refine step, so a composed run still traces exactly one terminal stop,
-// last. Returns nil
-// for a nil next so the disabled fast path survives wrapping.
-func SuppressStop(next Observer) Observer {
+// SuppressStop turns terminal stop events into span events named phase,
+// forwarding everything else to next unchanged. A construct-then-refine
+// pipeline (htp.Pipeline) wraps its constructor with it and emits its own
+// stop after the last refine step, so a composed run still traces exactly
+// one terminal stop, last, while the inner run's span still closes under
+// a name, with its cost, duration and error detail. Returns nil for a nil
+// next so the disabled fast path survives wrapping.
+func SuppressStop(next Observer, phase string) Observer {
 	if next == nil {
 		return nil
 	}
-	return stopFilter{next: next}
+	return stopFilter{next: next, phase: phase}
 }
 
-type stopFilter struct{ next Observer }
+type stopFilter struct {
+	next  Observer
+	phase string
+}
 
 func (f stopFilter) Event(e Event) {
 	if e.Kind == KindStop {
-		return
+		e.Kind, e.Phase, e.Reason = KindSpan, f.phase, ""
 	}
 	f.next.Event(e)
 }

@@ -73,6 +73,23 @@ func TestWithIter(t *testing.T) {
 	}
 }
 
+func TestSuppressStopForwardsNamedSpan(t *testing.T) {
+	if SuppressStop(nil, "flow") != nil {
+		t.Error("SuppressStop(nil) should stay nil")
+	}
+	var r recorder
+	o := SuppressStop(&r, "flow")
+	o.Event(Event{Kind: KindBest, Span: 2, Parent: 1, Cost: 7})
+	o.Event(Event{Kind: KindStop, Span: 2, Parent: 1, Reason: "converged", Cost: 5, ElapsedMS: 9, Detail: "d"})
+	want := []Event{
+		{Kind: KindBest, Span: 2, Parent: 1, Cost: 7},
+		{Kind: KindSpan, Span: 2, Parent: 1, Phase: "flow", Cost: 5, ElapsedMS: 9, Detail: "d"},
+	}
+	if len(r.events) != len(want) || r.events[0] != want[0] || r.events[1] != want[1] {
+		t.Fatalf("forwarded %+v, want %+v", r.events, want)
+	}
+}
+
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("Multi of nothing should be nil")

@@ -89,12 +89,12 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []obs.Event {
 // span identity is well-formed — parent-first minting means every stamped
 // event satisfies Parent < Span (a parent is always minted before any of
 // its children, so htptrace's reverse-ID sweep is a valid post-order). A
-// parent need not itself carry an event: SuppressStop can swallow the one
-// event a mid-tree span would have stamped (the multilevel construct stage
-// does exactly that to the coarse solver's stop), and htptrace roots such
-// orphans. A "coarse-fallback" span marks the multilevel engine restarting
-// its coarse stage one level finer, which legitimately restarts the round
-// clock.
+// parent need not itself carry an event, and htptrace roots such orphans;
+// a suppressed stop is not one of them, since SuppressStop forwards it as a
+// named span event (the multilevel construct stage does that to the coarse
+// solver's stop). A "coarse-fallback" span marks the multilevel engine
+// restarting its coarse stage one level finer, which legitimately restarts
+// the round clock.
 func checkTraceInvariants(t *testing.T, events []obs.Event) {
 	t.Helper()
 	if len(events) == 0 {

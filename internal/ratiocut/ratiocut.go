@@ -26,39 +26,25 @@ type Options struct {
 	// Pairs is the number of random source/sink pairs to route. Default
 	// 8·n.
 	Pairs int
-	// Delta is the flow added to each net on a routed path. Default 0.1.
-	Delta float64
-	// Alpha scales the congestion exponent. Default 2.
-	Alpha float64
-	// Epsilon is the initial flow on every net. Default 1e-4.
-	Epsilon float64
-	// MaxExponent caps α·f(e)/c(e). Default 60.
-	MaxExponent float64
-	// Sweeps is the number of random sweep roots when extracting the cut.
-	// Default 8.
-	Sweeps int
 	// Rng drives all randomness; defaults to a fixed seed.
 	Rng *rand.Rand
 }
 
+// The injection and extraction schedule is fixed: each routed path adds
+// delta flow to its nets, a net's length is exp(α·f(e)/c(e)) − 1 with
+// α = alpha and the exponent capped at maxExponent, every net starts at
+// flow epsilon, and the cut is extracted from sweeps random roots.
+const (
+	delta       = 0.1
+	alpha       = 2
+	epsilon     = 1e-4
+	maxExponent = 60
+	sweeps      = 8
+)
+
 func (o Options) withDefaults(n int) Options {
 	if o.Pairs == 0 {
 		o.Pairs = 8 * n
-	}
-	if o.Delta == 0 {
-		o.Delta = 0.1
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 2
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 1e-4
-	}
-	if o.MaxExponent == 0 {
-		o.MaxExponent = 60
-	}
-	if o.Sweeps == 0 {
-		o.Sweeps = 8
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
@@ -100,17 +86,17 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 	relength := func(e hypergraph.NetID) {
 		c := h.NetCapacity(e)
 		if c <= 0 {
-			d[e] = math.Exp(opt.MaxExponent) - 1 // free to cut
+			d[e] = math.Exp(maxExponent) - 1 // free to cut
 			return
 		}
-		x := opt.Alpha * flow[e] / c
-		if x > opt.MaxExponent {
-			x = opt.MaxExponent
+		x := alpha * flow[e] / c
+		if x > maxExponent {
+			x = maxExponent
 		}
 		d[e] = math.Exp(x) - 1
 	}
 	for e := 0; e < h.NumNets(); e++ {
-		flow[e] = opt.Epsilon
+		flow[e] = epsilon
 		relength(hypergraph.NetID(e))
 	}
 
@@ -146,7 +132,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 		}
 		for cur := t; cur != s; {
 			l := links[cur]
-			flow[l.via] += opt.Delta
+			flow[l.via] += delta
 			relength(l.via)
 			cur = l.parent
 		}
@@ -157,7 +143,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opt Options) 
 	best := &Result{Ratio: math.Inf(1), Lengths: d}
 	total := h.TotalSize()
 	cnt := make([]int32, h.NumNets())
-	for sweep := 0; sweep < opt.Sweeps; sweep++ {
+	for sweep := 0; sweep < sweeps; sweep++ {
 		// Always run the first sweep so a cut exists; later sweeps only
 		// improve it and may be skipped once ctx fires.
 		if sweep > 0 && ctx.Err() != nil {

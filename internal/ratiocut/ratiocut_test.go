@@ -2,10 +2,12 @@ package ratiocut
 
 import (
 	"context"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuits"
 	"repro/internal/hypergraph"
 )
 
@@ -120,6 +122,44 @@ func TestBipartitionDeterministicWithSeed(t *testing.T) {
 		if r1.InA[v] != r2.InA[v] {
 			t.Fatal("same seed produced different sides")
 		}
+	}
+}
+
+// TestBipartitionPinned pins one full run on a generated ISCAS-class
+// circuit at a fixed seed: the cut, its ratio, and a hash over the side
+// and the bits of every net length. Any change to the injection schedule,
+// the length function or the sweep extraction moves it.
+func TestBipartitionPinned(t *testing.T) {
+	cs, err := circuits.ByName("c1355")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := circuits.Generate(cs, 1)
+	res := BipartitionCtx(context.Background(), h, Options{Rng: rand.New(rand.NewSource(7))})
+	fh := fnv.New64a()
+	var b [8]byte
+	for _, in := range res.InA {
+		b[0] = 0
+		if in {
+			b[0] = 1
+		}
+		fh.Write(b[:1])
+	}
+	for _, d := range res.Lengths {
+		bits := math.Float64bits(d)
+		for i := range b {
+			b[i] = byte(bits >> (8 * i))
+		}
+		fh.Write(b[:])
+	}
+	const (
+		wantCut   = 23.0
+		wantRatio = 0.00048621681041772363
+		wantHash  = uint64(0xfe4937cfa34d7b1c)
+	)
+	if res.Cut != wantCut || res.Ratio != wantRatio || fh.Sum64() != wantHash {
+		t.Errorf("cut %v, ratio %v, hash %#016x; want %v, %v, %#016x",
+			res.Cut, res.Ratio, fh.Sum64(), wantCut, wantRatio, wantHash)
 	}
 }
 

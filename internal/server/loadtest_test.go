@@ -143,7 +143,7 @@ func TestLoadProfile(t *testing.T) {
 	// interpolated quantiles must land within the bucketing error of the
 	// measured percentiles. Buckets grow by 1.15x, so 20% is a safe bound;
 	// the absolute floor forgives sub-bucket jitter on near-instant solves.
-	histDelta := jobDurationSnapshot().Sub(histBefore)
+	histDelta := snapshotSub(jobDurationSnapshot(), histBefore)
 	if histDelta.Count != uint64(jobs) {
 		t.Fatalf("job duration histogram grew by %d observations, want %d", histDelta.Count, jobs)
 	}
@@ -151,7 +151,7 @@ func TestLoadProfile(t *testing.T) {
 		q        float64
 		measured time.Duration
 	}{{0.50, p50}, {0.99, p99}} {
-		got := histDelta.Quantile(qt.q)
+		got := snapshotQuantile(histDelta, qt.q)
 		want := qt.measured.Seconds()
 		if diff := math.Abs(got - want); diff > 0.20*want && diff > 0.005 {
 			t.Errorf("histogram q%v = %.4fs, measured %.4fs: off by more than 20%%", qt.q, got, want)
@@ -257,7 +257,7 @@ func chordRing(tb testing.TB, n int) string {
 func jobDurationSnapshot() metrics.HistogramSnapshot {
 	s := metrics.NewHistogram(metrics.DurationBuckets()).Snapshot()
 	for _, l := range mJobDuration.Labels() {
-		s = s.Merge(mJobDuration.With(l).Snapshot())
+		s = snapshotMerge(s, mJobDuration.With(l).Snapshot())
 	}
 	return s
 }

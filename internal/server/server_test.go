@@ -1120,5 +1120,21 @@ func TestJobTraceCarriesSpanIdentity(t *testing.T) {
 		if rungSpans == 0 {
 			t.Errorf("job %s traced no rung spans", id)
 		}
+		// A rung's solver run nests under the rung span, and its stop,
+		// which the rung suppresses, still closes that run under the rung's
+		// name, so htptrace names every span.
+		for _, r := range evs {
+			rung, ok := strings.CutPrefix(r.Phase, "rung:")
+			if r.Kind != obs.KindSpan || !ok || rung == "salvage" {
+				continue
+			}
+			named := false
+			for _, e := range evs {
+				named = named || (e.Kind == obs.KindSpan && e.Phase == rung && e.Parent == r.Span)
+			}
+			if !named {
+				t.Errorf("job %s: rung %q's solver run closed under no %q span", id, r.Phase, rung)
+			}
+		}
 	}
 }

@@ -49,7 +49,7 @@ const salvageGrace = 2 * time.Second
 // solver-internal salvage path from PR 1.
 func metricSalvage(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
 	m, _, merr := inject.ComputeMetricCtx(ctx, h, spec,
-		inject.Options{Rng: rand.New(rand.NewSource(seed)), Observer: obs.SuppressStop(o), Span: span})
+		inject.Options{Rng: rand.New(rand.NewSource(seed)), Observer: o, Span: span})
 	if m == nil {
 		return nil, merr
 	}
@@ -207,13 +207,14 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, r rung, seed int64) (re
 			err = fmt.Errorf("attempt panicked: %v\n%s", v, debug.Stack())
 		}
 	}()
-	// All rungs but the last suppress their terminal stop: the job emits
-	// exactly one job-level stop event when it finishes, whichever rung
-	// served (the PR-3 composition pattern for "+" pipelines). Each attempt
-	// runs under its own span nested in the job root, so the trace shows
-	// where the budget went rung by rung; the scope hands the job's span
-	// minter down so solver-internal spans share the ID space.
-	o := obs.SuppressStop(j.sink)
+	// Every rung's terminal stop becomes a span event named after the
+	// rung: the job emits exactly one job-level stop event when it
+	// finishes, whichever rung served (the composition pattern of the "+"
+	// pipelines). Each attempt runs under its own span nested in the job
+	// root, so the trace shows where the budget went rung by rung; the
+	// scope hands the job's span minter down so solver-internal spans share
+	// the ID space.
+	o := obs.SuppressStop(j.sink, r.name)
 	var scope obs.SpanScope
 	if o != nil {
 		rungSpan := j.spans.NewSpan()

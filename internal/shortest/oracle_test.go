@@ -3,7 +3,6 @@ package shortest
 import (
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
 
@@ -14,6 +13,42 @@ import (
 
 // Inf is the distance reported for unreachable vertices.
 var Inf = math.Inf(1)
+
+// edge is an undirected edge of a graph with a non-negative weight.
+type edge struct {
+	u, v int
+	w    float64
+}
+
+// graph is a weighted undirected multigraph on vertices 0..n-1. An edge is
+// stored once and listed by index at both endpoints (once for a
+// self-loop).
+type graph struct {
+	edges []edge
+	adj   [][]int
+}
+
+func newGraph(n int) *graph { return &graph{adj: make([][]int, n)} }
+
+func (g *graph) numVertices() int { return len(g.adj) }
+
+func (g *graph) addEdge(u, v int, w float64) {
+	i := len(g.edges)
+	g.edges = append(g.edges, edge{u, v, w})
+	g.adj[u] = append(g.adj[u], i)
+	if v != u {
+		g.adj[v] = append(g.adj[v], i)
+	}
+}
+
+// other returns the endpoint of edge i that is not v (v for a self-loop).
+func (g *graph) other(i, v int) int {
+	e := g.edges[i]
+	if e.u == v {
+		return e.v
+	}
+	return e.u
+}
 
 // Result holds the output of a single-source computation on a graph.
 type Result struct {
@@ -44,10 +79,10 @@ func (r *Result) PathTo(v int) []int {
 	return rev
 }
 
-// Dijkstra computes shortest paths from source over edge weights
-// (which must be non-negative; graph.AddEdge enforces this).
-func Dijkstra(g *graph.Graph, source int) *Result {
-	n := g.NumVertices()
+// Dijkstra computes shortest paths from source over edge weights, which
+// must be non-negative.
+func Dijkstra(g *graph, source int) *Result {
+	n := g.numVertices()
 	r := &Result{
 		Source:     source,
 		Dist:       make([]float64, n),
@@ -69,17 +104,16 @@ func Dijkstra(g *graph.Graph, source int) *Result {
 			continue
 		}
 		done[v] = true
-		for _, ei := range g.IncidentEdges(v) {
-			e := g.Edge(int(ei))
-			u := g.Other(int(ei), v)
+		for _, ei := range g.adj[v] {
+			u := g.other(ei, v)
 			if done[u] {
 				continue
 			}
-			nd := dv + e.Weight
+			nd := dv + g.edges[ei].w
 			if nd < r.Dist[u] {
 				r.Dist[u] = nd
 				r.Parent[u] = v
-				r.ParentEdge[u] = int(ei)
+				r.ParentEdge[u] = ei
 				h.PushOrDecrease(u, nd)
 			}
 		}
@@ -88,26 +122,24 @@ func Dijkstra(g *graph.Graph, source int) *Result {
 }
 
 // BellmanFord computes shortest paths from source by edge relaxation; it is
-// O(n·m) and exists as a test oracle for Dijkstra. Negative weights are not
-// possible in this module (graph enforces non-negative), so no negative-cycle
-// detection is needed.
-func BellmanFord(g *graph.Graph, source int) []float64 {
-	n := g.NumVertices()
+// O(n·m) and exists as a test oracle for Dijkstra. Weights are
+// non-negative, so no negative-cycle detection is needed.
+func BellmanFord(g *graph, source int) []float64 {
+	n := g.numVertices()
 	dist := make([]float64, n)
 	for v := range dist {
 		dist[v] = Inf
 	}
 	dist[source] = 0
-	edges := g.Edges()
 	for i := 0; i < n-1; i++ {
 		changed := false
-		for _, e := range edges {
-			if dist[e.U]+e.Weight < dist[e.V] {
-				dist[e.V] = dist[e.U] + e.Weight
+		for _, e := range g.edges {
+			if dist[e.u]+e.w < dist[e.v] {
+				dist[e.v] = dist[e.u] + e.w
 				changed = true
 			}
-			if dist[e.V]+e.Weight < dist[e.U] {
-				dist[e.U] = dist[e.V] + e.Weight
+			if dist[e.v]+e.w < dist[e.u] {
+				dist[e.u] = dist[e.v] + e.w
 				changed = true
 			}
 		}
@@ -120,8 +152,8 @@ func BellmanFord(g *graph.Graph, source int) []float64 {
 
 // FloydWarshall computes all-pairs shortest distances; O(n^3), test oracle
 // only.
-func FloydWarshall(g *graph.Graph) [][]float64 {
-	n := g.NumVertices()
+func FloydWarshall(g *graph) [][]float64 {
+	n := g.numVertices()
 	d := make([][]float64, n)
 	for i := range d {
 		d[i] = make([]float64, n)
@@ -131,13 +163,13 @@ func FloydWarshall(g *graph.Graph) [][]float64 {
 			}
 		}
 	}
-	for _, e := range g.Edges() {
-		if e.U == e.V {
+	for _, e := range g.edges {
+		if e.u == e.v {
 			continue
 		}
-		if e.Weight < d[e.U][e.V] {
-			d[e.U][e.V] = e.Weight
-			d[e.V][e.U] = e.Weight
+		if e.w < d[e.u][e.v] {
+			d[e.u][e.v] = e.w
+			d[e.v][e.u] = e.w
 		}
 	}
 	for k := 0; k < n; k++ {

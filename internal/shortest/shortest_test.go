@@ -7,16 +7,15 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/pqueue"
 )
 
 func TestDijkstraLine(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 3, 3)
+	g := newGraph(4)
+	g.addEdge(0, 1, 1)
+	g.addEdge(1, 2, 2)
+	g.addEdge(2, 3, 3)
 	r := Dijkstra(g, 0)
 	want := []float64{0, 1, 3, 6}
 	for v, w := range want {
@@ -31,10 +30,10 @@ func TestDijkstraLine(t *testing.T) {
 }
 
 func TestDijkstraPrefersLighterDetour(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 2, 10)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
+	g := newGraph(3)
+	g.addEdge(0, 2, 10)
+	g.addEdge(0, 1, 1)
+	g.addEdge(1, 2, 2)
 	r := Dijkstra(g, 0)
 	if r.Dist[2] != 3 {
 		t.Fatalf("Dist[2] = %g, want 3", r.Dist[2])
@@ -45,8 +44,8 @@ func TestDijkstraPrefersLighterDetour(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
+	g := newGraph(3)
+	g.addEdge(0, 1, 1)
 	r := Dijkstra(g, 0)
 	if !math.IsInf(r.Dist[2], 1) {
 		t.Fatalf("Dist[2] = %g, want +Inf", r.Dist[2])
@@ -57,19 +56,19 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestDijkstraZeroWeightEdges(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
+	g := newGraph(3)
+	g.addEdge(0, 1, 0)
+	g.addEdge(1, 2, 0)
 	r := Dijkstra(g, 0)
 	if r.Dist[2] != 0 {
 		t.Fatalf("Dist[2] = %g, want 0", r.Dist[2])
 	}
 }
 
-func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(n)
+func randomGraph(rng *rand.Rand, n, m int) *graph {
+	g := newGraph(n)
 	for i := 0; i < m; i++ {
-		g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64()*10)
+		g.addEdge(rng.Intn(n), rng.Intn(n), rng.Float64()*10)
 	}
 	return g
 }
@@ -113,11 +112,11 @@ func TestDijkstraParentEdgesFormTree(t *testing.T) {
 		if p < 0 || pe < 0 {
 			t.Fatalf("settled vertex %d lacks parent", v)
 		}
-		e := g.Edge(pe)
-		if (e.U != v || e.V != p) && (e.V != v || e.U != p) {
+		e := g.edges[pe]
+		if (e.u != v || e.v != p) && (e.v != v || e.u != p) {
 			t.Fatalf("parent edge %d does not join %d-%d", pe, p, v)
 		}
-		if math.Abs(r.Dist[p]+e.Weight-r.Dist[v]) > 1e-9 {
+		if math.Abs(r.Dist[p]+e.w-r.Dist[v]) > 1e-9 {
 			t.Fatalf("tree edge not tight at %d", v)
 		}
 	}
@@ -142,14 +141,14 @@ func HyperDistances(h *hypergraph.Hypergraph, root hypergraph.NodeID, lengths []
 
 // pairExpand builds a plain graph where each net of h becomes a clique of
 // edges with weight lengths[e]. Dijkstra over it is the oracle for HyperSPT.
-func pairExpand(h *hypergraph.Hypergraph, lengths []float64) *graph.Graph {
-	g := graph.New(h.NumNodes())
+func pairExpand(h *hypergraph.Hypergraph, lengths []float64) *graph {
+	g := newGraph(h.NumNodes())
 	for e := 0; e < h.NumNets(); e++ {
 		ps := h.Pins(hypergraph.NetID(e))
 		w := lengths[e]
 		for i := 0; i < len(ps); i++ {
 			for j := i + 1; j < len(ps); j++ {
-				g.AddEdge(int(ps[i]), int(ps[j]), w)
+				g.addEdge(int(ps[i]), int(ps[j]), w)
 			}
 		}
 	}

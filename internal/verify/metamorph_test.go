@@ -12,9 +12,9 @@ import (
 // costs invariant. A partition's cost depends only on which nodes share
 // which nets and blocks, so relabeling nodes or nets, shuffling pin order
 // within a net, and rescaling all capacities by λ (cost scales by exactly λ)
-// are equivariances of every evaluator in the repository. The fuzz targets
-// in this package and at the facade drive random instances through these
-// transforms and demand bit-for-bit equal costs — exact as long as the
+// are equivariances of every evaluator in the repository. This package's
+// tests and its fuzz target FuzzEvalEquivariance drive instances through
+// these transforms and demand bit-for-bit equal costs — exact as long as the
 // weights and capacities are integer-valued (or λ a power of two), since the
 // per-net terms are then exactly representable and their sums reorder
 // without rounding.
