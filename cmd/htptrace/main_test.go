@@ -124,7 +124,8 @@ func requireNamedSpans(t *testing.T, tr *tree) {
 
 // TestFlatPipelineTraceNamesEverySpan traces each flat "+" pipeline on
 // c1355: the constructor's run span nests under the pipeline's, and its
-// stop, which the pipeline suppresses, must still leave it a name.
+// stop, which the pipeline suppresses, must still leave it a name. GFM's
+// bisect and merge phases are spans below its run span.
 func TestFlatPipelineTraceNamesEverySpan(t *testing.T) {
 	cs, err := circuits.ByName("c1355")
 	if err != nil {
@@ -157,6 +158,23 @@ func TestFlatPipelineTraceNamesEverySpan(t *testing.T) {
 			t.Fatalf("%s: trace has %d stop events, want exactly 1", algo, stops)
 		}
 		requireNamedSpans(t, trees[0])
+		if algo == "gfm+" {
+			// GFM's two phases are spans of their own under GFM's run.
+			var phases []*node
+			for _, n := range trees[0].nodes {
+				if n.name == "gfm-bisect" || n.name == "gfm-merge" {
+					phases = append(phases, n)
+				}
+			}
+			if len(phases) != 2 || phases[0].name == phases[1].name {
+				t.Fatalf("gfm+: want one gfm-bisect and one gfm-merge span, got %d phase spans", len(phases))
+			}
+			for _, n := range phases {
+				if p := trees[0].nodes[n.parent]; p == nil || p.name != "gfm" {
+					t.Errorf("gfm+: %s span %d nests under span %d, want a span named gfm", n.name, n.span, n.parent)
+				}
+			}
+		}
 	}
 }
 

@@ -7,29 +7,14 @@ package fm
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/hypergraph"
 	"repro/internal/pqueue"
 )
 
-// BiOptions tunes RefineBipartitionCtx. Its pass budget is the constant
-// maxBiPasses (16), not an option.
-type BiOptions struct {
-	// Rng drives tie-breaking move order. Defaults to a fixed seed.
-	Rng *rand.Rand
-}
-
 // maxBiPasses bounds RefineBipartitionCtx's FM passes; each pass moves
 // every free node once and rolls back to the best prefix.
 const maxBiPasses = 16
-
-func (o BiOptions) withDefaults() BiOptions {
-	if o.Rng == nil {
-		o.Rng = rand.New(rand.NewSource(1))
-	}
-	return o
-}
 
 // bistate carries the incremental FM bookkeeping for one bipartition.
 type bistate struct {
@@ -193,9 +178,9 @@ func (s *bistate) move(v hypergraph.NodeID) float64 {
 // moves within a pass; an interrupted pass still rolls back to its best
 // applied prefix, so inA is always a valid bipartition inside the window.
 // If cancellation lands before any pass runs, inA is untouched and the
-// returned cut is 0.
-func RefineBipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, inA []bool, lbA, ubA int64, opt BiOptions) float64 {
-	opt = opt.withDefaults()
+// returned cut is 0. Moves are chosen by gain alone (the two sides' gain
+// heaps), so no random source is involved.
+func RefineBipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, inA []bool, lbA, ubA int64) float64 {
 	var finalCut float64
 	for pass := 0; pass < maxBiPasses && ctx.Err() == nil; pass++ {
 		s := newBistate(h, inA)

@@ -2,7 +2,6 @@ package fm
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -27,7 +26,7 @@ func TestRefineBipartitionCtxBackgroundMatchesFacade(t *testing.T) {
 	for v := 0; v < 8; v += 2 {
 		inA[v] = true
 	}
-	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5, BiOptions{Rng: rand.New(rand.NewSource(11))})
+	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5)
 	if cut != 1 {
 		t.Fatalf("cut = %g, want 1 (the bridge)", cut)
 	}
@@ -49,7 +48,7 @@ func TestRefineBipartitionCtxCancelledUpfront(t *testing.T) {
 	want := append([]bool(nil), inA...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	RefineBipartitionCtx(ctx, h, inA, 3, 5, BiOptions{})
+	RefineBipartitionCtx(ctx, h, inA, 3, 5)
 	for v := range want {
 		if inA[v] != want[v] {
 			t.Fatalf("cancelled refinement moved node %d", v)
@@ -95,7 +94,7 @@ func TestRecursiveBisectionCancelledStopsSplitting(t *testing.T) {
 	h := pathGraph(1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	blockOf, k := RecursiveBisection(ctx, h, 10, BiOptions{})
+	blockOf, k := RecursiveBisection(ctx, h, 10, nil)
 	if k != 1 {
 		t.Fatalf("blocks = %d under a cancelled context, want 1", k)
 	}

@@ -35,7 +35,7 @@ func TestRefineBipartitionFindsBridge(t *testing.T) {
 	}
 	// The window needs at least one node of slack: FM enforces balance after
 	// every single move, so a zero-width window would freeze the partition.
-	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5, BiOptions{})
+	cut := RefineBipartitionCtx(context.Background(), h, inA, 3, 5)
 	if cut != 1 {
 		t.Fatalf("cut = %g, want 1", cut)
 	}
@@ -66,7 +66,7 @@ func TestRefineBipartitionRespectsWindow(t *testing.T) {
 		h := b.MustBuild()
 		lb, ub := int64(n/2-1), int64(n/2+1)
 		inA := GrowSeedSideCtx(context.Background(), h, 0, int64(n/2))
-		RefineBipartitionCtx(context.Background(), h, inA, lb, ub, BiOptions{Rng: rng})
+		RefineBipartitionCtx(context.Background(), h, inA, lb, ub)
 		var size int64
 		for v := 0; v < n; v++ {
 			if inA[v] {
@@ -99,7 +99,7 @@ func TestRefineBipartitionReturnsTrueCut(t *testing.T) {
 		}
 		h := b.MustBuild()
 		inA := GrowSeedSideCtx(context.Background(), h, hypergraph.NodeID(rng.Intn(n)), int64(n/2))
-		got := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-2), int64(n/2+2), BiOptions{Rng: rng})
+		got := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-2), int64(n/2+2))
 		want, _ := h.CutCapacity(inA)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: reported cut %g, actual %g", trial, got, want)
@@ -125,7 +125,7 @@ func TestRefineBipartitionNeverWorsens(t *testing.T) {
 			inA[v] = true
 		}
 		before, _ := h.CutCapacity(inA)
-		after := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-1), int64(n/2+1), BiOptions{Rng: rng})
+		after := RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-1), int64(n/2+1))
 		if after > before+1e-9 {
 			t.Fatalf("trial %d: cut worsened %g -> %g", trial, before, after)
 		}
@@ -182,7 +182,7 @@ func TestRecursiveBisectionBlockSizes(t *testing.T) {
 		}
 		h := b.MustBuild()
 		maxBlock := int64(4 + rng.Intn(4))
-		blockOf, k := RecursiveBisection(context.Background(), h, maxBlock, BiOptions{Rng: rng})
+		blockOf, k := RecursiveBisection(context.Background(), h, maxBlock, rng)
 		sizes := make([]int64, k)
 		for v, blk := range blockOf {
 			if blk < 0 || blk >= k {
@@ -203,7 +203,7 @@ func TestRecursiveBisectionBlockSizes(t *testing.T) {
 
 func TestRecursiveBisectionSingleBlock(t *testing.T) {
 	h := twoCliquesBridge(t)
-	blockOf, k := RecursiveBisection(context.Background(), h, 100, BiOptions{})
+	blockOf, k := RecursiveBisection(context.Background(), h, 100, nil)
 	if k != 1 {
 		t.Fatalf("blocks = %d, want 1", k)
 	}
@@ -324,6 +324,6 @@ func BenchmarkRefineBipartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inA := GrowSeedSideCtx(context.Background(), h, hypergraph.NodeID(i%n), int64(n/2))
-		RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-50), int64(n/2+50), BiOptions{})
+		RefineBipartitionCtx(context.Background(), h, inA, int64(n/2-50), int64(n/2+50))
 	}
 }

@@ -144,9 +144,12 @@ func GrowSeedSideCtx(ctx context.Context, h *hypergraph.Hypergraph, seed hypergr
 // maxBlock by recursive FM bisection, aiming for balanced halves. It
 // returns the block index of every node and the number of blocks. Once ctx
 // is done it stops recursing: every subgraph not yet split becomes one
-// block, which may exceed maxBlock, so callers check ctx afterwards.
-func RecursiveBisection(ctx context.Context, h *hypergraph.Hypergraph, maxBlock int64, opt BiOptions) ([]int, int) {
-	opt = opt.withDefaults()
+// block, which may exceed maxBlock, so callers check ctx afterwards. rng
+// picks each split's seed node; nil means a fixed seed of 1.
+func RecursiveBisection(ctx context.Context, h *hypergraph.Hypergraph, maxBlock int64, rng *rand.Rand) ([]int, int) {
+	if rng == nil {
+		rng = rand.New(rand.NewSource(1))
+	}
 	blockOf := make([]int, h.NumNodes())
 	nextBlock := 0
 
@@ -177,9 +180,9 @@ func RecursiveBisection(ctx context.Context, h *hypergraph.Hypergraph, maxBlock 
 			ub = total - 1
 		}
 		target := total * kA / k
-		seed := hypergraph.NodeID(opt.Rng.Intn(sub.NumNodes()))
+		seed := hypergraph.NodeID(rng.Intn(sub.NumNodes()))
 		inA := GrowSeedSideCtx(ctx, sub, seed, target)
-		RefineBipartitionCtx(ctx, sub, inA, lb, ub, opt)
+		RefineBipartitionCtx(ctx, sub, inA, lb, ub)
 		var aNodes, bNodes []hypergraph.NodeID
 		var aOrig, bOrig []hypergraph.NodeID
 		for v := 0; v < sub.NumNodes(); v++ {

@@ -302,7 +302,7 @@ func (b *builder) carve(sub *hypergraph.Hypergraph, d []float64, lb, ub int64) [
 		for _, v := range best {
 			in[v] = true
 		}
-		fm.RefineBipartitionCtx(b.ctx, sub, in, lb, ub, fm.BiOptions{Rng: b.opt.Rng})
+		fm.RefineBipartitionCtx(b.ctx, sub, in, lb, ub)
 		polished := best[:0:0]
 		var size int64
 		for v := 0; v < sub.NumNodes(); v++ {

@@ -19,14 +19,13 @@ import (
 type GFMOptions struct {
 	// Seed drives the recursive bisection. Default 1.
 	Seed int64
-	// FM forwards options to the bottom-level bisection.
-	FM fm.BiOptions
 	// Observer receives gfm-bisect/gfm-merge span, build-done, and
 	// terminal stop trace events (see internal/obs). Nil disables
 	// telemetry at zero cost.
 	Observer obs.Observer
-	// Span nests the run's events in the caller's span tree (one span
-	// for the whole GFM run). Zero value is fine.
+	// Span nests the run's events in the caller's span tree: one span for
+	// the whole GFM run, with the bisect and merge phases as spans below
+	// it. Zero value is fine.
 	Span obs.SpanScope
 }
 
@@ -58,11 +57,8 @@ func GFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	_, opt.Observer = opt.Span.Enter(opt.Observer)
-	fmOpt := opt.FM
-	if fmOpt.Rng == nil {
-		fmOpt.Rng = rand.New(rand.NewSource(opt.Seed))
-	}
+	var scope obs.SpanScope
+	scope, opt.Observer = opt.Span.Enter(opt.Observer)
 	top := spec.TopLevel(h.TotalSize())
 
 	// Target group counts per level: the root takes K_top children, each of
@@ -81,14 +77,14 @@ func GFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 		t0 = time.Now()
 		phase = t0
 	}
-	blockOf, numBlocks := fm.RecursiveBisection(ctx, h, spec.Capacity[0], fmOpt)
+	blockOf, numBlocks := fm.RecursiveBisection(ctx, h, spec.Capacity[0], rand.New(rand.NewSource(opt.Seed)))
 	if err := gfmInterrupted(ctx); err != nil {
 		emitStop(opt.Observer, "error", 0, t0, err)
 		return nil, err
 	}
 	if opt.Observer != nil {
 		obs.Emit(opt.Observer, obs.Event{Kind: obs.KindSpan, Phase: "gfm-bisect",
-			ElapsedMS: obs.Millis(time.Since(phase))})
+			Span: scope.Mint(), Parent: scope.Parent, ElapsedMS: obs.Millis(time.Since(phase))})
 		phase = time.Now()
 	}
 	level0 := make([]gfmGroup, numBlocks)
@@ -138,7 +134,7 @@ func GFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 	}
 	if opt.Observer != nil {
 		obs.Emit(opt.Observer, obs.Event{Kind: obs.KindSpan, Phase: "gfm-merge",
-			ElapsedMS: obs.Millis(time.Since(phase))})
+			Span: scope.Mint(), Parent: scope.Parent, ElapsedMS: obs.Millis(time.Since(phase))})
 	}
 
 	// Assemble the layered tree.

@@ -327,7 +327,7 @@ func TestPlusVariantsNeverWorsen(t *testing.T) {
 	run := func(algo string, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64) (*Result, float64) {
 		t.Helper()
 		res, initial, err := PipelineCtx(context.Background(), h, spec, Pipeline{Algo: algo,
-			Flow: FlowOptions{Iterations: 2, Seed: seed}, RFM: RFMOptions{Seed: seed}, GFM: GFMOptions{Seed: seed}})
+			Seed: seed, Flow: FlowOptions{Iterations: 2}})
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", algo, seed, err)
 		}

@@ -28,14 +28,12 @@ type Pipeline struct {
 	// Algo names the constructor the way the CLIs do: "flow" (the
 	// default), "rfm" or "gfm", with a "+" suffix for the FM step.
 	Algo string
-	// Seed seeds the constructor when its own options leave Seed zero.
-	// Default 1.
+	// Seed seeds the constructor; a non-zero Flow.Seed overrides it for
+	// FLOW. Default 1.
 	Seed int64
-	// Flow, RFM and GFM forward options to the named constructor. Their
-	// Observer and Span are replaced by the pipeline's.
+	// Flow forwards options to FLOW. Its Observer and Span are replaced by
+	// the pipeline's.
 	Flow FlowOptions
-	RFM  RFMOptions
-	GFM  GFMOptions
 	// FlowRefine, when non-nil, appends flow-based pairwise refinement
 	// (internal/flowrefine) as the last step. A zero Seed defaults to the
 	// constructor's seed (the V-cycle's: Seed + 40); Observer and Span are
@@ -86,22 +84,14 @@ func (p Pipeline) stages() (string, constructor, []refineStep, error) {
 			return FlowCtx(ctx, h, spec, fo)
 		}
 	case "rfm":
-		opt := p.RFM
-		opt.Seed = cmp.Or(opt.Seed, p.Seed, 1)
-		seed = opt.Seed
+		seed = cmp.Or(p.Seed, 1)
 		construct = func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, o obs.Observer, span obs.SpanScope) (*Result, error) {
-			ro := opt
-			ro.Observer, ro.Span = o, span
-			return RFMCtx(ctx, h, spec, ro)
+			return RFMCtx(ctx, h, spec, RFMOptions{Seed: seed, Observer: o, Span: span})
 		}
 	case "gfm":
-		opt := p.GFM
-		opt.Seed = cmp.Or(opt.Seed, p.Seed, 1)
-		seed = opt.Seed
+		seed = cmp.Or(p.Seed, 1)
 		construct = func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, o obs.Observer, span obs.SpanScope) (*Result, error) {
-			gg := opt
-			gg.Observer, gg.Span = o, span
-			return GFMCtx(ctx, h, spec, gg)
+			return GFMCtx(ctx, h, spec, GFMOptions{Seed: seed, Observer: o, Span: span})
 		}
 	default:
 		return "", nil, nil, fmt.Errorf("htp: unknown algorithm %q: %w", p.Algo, anytime.ErrInvalidSpec)

@@ -18,10 +18,6 @@ import (
 type RFMOptions struct {
 	// Seed drives every random choice. Default 1.
 	Seed int64
-	// FM forwards options to the bipartition refinement inside each cut.
-	FM fm.BiOptions
-	// FixedLB mirrors BuildOptions.FixedLB.
-	FixedLB bool
 	// Observer receives build-done and terminal stop trace events (see
 	// internal/obs). Nil disables telemetry at zero cost.
 	Observer obs.Observer
@@ -51,12 +47,11 @@ func RFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	engine := func(sub *hypergraph.Hypergraph, _ []float64, lb, ub int64, rng *rand.Rand) []hypergraph.NodeID {
-		return fmCarve(ctx, sub, lb, ub, opt.FM, rng)
+		return fmCarve(ctx, sub, lb, ub, rng)
 	}
 	d := make([]float64, h.NumNets()) // unused by the FM engine
 	p, err := BuildCtx(ctx, h, spec, d, BuildOptions{
 		Rng:           rng,
-		FixedLB:       opt.FixedLB,
 		Engine:        engine,
 		CarveAttempts: 1, // the FM engine is already a full local search
 	})
@@ -82,18 +77,14 @@ func RFMCtx(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, 
 // fmCarve separates a node set of size within [lb..ub] by seeding a region,
 // growing it to the window's midpoint, and FM-refining the bipartition under
 // the window. Returns side-A node IDs of sub.
-func fmCarve(ctx context.Context, sub *hypergraph.Hypergraph, lb, ub int64, opt fm.BiOptions, rng *rand.Rand) []hypergraph.NodeID {
+func fmCarve(ctx context.Context, sub *hypergraph.Hypergraph, lb, ub int64, rng *rand.Rand) []hypergraph.NodeID {
 	seed := hypergraph.NodeID(rng.Intn(sub.NumNodes()))
 	target := (lb + ub) / 2
 	if target < 1 {
 		target = 1
 	}
 	inA := fm.GrowSeedSideCtx(ctx, sub, seed, target)
-	fmOpt := opt
-	if fmOpt.Rng == nil {
-		fmOpt.Rng = rng
-	}
-	fm.RefineBipartitionCtx(ctx, sub, inA, lb, ub, fmOpt)
+	fm.RefineBipartitionCtx(ctx, sub, inA, lb, ub)
 	var piece []hypergraph.NodeID
 	var size int64
 	for v := 0; v < sub.NumNodes(); v++ {

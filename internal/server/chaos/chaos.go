@@ -1,10 +1,10 @@
 // Package chaos is the fault-injection harness for htpd. It wraps the
-// daemon's solver seam (server.Solvers) with deterministic, counter-based
-// faults — panics, transient errors, delays, and spurious context cancels —
-// so tests can drive hundreds of jobs through a misbehaving solver stack and
-// assert the daemon's hard invariants: every job ends in exactly one
-// terminal state, nothing uncertified is ever served, and no goroutines
-// leak.
+// daemon's solver seam (server.Config.Solver, one function that every ladder
+// rung calls) with deterministic, counter-based faults — panics, transient
+// errors, delays, and spurious context cancels — so tests can drive hundreds
+// of jobs through a misbehaving solver stack and assert the daemon's hard
+// invariants: every job ends in exactly one terminal state, nothing
+// uncertified is ever served, and no goroutines leak.
 //
 // Injection is counter-based rather than probabilistic: fault k fires on
 // every Nth attempt (a global attempt counter shared across jobs), so a
@@ -22,8 +22,6 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
-	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 // Config selects which faults fire and how often. A zero frequency disables
@@ -43,11 +41,6 @@ type Config struct {
 	// exercising the anytime salvage paths under spurious interruption.
 	CancelEvery int
 	CancelAfter time.Duration
-	// SkipSalvage exempts the final ladder rung from injection, modelling
-	// faults confined to the primary solvers. With it unset the whole ladder
-	// can fail, which is itself a valid chaos mode (jobs then terminate
-	// failed, not wedged).
-	SkipSalvage bool
 	// PoisonNodes marks every instance with exactly this node count as
 	// unsolvable: all rungs return ErrPoisoned for it, so the job exhausts
 	// its ladder and terminates failed. Deterministic by construction —
@@ -69,10 +62,9 @@ var ErrInjected = errors.New("chaos: injected transient failure")
 // ErrPoisoned is returned for every attempt on a poisoned instance.
 var ErrPoisoned = errors.New("chaos: poisoned instance")
 
-// Harness wraps a Solvers with fault injection and counts what it did.
+// Harness wraps htp.PipelineCtx with fault injection and counts what it did.
 type Harness struct {
-	cfg   Config
-	inner *server.Solvers
+	cfg Config
 
 	attempts  atomic.Int64
 	panics    atomic.Int64
@@ -81,42 +73,23 @@ type Harness struct {
 	cancels   atomic.Int64
 	poisons   atomic.Int64
 	stalls    atomic.Int64
-	salvages  atomic.Int64 // salvage-rung attempts that ran uninjected
-	completed atomic.Int64 // attempts that reached the inner solver
+	completed atomic.Int64 // attempts that reached the solver
 }
 
-// New builds a harness over inner (server.RealSolvers() if nil).
-func New(inner *server.Solvers, cfg Config) *Harness {
-	if inner == nil {
-		inner = server.RealSolvers()
-	}
-	return &Harness{cfg: cfg, inner: inner}
+// New builds a harness that injects the faults cfg selects.
+func New(cfg Config) *Harness {
+	return &Harness{cfg: cfg}
 }
 
-// Solvers returns the fault-injecting solver seam to hand to server.Config.
-func (c *Harness) Solvers() *server.Solvers {
-	return &server.Solvers{
-		Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-			ctx, done, err := c.inject(ctx, h)
-			if err != nil {
-				return nil, 0, err
-			}
-			defer done()
-			return c.inner.Pipeline(ctx, h, spec, p)
-		},
-		Salvage: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
-			if c.cfg.SkipSalvage {
-				c.salvages.Add(1)
-				return c.inner.Salvage(ctx, h, spec, seed, o, span)
-			}
-			ctx, done, err := c.inject(ctx, h)
-			if err != nil {
-				return nil, err
-			}
-			defer done()
-			return c.inner.Salvage(ctx, h, spec, seed, o, span)
-		},
+// Solve is the fault-injecting solver seam to hand to server.Config.Solver:
+// every ladder rung's attempt passes through it.
+func (c *Harness) Solve(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+	ctx, done, err := c.inject(ctx, h)
+	if err != nil {
+		return nil, 0, err
 	}
+	defer done()
+	return htp.PipelineCtx(ctx, h, spec, p)
 }
 
 // inject applies the configured faults for one attempt. It returns the

@@ -120,14 +120,13 @@ func TestChaosEndToEnd(t *testing.T) {
 	invariantsBefore := counter(t, "htpd_invariant_violations")
 	certFailuresBefore := counter(t, "htpd_cert_failures")
 
-	harness := chaos.New(nil, chaos.Config{
+	harness := chaos.New(chaos.Config{
 		PanicEvery:  7,
 		FailEvery:   5,
 		DelayEvery:  11,
 		Delay:       10 * time.Millisecond,
 		CancelEvery: 13,
 		CancelAfter: 2 * time.Millisecond,
-		SkipSalvage: false,
 		PoisonNodes: 20, // 20-node instances are unsolvable by fiat
 		StallNodes:  36, // 36-node instances block until cancelled
 	})
@@ -140,7 +139,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		DefaultBudget: 5 * time.Second,
 		JournalPath:   filepath.Join(dir, "jobs.jsonl"),
 		ResultDir:     dir,
-		Solvers:       harness.Solvers(),
+		Solver:        harness.Solve,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -347,7 +346,7 @@ func TestChaosRestartRecovery(t *testing.T) {
 	journalPath := filepath.Join(dir, "jobs.jsonl")
 	const fleet = 48
 
-	harness := chaos.New(nil, chaos.Config{
+	harness := chaos.New(chaos.Config{
 		PanicEvery: 4,
 		FailEvery:  3,
 		DelayEvery: 2,
@@ -360,7 +359,7 @@ func TestChaosRestartRecovery(t *testing.T) {
 		BaseBackoff:   5 * time.Millisecond,
 		DefaultBudget: 10 * time.Second,
 		JournalPath:   journalPath,
-		Solvers:       harness.Solvers(),
+		Solver:        harness.Solve,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

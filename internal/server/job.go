@@ -145,7 +145,9 @@ type StatusView struct {
 	Attempts     int `json:"attempts,omitempty"`
 	Degradations int `json:"degradations,omitempty"`
 	Retries      int `json:"retries,omitempty"`
-	// Salvaged marks results produced by the final metric-salvage rung.
+	// Salvaged marks a best-so-far result: one served by the final
+	// "salvage" rung (FLOW with one iteration), or one whose run the
+	// deadline or a cancel stopped.
 	Salvaged bool   `json:"salvaged,omitempty"`
 	Error    string `json:"error,omitempty"`
 	// Verified is true on every served result: nothing reaches the result

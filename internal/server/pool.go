@@ -131,7 +131,9 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		dump.Stop = string(out.res.Stop)
 	}
 	// Served as done, a job whose dump failed would have no result after
-	// a restart.
+	// a restart. The dump write and the terminal record are traced as one
+	// "persist" span under the job root.
+	t0 := time.Now()
 	if err := s.persistResult(j, dump); err != nil {
 		s.log.Error("persisting result", "job", j.ID, "err", err)
 		dump = nil
@@ -156,6 +158,8 @@ func (s *Server) finishJob(j *Job, out solveOutcome, clientCancelled bool) {
 		errMsg = out.err.Error()
 	}
 	s.journalState(j, state, out.stage, stopReason, cost, errMsg)
+	obs.Emit(j.sink, obs.Event{Kind: obs.KindSpan, Phase: "persist", Span: j.spans.NewSpan(),
+		Parent: j.rootSpan, ElapsedMS: obs.Millis(time.Since(t0))})
 
 	j.mu.Lock()
 	j.state = state

@@ -25,7 +25,6 @@ import (
 // serves its status, its result and its event replay.
 func TestFinishedJobReleasesSolveState(t *testing.T) {
 	net := ringNetlist(t, 16)
-	real := RealSolvers()
 	t.Run("done", func(t *testing.T) {
 		s, ts := newTestServer(t, Config{Workers: 1, DefaultBudget: 20 * time.Second})
 		id := submitOK(t, ts, JobSpec{Netlist: net, Height: 2})
@@ -35,11 +34,8 @@ func TestFinishedJobReleasesSolveState(t *testing.T) {
 		s, ts := newTestServer(t, Config{
 			Workers:       1,
 			DefaultBudget: 20 * time.Second,
-			Solvers: &Solvers{
-				Pipeline: func(context.Context, *hypergraph.Hypergraph, hierarchy.Spec, htp.Pipeline) (*htp.Result, float64, error) {
-					return nil, 0, anytime.ErrInvalidSpec
-				},
-				Salvage: real.Salvage,
+			Solver: func(context.Context, *hypergraph.Hypergraph, hierarchy.Spec, htp.Pipeline) (*htp.Result, float64, error) {
+				return nil, 0, anytime.ErrInvalidSpec
 			},
 		})
 		id := submitOK(t, ts, JobSpec{Netlist: net, Height: 2})
@@ -49,12 +45,9 @@ func TestFinishedJobReleasesSolveState(t *testing.T) {
 		s, ts := newTestServer(t, Config{
 			Workers:       1,
 			DefaultBudget: 20 * time.Second,
-			Solvers: &Solvers{
-				Pipeline: func(ctx context.Context, _ *hypergraph.Hypergraph, _ hierarchy.Spec, _ htp.Pipeline) (*htp.Result, float64, error) {
-					<-ctx.Done()
-					return nil, 0, ctx.Err()
-				},
-				Salvage: real.Salvage,
+			Solver: func(ctx context.Context, _ *hypergraph.Hypergraph, _ hierarchy.Spec, _ htp.Pipeline) (*htp.Result, float64, error) {
+				<-ctx.Done()
+				return nil, 0, ctx.Err()
 			},
 		})
 		id := submitOK(t, ts, JobSpec{Netlist: net, Height: 2})
@@ -67,7 +60,7 @@ func TestFinishedJobReleasesSolveState(t *testing.T) {
 		s, ts := newTestServer(t, Config{
 			Workers:       1,
 			DefaultBudget: 20 * time.Second,
-			Solvers:       blockingSolvers(release),
+			Solver:        blockingSolver(release),
 		})
 		id1 := submitOK(t, ts, JobSpec{Netlist: net, Height: 2})
 		waitRunning(t, ts, id1, 5*time.Second)

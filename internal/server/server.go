@@ -1,13 +1,14 @@
 // Package server implements htpd, the hardened partitioning-as-a-service
-// daemon. It wraps the anytime solver stack (FLOW, GFM, metric salvage)
-// behind an HTTP/JSON API with:
+// daemon. It wraps the anytime solver stack (htp.PipelineCtx) behind an
+// HTTP/JSON API with:
 //
 //   - admission control: a bounded queue and worker pool, per-job node-count
 //     budgets, and 429 + Retry-After under overload;
 //   - deadline-budgeted degradation: each job's wall-clock budget is divided
-//     across a ladder (FLOW -> GFM -> metric salvage; instances at or above
-//     MultilevelNodes get a leading multilevel V-cycle rung), every rung's result
-//     re-certified by internal/verify before it is served;
+//     across a ladder of pipelines (FLOW -> GFM -> salvage, a one-iteration
+//     FLOW; instances at or above MultilevelNodes get a leading multilevel
+//     V-cycle rung), every rung's result re-certified by internal/verify
+//     before it is served;
 //   - retry with jittered exponential backoff for transient failures and
 //     fail-fast for permanent ones;
 //   - crash safety: an append-only JSONL journal plus atomic result writes,
@@ -35,6 +36,7 @@ import (
 
 	"repro/internal/anytime"
 	"repro/internal/hierarchy"
+	"repro/internal/htp"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -117,9 +119,12 @@ type Config struct {
 	JournalPath string
 	// ResultDir, when set, persists every certified result dump atomically.
 	ResultDir string
-	// Solvers overrides the solver entry points (the chaos seam); nil means
-	// RealSolvers.
-	Solvers *Solvers
+	// Solver runs every ladder rung's pipeline; nil means htp.PipelineCtx.
+	// It is the seam the chaos harness and the tests wrap. Like PipelineCtx
+	// it follows the anytime contract: on deadline or cancellation it
+	// returns the best result found so far, erroring only when nothing
+	// valid exists.
+	Solver func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error)
 	// Logger receives operational logs; nil discards them.
 	Logger *slog.Logger
 	// Trace, when set, receives every job's full solver telemetry tagged
@@ -157,8 +162,8 @@ func (c Config) withDefaults() Config {
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 25 * time.Millisecond
 	}
-	if c.Solvers == nil {
-		c.Solvers = RealSolvers()
+	if c.Solver == nil {
+		c.Solver = htp.PipelineCtx
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -172,7 +177,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
-	solvers *Solvers
 	journal *journal
 
 	baseCtx    context.Context
@@ -209,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		solvers:    cfg.Solvers,
 		journal:    jl,
 		baseCtx:    ctx,
 		baseCancel: cancel,

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/anytime"
+	"repro/internal/circuits"
 	"repro/internal/hierarchy"
 	"repro/internal/htp"
 	"repro/internal/hypergraph"
@@ -222,22 +223,24 @@ func terminalCount(s *Server, id string) int {
 	return j.terminally
 }
 
-// blockingSolvers returns a Solvers whose FLOW rung parks until release is
+// blockingSolver returns a solver whose FLOW rungs park until release is
 // closed (or the rung deadline fires), then defers to the real solver.
-func blockingSolvers(release <-chan struct{}) *Solvers {
-	real := RealSolvers()
-	return &Solvers{
-		Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-			if p.Algo != "gfm" {
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
+func blockingSolver(release <-chan struct{}) func(context.Context, *hypergraph.Hypergraph, hierarchy.Spec, htp.Pipeline) (*htp.Result, float64, error) {
+	return func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+		if p.Algo != "gfm" {
+			select {
+			case <-release:
+			case <-ctx.Done():
 			}
-			return real.Pipeline(ctx, h, spec, p)
-		},
-		Salvage: real.Salvage,
+		}
+		return htp.PipelineCtx(ctx, h, spec, p)
 	}
+}
+
+// salvagePipeline reports whether p is the salvage rung's pipeline: flat
+// FLOW with one iteration (the flow rung runs JobSpec.Iters, default 2).
+func salvagePipeline(p htp.Pipeline) bool {
+	return p.Algo == "" && p.Multilevel == nil && p.Flow.Iterations == 1
 }
 
 func TestOverloadRejectsWithRetryAfter(t *testing.T) {
@@ -247,7 +250,7 @@ func TestOverloadRejectsWithRetryAfter(t *testing.T) {
 		Workers:       1,
 		MaxQueue:      1,
 		DefaultBudget: 20 * time.Second,
-		Solvers:       blockingSolvers(release),
+		Solver:        blockingSolver(release),
 	})
 	net := ringNetlist(t, 8)
 
@@ -348,20 +351,16 @@ func TestBadRequests(t *testing.T) {
 
 func TestDegradationFallsToGFM(t *testing.T) {
 	degBefore := cDegradations.Value()
-	real := RealSolvers()
 	_, ts := newTestServer(t, Config{
 		Workers:       1,
 		MaxAttempts:   2,
 		BaseBackoff:   time.Millisecond,
 		DefaultBudget: 20 * time.Second,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				if p.Algo != "gfm" {
-					return nil, 0, errors.New("synthetic transient failure")
-				}
-				return real.Pipeline(ctx, h, spec, p)
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if p.Algo != "gfm" {
+				return nil, 0, errors.New("synthetic transient failure")
+			}
+			return htp.PipelineCtx(ctx, h, spec, p)
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
@@ -418,21 +417,17 @@ func TestMultilevelLadderAboveThreshold(t *testing.T) {
 // the solver actually receives the FlowRefine option, and small jobs keep
 // the flat ladder untouched.
 func TestFlowRefineLadder(t *testing.T) {
-	real := RealSolvers()
 	var sawFlowRefine atomic.Bool
 	_, ts := newTestServer(t, Config{
 		Workers:         1,
 		DefaultBudget:   20 * time.Second,
 		MultilevelNodes: 64,
 		FlowRefine:      true,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				if p.Multilevel != nil && p.FlowRefine != nil {
-					sawFlowRefine.Store(true)
-				}
-				return real.Pipeline(ctx, h, spec, p)
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if p.Multilevel != nil && p.FlowRefine != nil {
+				sawFlowRefine.Store(true)
+			}
+			return htp.PipelineCtx(ctx, h, spec, p)
 		},
 	})
 	big := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 96), Height: 3})
@@ -462,21 +457,17 @@ func TestFlowRefineLadder(t *testing.T) {
 // TestMultilevelLadderDegrades pins that a failing multilevel rung falls
 // back to flat FLOW rather than failing the job.
 func TestMultilevelLadderDegrades(t *testing.T) {
-	real := RealSolvers()
 	_, ts := newTestServer(t, Config{
 		Workers:         1,
 		MaxAttempts:     2,
 		BaseBackoff:     time.Millisecond,
 		DefaultBudget:   20 * time.Second,
 		MultilevelNodes: 64,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				if p.Multilevel != nil {
-					return nil, 0, errors.New("synthetic multilevel failure")
-				}
-				return real.Pipeline(ctx, h, spec, p)
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if p.Multilevel != nil {
+				return nil, 0, errors.New("synthetic multilevel failure")
+			}
+			return htp.PipelineCtx(ctx, h, spec, p)
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 96), Height: 3})
@@ -493,24 +484,20 @@ func TestMultilevelLadderDegrades(t *testing.T) {
 }
 
 func TestPermanentErrorFailsFast(t *testing.T) {
-	real := RealSolvers()
 	gfmCalled := make(chan struct{}, 1)
 	_, ts := newTestServer(t, Config{
 		Workers:       1,
 		MaxAttempts:   5,
 		DefaultBudget: 20 * time.Second,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				if p.Algo != "gfm" {
-					return nil, 0, fmt.Errorf("rung: %w", anytime.ErrOversizedNode)
-				}
-				select {
-				case gfmCalled <- struct{}{}:
-				default:
-				}
-				return real.Pipeline(ctx, h, spec, p)
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if p.Algo != "gfm" {
+				return nil, 0, fmt.Errorf("rung: %w", anytime.ErrOversizedNode)
+			}
+			select {
+			case gfmCalled <- struct{}{}:
+			default:
+			}
+			return htp.PipelineCtx(ctx, h, spec, p)
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
@@ -543,17 +530,16 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 
 func TestPanickingSolversAreContained(t *testing.T) {
 	retryBefore := cRetries.Value()
-	real := RealSolvers()
 	_, ts := newTestServer(t, Config{
 		Workers:       1,
 		MaxAttempts:   2,
 		BaseBackoff:   time.Millisecond,
 		DefaultBudget: 20 * time.Second,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				panic("injected " + cmp.Or(p.Algo, "flow") + " panic")
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if salvagePipeline(p) {
+				return htp.PipelineCtx(ctx, h, spec, p)
+			}
+			panic("injected " + cmp.Or(p.Algo, "flow") + " panic")
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
@@ -575,17 +561,67 @@ func TestPanickingSolversAreContained(t *testing.T) {
 	}
 }
 
+// TestSalvageRungCarvesFromPartialMetric fails every rung but salvage, once
+// each, and gives a c7552 job a 30 ms budget. A flat c7552 metric takes
+// about half a second, so the salvage rung's deadline lands mid-metric and
+// its one FLOW iteration carves the served partition from the partial
+// metric.
+func TestSalvageRungCarvesFromPartialMetric(t *testing.T) {
+	cs, err := circuits.ByName("c7552")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var net strings.Builder
+	if err := circuits.Generate(cs, 1).Write(&net); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{
+		Workers:     1,
+		MaxAttempts: 1,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			if !salvagePipeline(p) {
+				return nil, 0, errors.New("synthetic rung failure")
+			}
+			return htp.PipelineCtx(ctx, h, spec, p)
+		},
+	})
+	id := submitOK(t, ts, JobSpec{Netlist: net.String(), Height: 4, BudgetMS: 30})
+	v := waitTerminal(t, ts, id, 30*time.Second)
+	if v.State != StateDone || v.Stage != "salvage" || !v.Salvaged {
+		t.Fatalf("state %q stage %q salvaged %v (error %q), want done by the salvage rung", v.State, v.Stage, v.Salvaged, v.Error)
+	}
+	if v.Stop != string(anytime.StopDeadline) || !v.Verified {
+		t.Fatalf("stop %q verified %v, want a verified result stopped by the deadline", v.Stop, v.Verified)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatalf("GET result: %v", err)
+	}
+	defer resp.Body.Close()
+	dump, err := hierarchy.ReadDump(resp.Body)
+	if err != nil {
+		t.Fatalf("decoding result dump: %v", err)
+	}
+	h, err := hypergraph.ReadFrom(strings.NewReader(net.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := dump.Partition(h)
+	if err != nil {
+		t.Fatalf("reconstructing partition: %v", err)
+	}
+	if err := p.Validate(); err != nil || p.Cost() != dump.Cost {
+		t.Fatalf("served partition: validate %v, cost %g against served %g", err, p.Cost(), dump.Cost)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
-	real := RealSolvers()
 	_, ts := newTestServer(t, Config{
 		Workers:       1,
 		DefaultBudget: 20 * time.Second,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				<-ctx.Done()
-				return nil, 0, ctx.Err()
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			<-ctx.Done()
+			return nil, 0, ctx.Err()
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
@@ -611,7 +647,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		Workers:       1,
 		MaxQueue:      4,
 		DefaultBudget: 20 * time.Second,
-		Solvers:       blockingSolvers(release),
+		Solver:        blockingSolver(release),
 	})
 	net := ringNetlist(t, 8)
 	id1 := submitOK(t, ts, JobSpec{Netlist: net, Height: 2})
@@ -765,7 +801,6 @@ func TestResultDumpFailureFailsJob(t *testing.T) {
 // terminal until the journal is unlocked.
 func TestTerminalRecordPrecedesPublishedState(t *testing.T) {
 	dir := t.TempDir()
-	real := RealSolvers()
 	entered, proceed := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	s, ts := newTestServer(t, Config{
@@ -773,13 +808,10 @@ func TestTerminalRecordPrecedesPublishedState(t *testing.T) {
 		DefaultBudget: 20 * time.Second,
 		JournalPath:   filepath.Join(dir, "jobs.jsonl"),
 		ResultDir:     dir,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				once.Do(func() { close(entered) })
-				<-proceed
-				return real.Pipeline(ctx, h, spec, p)
-			},
-			Salvage: real.Salvage,
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			once.Do(func() { close(entered) })
+			<-proceed
+			return htp.PipelineCtx(ctx, h, spec, p)
 		},
 	})
 	id := submitOK(t, ts, JobSpec{Netlist: ringNetlist(t, 16), Height: 2})
@@ -826,14 +858,9 @@ func TestShutdownRequeuesAndRestartRecovers(t *testing.T) {
 		MaxQueue:      4,
 		DefaultBudget: 20 * time.Second,
 		JournalPath:   journalPath,
-		Solvers: &Solvers{
-			Pipeline: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
-				<-ctx.Done()
-				return nil, 0, ctx.Err()
-			},
-			Salvage: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
-				return nil, ctx.Err()
-			},
+		Solver: func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error) {
+			<-ctx.Done()
+			return nil, 0, ctx.Err()
 		},
 	})
 	if err != nil {
@@ -1040,8 +1067,8 @@ func (r *traceRecorder) snapshot() []obs.Event {
 // trace sink attached and pins the trace contract htptrace relies on:
 // every event is tagged with its job ID, each job's stream ends in exactly
 // one stop stamped with the job root span (always 1, minted at admission),
-// rung spans nest under the root, and IDs are minted parent-first so
-// Parent < Span everywhere.
+// rung spans, certification and the result writes nest under the root, and
+// IDs are minted parent-first so Parent < Span everywhere.
 func TestJobTraceCarriesSpanIdentity(t *testing.T) {
 	rec := &traceRecorder{}
 	_, ts := newTestServer(t, Config{
@@ -1092,7 +1119,7 @@ func TestJobTraceCarriesSpanIdentity(t *testing.T) {
 		if len(evs) == 0 {
 			t.Fatalf("job %s left no trace", id)
 		}
-		stops, rungSpans := 0, 0
+		stops, rungSpans, certifySpans, persistSpans := 0, 0, 0, 0
 		for i, e := range evs {
 			if e.Kind == obs.KindStop {
 				stops++
@@ -1113,6 +1140,17 @@ func TestJobTraceCarriesSpanIdentity(t *testing.T) {
 					t.Errorf("job %s: rung span %q nests under %d, want job root 1", id, e.Phase, e.Parent)
 				}
 			}
+			// Certification and the result writes are job-level spans too.
+			if e.Kind == obs.KindSpan && (e.Phase == "certify" || e.Phase == "persist") {
+				if e.Phase == "certify" {
+					certifySpans++
+				} else {
+					persistSpans++
+				}
+				if e.Parent != 1 {
+					t.Errorf("job %s: %s span nests under %d, want job root 1", id, e.Phase, e.Parent)
+				}
+			}
 		}
 		if stops != 1 {
 			t.Errorf("job %s traced %d stops, want exactly 1", id, stops)
@@ -1120,12 +1158,15 @@ func TestJobTraceCarriesSpanIdentity(t *testing.T) {
 		if rungSpans == 0 {
 			t.Errorf("job %s traced no rung spans", id)
 		}
+		if certifySpans == 0 || persistSpans != 1 {
+			t.Errorf("job %s traced %d certify and %d persist spans, want at least 1 and exactly 1", id, certifySpans, persistSpans)
+		}
 		// A rung's solver run nests under the rung span, and its stop,
 		// which the rung suppresses, still closes that run under the rung's
 		// name, so htptrace names every span.
 		for _, r := range evs {
 			rung, ok := strings.CutPrefix(r.Phase, "rung:")
-			if r.Kind != obs.KindSpan || !ok || rung == "salvage" {
+			if r.Kind != obs.KindSpan || !ok {
 				continue
 			}
 			named := false

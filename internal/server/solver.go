@@ -10,98 +10,44 @@ import (
 
 	"repro/internal/anytime"
 	"repro/internal/flowrefine"
-	"repro/internal/hierarchy"
 	"repro/internal/htp"
-	"repro/internal/hypergraph"
-	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
 
-// Solvers groups the solver entry points the daemon drives — the seam the
-// chaos harness wraps. Both follow the anytime contract: on deadline or
-// cancellation they return the best certified-able result found so far,
-// erroring only when nothing valid exists.
-type Solvers struct {
-	// Pipeline runs every rung but metric salvage (htp.PipelineCtx).
-	Pipeline func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, p htp.Pipeline) (*htp.Result, float64, error)
-	// Salvage takes the job's span scope explicitly (Pipeline carries it
-	// in its options): without it, the inject call would start a fresh
-	// span ID space colliding with the job's own IDs in the merged trace.
-	Salvage func(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error)
-}
-
-// RealSolvers returns the production entry points.
-func RealSolvers() *Solvers {
-	return &Solvers{Pipeline: htp.PipelineCtx, Salvage: metricSalvage}
-}
-
-// salvageGrace is the detached construction window of the final ladder
-// rung: the partial metric in hand is only useful if a build from it is
-// allowed to finish, so the build runs under its own short deadline rather
-// than the (already expiring) job budget.
-const salvageGrace = 2 * time.Second
-
-// metricSalvage is the last rung of the degradation ladder: compute a
-// spreading metric under whatever budget remains — a cancelled computation
-// still yields a usable partial metric — then carve one partition from it
-// under a small detached grace window. This is the job-level analog of the
-// solver-internal salvage path from PR 1.
-func metricSalvage(ctx context.Context, h *hypergraph.Hypergraph, spec hierarchy.Spec, seed int64, o obs.Observer, span obs.SpanScope) (*htp.Result, error) {
-	m, _, merr := inject.ComputeMetricCtx(ctx, h, spec,
-		inject.Options{Rng: rand.New(rand.NewSource(seed)), Observer: o, Span: span})
-	if m == nil {
-		return nil, merr
-	}
-	if merr != nil && (errors.Is(merr, anytime.ErrInvalidSpec) || errors.Is(merr, anytime.ErrOversizedNode)) {
-		return nil, merr
-	}
-	bctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), salvageGrace)
-	defer cancel()
-	p, err := htp.BuildCtx(bctx, h, spec, m.D, htp.BuildOptions{Rng: rand.New(rand.NewSource(seed + 1))})
-	if err != nil {
-		return nil, err
-	}
-	stop := anytime.FromContext(ctx)
-	if stop == "" {
-		stop = anytime.StopConverged
-	}
-	cost := p.Cost()
-	obs.Emit(o, obs.Event{Kind: obs.KindSalvage, Cost: cost, Salvaged: true,
-		Span: span.Mint(), Parent: span.Parent})
-	return &htp.Result{Partition: p, Cost: cost, Iterations: 1, Stop: stop}, nil
-}
-
-// rung is one step of the degradation ladder: the pipeline it runs (nil
-// means metric salvage) and frac, the cumulative share of the job budget
-// it may consume from the job's start.
+// rung is one step of the degradation ladder: the pipeline it runs and
+// frac, the cumulative share of the job budget it may consume from the
+// job's start.
 type rung struct {
 	name     string
 	frac     float64
-	pipeline *htp.Pipeline
+	pipeline htp.Pipeline
 }
 
 // ladder is j's degradation ladder. Small jobs get FLOW for the first 60%
-// of the budget, GFM up to 85%, and metric salvage the remainder. Jobs at
-// or above Config.MultilevelNodes start with the V-cycle — flat FLOW's
-// metric engine is superlinear in instance size — and the flat rungs
-// become fallbacks. With Config.FlowRefine the V-cycle rung becomes "mlf",
-// the flow-refined V-cycle, with the same budget share: flow refinement is
-// monotone (accept-only-improving), so on deadline it degrades to plain
-// multilevel quality rather than failing. Every rung's result passes the
-// same certification gate before it is served.
+// of the budget, GFM up to 85%, and salvage the remainder. Salvage is
+// Algorithm 1 with N = 1: one metric and one carve, and a metric the
+// deadline interrupts still yields a carve (FLOW's salvage construction).
+// Jobs at or above Config.MultilevelNodes start with the V-cycle — flat
+// FLOW's metric engine is superlinear in instance size — and the flat
+// rungs become fallbacks. With Config.FlowRefine the V-cycle rung becomes
+// "mlf", the flow-refined V-cycle, with the same budget share: flow
+// refinement is monotone (accept-only-improving), so on deadline it
+// degrades to plain multilevel quality rather than failing. Every rung's
+// result passes the same certification gate before it is served.
 func (s *Server) ladder(j *Job) []rung {
-	flow := &htp.Pipeline{Flow: htp.FlowOptions{Iterations: j.Spec.Iters}}
-	gfm := &htp.Pipeline{Algo: "gfm"}
+	flow := htp.Pipeline{Flow: htp.FlowOptions{Iterations: j.Spec.Iters}}
+	gfm := htp.Pipeline{Algo: "gfm"}
+	salvage := htp.Pipeline{Flow: htp.FlowOptions{Iterations: 1}}
 	if j.h.NumNodes() < s.cfg.MultilevelNodes {
-		return []rung{{"flow", 0.60, flow}, {"gfm", 0.85, gfm}, {"salvage", 1.00, nil}}
+		return []rung{{"flow", 0.60, flow}, {"gfm", 0.85, gfm}, {"salvage", 1.00, salvage}}
 	}
-	ml := rung{"multilevel", 0.55, &htp.Pipeline{Multilevel: &htp.Multilevel{}}}
+	ml := rung{"multilevel", 0.55, htp.Pipeline{Multilevel: &htp.Multilevel{}}}
 	if s.cfg.FlowRefine {
 		ml.name = "mlf"
 		ml.pipeline.FlowRefine = &flowrefine.Options{Certify: verify.Certifier()}
 	}
-	return []rung{ml, {"flow", 0.75, flow}, {"gfm", 0.90, gfm}, {"salvage", 1.00, nil}}
+	return []rung{ml, {"flow", 0.75, flow}, {"gfm", 0.90, gfm}, {"salvage", 1.00, salvage}}
 }
 
 // solveOutcome is what the ladder hands back to the worker.
@@ -155,13 +101,13 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 			seed := attemptSeed(j.Spec.Seed, ri, attempt)
 			res, err := s.runAttempt(rctx, j, r, seed)
 			if err == nil {
-				if vrep := verify.Result(res); !vrep.OK() {
+				if vrep := certify(j, res); !vrep.OK() {
 					cCertFailures.Add(1)
 					err = fmt.Errorf("%w: %v", errCertFailed, vrep.Err())
 				} else {
 					out.res = res
 					out.stage = r.name
-					out.salvaged = r.pipeline == nil || resultSalvaged(res)
+					out.salvaged = r.name == "salvage" || resultSalvaged(res)
 					out.degraded = ri
 					cancel()
 					return out
@@ -197,6 +143,20 @@ func (s *Server) solveJob(ctx context.Context, j *Job) solveOutcome {
 	return out
 }
 
+// certify runs the independent certifier on res and traces it as a
+// "certify" span under the job root.
+func certify(j *Job, res *htp.Result) *verify.Report {
+	t0 := time.Now()
+	vrep := verify.Result(res)
+	ev := obs.Event{Kind: obs.KindSpan, Phase: "certify", Span: j.spans.NewSpan(), Parent: j.rootSpan,
+		ElapsedMS: obs.Millis(time.Since(t0))}
+	if !vrep.OK() {
+		ev.Detail = vrep.Err().Error()
+	}
+	obs.Emit(j.sink, ev)
+	return vrep
+}
+
 // runAttempt executes one rung attempt with panic containment: an injected
 // or genuine panic surfaces as a transient error carrying the stack, never
 // as a dead worker.
@@ -229,12 +189,9 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, r rung, seed int64) (re
 		o = obs.WithSpan(o, rungSpan, j.rootSpan)
 		scope = obs.SpanScope{Ctx: j.spans, Parent: rungSpan}
 	}
-	if r.pipeline == nil {
-		return s.solvers.Salvage(ctx, j.h, j.pspec, seed, o, scope)
-	}
-	p := *r.pipeline
+	p := r.pipeline
 	p.Seed, p.Observer, p.Span = seed, o, scope
-	res, _, err = s.solvers.Pipeline(ctx, j.h, j.pspec, p)
+	res, _, err = s.cfg.Solver(ctx, j.h, j.pspec, p)
 	return res, err
 }
 

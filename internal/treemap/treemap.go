@@ -384,7 +384,7 @@ func assign(ctx context.Context, m *Mapping, sub *hypergraph.Hypergraph, orig []
 	if sub.NumNodes() > 0 {
 		seed := hypergraph.NodeID(rng.Intn(sub.NumNodes()))
 		inA = fm.GrowSeedSideCtx(ctx, sub, seed, target)
-		fm.RefineBipartitionCtx(ctx, sub, inA, lb, ub, fm.BiOptions{Rng: rng})
+		fm.RefineBipartitionCtx(ctx, sub, inA, lb, ub)
 		// Enforce the hard bounds if refinement could not.
 		var sizeA int64
 		for v := 0; v < sub.NumNodes(); v++ {
