@@ -111,13 +111,15 @@ bench-ml:
 # tolerance is zero: any new allocation on the metric or move-selection hot
 # path fails. The batched engine's rows (wN, N >= 2) are skipped: which
 # worker grows which root depends on scheduling, and so does its arena
-# growth. (2) Re-run the carve, the V-cycle and flow refinement once and
-# diff allocs/op and B/op against BENCH_gate.json at 1%: these rows drift by
-# a few allocations and under 0.3% of their bytes from run to run, far less
-# than a lost arena or a map per net would move them. GOMAXPROCS=1 keeps the
-# -N suffix off the benchmark names, so they match the committed ones on any
-# CPU count; benchdiff fails when it compared nothing.
-GATE_BENCH = Alg3Scaling/n2048|MultilevelScaling/n16384|FlowRefine/c1355
+# growth. (2) Re-run the carve, the V-cycle, the FM descent and flow
+# refinement once and diff allocs/op and B/op against BENCH_gate.json at 1%:
+# these rows drift by a few allocations and under 0.3% of their bytes from
+# run to run, far less than a lost arena or a map per net would move them.
+# The FM descent's bytes are gated here because its allocation count alone
+# would not see a CostState arena rebuilt at every level. GOMAXPROCS=1 keeps
+# the -N suffix off the benchmark names, so they match the committed ones on
+# any CPU count; benchdiff fails when it compared nothing.
+GATE_BENCH = Alg3Scaling/n2048|MultilevelScaling/n16384|Uncoarsen/n16384|FlowRefine/c1355
 
 benchdiff:
 	{ GOMAXPROCS=1 $(GO) test -run=NONE -bench=Alg2Scaling -skip='Alg2Scaling/./w([2-9]|[1-9][0-9]+)$$' -benchtime=1x -benchmem -timeout 900s . && \

@@ -2,7 +2,7 @@ package flowrefine
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/fm"
 	"repro/internal/hierarchy"
@@ -39,16 +39,18 @@ const (
 )
 
 // collectPairs enumerates adjacent leaf pairs from the boundary scan: every
-// crossing net with at most maxPairSpan distinct leaves contributes each of
-// its leaf pairs. Pairs come out in first-witness order — index-derived and
-// therefore deterministic; the map is only a membership index and is never
-// ranged over.
+// crossing net (fm.Crossing) with at most maxPairSpan distinct leaves
+// contributes each of its leaf pairs. Pairs come out in first-witness
+// order — index-derived and therefore deterministic; the map is only a
+// membership index and is never ranged over.
 func collectPairs(p *hierarchy.Partition, opt Options) []*pairTask {
-	crossing, _ := fm.CollectBoundary(p)
 	idx := make(map[int64]int)
 	var pairs []*pairTask
 	leaves := make([]int32, 0, maxPairSpan+1)
-	for _, e := range crossing {
+	for e := hypergraph.NetID(0); int(e) < p.H.NumNets(); e++ {
+		if !fm.Crossing(p, e) {
+			continue
+		}
 		leaves = leaves[:0]
 		tooWide := false
 		for _, u := range p.H.Pins(e) {
@@ -72,7 +74,7 @@ func collectPairs(p *hierarchy.Partition, opt Options) []*pairTask {
 		if tooWide {
 			continue
 		}
-		sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+		slices.Sort(leaves)
 		for i := 0; i < len(leaves); i++ {
 			for j := i + 1; j < len(leaves); j++ {
 				key := int64(leaves[i])<<32 | int64(leaves[j])
@@ -90,7 +92,8 @@ func collectPairs(p *hierarchy.Partition, opt Options) []*pairTask {
 }
 
 // pairScratch is per-worker reusable state for solvePair. Generation stamps
-// give O(1) resets; the slices are sized to the hypergraph once per worker.
+// give O(1) resets; the slices are sized to the hypergraph once per worker,
+// and the cut workspace grows to the largest pair the worker has cut.
 type pairScratch struct {
 	gen      int32
 	nodeGen  []int32 // corridor membership stamp per hypergraph node
@@ -99,6 +102,7 @@ type pairScratch struct {
 	corridor []int32 // corridor nodes in discovery order = model index order
 	nets     []maxflow.RawNet
 	pins     []int32 // backing store for all model pin lists
+	cut      maxflow.CutWorkspace
 }
 
 func newPairScratch(p *hierarchy.Partition) *pairScratch {
@@ -254,7 +258,7 @@ func solvePair(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostSt
 		return nil
 	}
 
-	_, side, err := maxflow.CutRawCtx(ctx, k+2, sc.nets, []int32{anchor[0]}, []int32{anchor[1]})
+	_, side, err := sc.cut.CutCtx(ctx, k+2, sc.nets, anchor[:1], anchor[1:])
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil

@@ -18,10 +18,10 @@
 // deterministically; nothing is ever clamped to fit.
 //
 // Determinism: pair order is index-derived and shuffled by the seeded rng;
-// pairs are solved in fixed-size batches by workers claiming indices from
-// an atomic counter against a frozen partition snapshot, and the resulting
-// proposals are applied sequentially in pair order — the inject/coarsen
-// worker-pool pattern, so the result is bit-identical at any Workers count.
+// pairs are solved in fixed-size batches, each worker taking a fixed
+// stride of the batch's indices, against a frozen partition snapshot, and
+// the resulting proposals are applied sequentially in pair order, so the
+// result is bit-identical at any Workers count.
 package flowrefine
 
 import (
@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/anytime"
@@ -199,9 +198,11 @@ func sweepPairs(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostS
 	return nil
 }
 
-// solveBatch computes props[lo:hi] in parallel. Each worker claims pair
-// indices from an atomic counter and writes only its claimed slots; panics
-// are contained per worker and surface as an error after the barrier.
+// solveBatch computes props[lo:hi] in parallel. Worker w solves pairs
+// lo+w, lo+w+workers, … and writes only those slots, so its scratch meets
+// the same pairs in the same order on every run: the cut workspace grows
+// the same way, and the bytes a refinement allocates repeat. Panics are
+// contained per worker and surface as an error after the barrier.
 func solveBatch(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostState,
 	pairs []*pairTask, props []*proposal, lo, hi int, scratches []*pairScratch, opt Options, st *Stats) error {
 	workers := opt.Workers
@@ -209,11 +210,9 @@ func solveBatch(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostS
 		workers = span
 	}
 	var (
-		next   atomic.Int64
 		wg     sync.WaitGroup
 		panics = make([]error, workers)
 	)
-	next.Store(int64(lo))
 	worker := func(id int) {
 		defer wg.Done()
 		defer func() {
@@ -225,12 +224,8 @@ func solveBatch(ctx context.Context, p *hierarchy.Partition, cs *hierarchy.CostS
 			scratches[id] = newPairScratch(p)
 		}
 		sc := scratches[id]
-		for {
+		for i := lo + id; i < hi; i += workers {
 			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= hi {
 				return
 			}
 			props[i] = solvePair(ctx, p, cs, pairs[i], opt, sc)

@@ -3,6 +3,7 @@ package fm
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/hierarchy"
@@ -27,7 +28,7 @@ type BoundaryOptions struct {
 
 // MaxNetScan caps the nets the boundary refiner scans for candidate
 // leaves, worklist seeds and re-enqueued neighbours, and the nets
-// CollectBoundary returns; internal/flowrefine applies the same cap to its
+// Crossing accepts; internal/flowrefine applies the same cap to its
 // pair seeding, corridor growth and flow model. Giant nets (clock trees,
 // global enables) span most blocks whatever the refiner does; scanning
 // their full pin lists per visited node is the dominant cost on large
@@ -46,7 +47,7 @@ func (o BoundaryOptions) withDefaults() BoundaryOptions {
 	return o
 }
 
-// RefineBoundaryCtx is the localized cousin of RefineHierarchicalCtx used by
+// BoundaryRefiner is the localized cousin of RefineHierarchicalCtx used by
 // the multilevel uncoarsening pass: instead of sweeping every node every
 // pass, it keeps a worklist seeded with the boundary (nodes on nets whose
 // pins touch more than one leaf) and, after each applied move, re-enqueues
@@ -63,13 +64,38 @@ func (o BoundaryOptions) withDefaults() BoundaryOptions {
 // Determinism: the worklist is built by index-ordered scans (never map
 // iteration) and shuffled by opt.Rng, so a fixed seed reproduces the run.
 //
-// The partition is refined in place; every intermediate state is valid, so
+// The refiner's scratch (the CostState arena, the move selector, the two
+// worklists and their marks) lives across calls: a V-cycle keeps one
+// refiner for its whole descent and Reserves it for the finest graph, so
+// no level after the first allocates. The zero value is ready to use;
+// calls must not overlap.
+type BoundaryRefiner struct {
+	cs         hierarchy.CostState
+	mv         mover
+	mark       []uint32 // mark[v] == gen: v is on the list being built
+	gen        uint32
+	work, next []hypergraph.NodeID
+}
+
+// Reserve sizes the refiner for partitions of h, or of any graph
+// contracted from h, on a tree shaped like t under spec
+// (hierarchy.CostState.Reserve).
+func (r *BoundaryRefiner) Reserve(h *hypergraph.Hypergraph, t *hierarchy.Tree, spec hierarchy.Spec) {
+	r.cs.Reserve(h, t, spec)
+	n := h.NumNodes()
+	r.mark = slices.Grow(r.mark[:0], n)
+	r.work = slices.Grow(r.work[:0], n)
+	r.next = slices.Grow(r.next[:0], n)
+}
+
+// RefineCtx refines p in place; every intermediate state is valid, so
 // cancellation stops early and returns the best cost reached. Returns the
 // final cost and total improvement (initial − final ≥ 0).
-func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt BoundaryOptions) (cost, improvement float64) {
+func (r *BoundaryRefiner) RefineCtx(ctx context.Context, p *hierarchy.Partition, opt BoundaryOptions) (cost, improvement float64) {
 	opt = opt.withDefaults()
 	_, opt.Observer = opt.Span.Enter(opt.Observer)
-	cs := hierarchy.NewCostState(p)
+	cs := &r.cs
+	cs.Reset(p)
 	initial := cs.Cost()
 
 	var t0 time.Time
@@ -81,21 +107,18 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 		}()
 	}
 
-	n := p.H.NumNodes()
-	// mark guards worklist membership while a list is being built; entries
-	// are unmarked once the list is adopted so the next pass can rebuild.
-	mark := make([]bool, n)
-	_, work := CollectBoundary(p)
-	mv := newMover(cs, MaxNetScan)
+	r.mark, r.gen = zeroed(r.mark, p.H.NumNodes()), 0
+	work := r.boundary(p)
+	r.mv.reset(cs, MaxNetScan)
 	for pass := 0; pass < opt.MaxPasses && len(work) > 0 && ctx.Err() == nil; pass++ {
 		opt.Rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
-		var next []int
-		for wi, vi := range work {
+		gen := r.newList()
+		next := r.next[:0]
+		for wi, v := range work {
 			if wi&255 == 255 && ctx.Err() != nil {
 				return cs.Cost(), initial - cs.Cost()
 			}
-			v := hypergraph.NodeID(vi)
-			leaf, _ := mv.best(v)
+			leaf, _ := r.mv.best(v)
 			if leaf < 0 {
 				continue
 			}
@@ -106,9 +129,9 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 					continue
 				}
 				for _, u := range pins {
-					if !mark[u] {
-						mark[u] = true
-						next = append(next, int(u))
+					if r.mark[u] != gen {
+						r.mark[u] = gen
+						next = append(next, u)
 					}
 				}
 			}
@@ -117,46 +140,67 @@ func RefineBoundaryCtx(ctx context.Context, p *hierarchy.Partition, opt Boundary
 			obs.Emit(opt.Observer, obs.Event{Kind: obs.KindRefinePass, Round: pass + 1,
 				Cost: cs.Cost(), ElapsedMS: obs.Millis(time.Since(t0))})
 		}
+		// The lists trade arrays, so both stay with the refiner.
+		r.work, r.next = next, work
 		work = next
-		for _, v := range work {
-			mark[v] = false
-		}
 	}
 	return cs.Cost(), initial - cs.Cost()
 }
 
-// CollectBoundary scans the partition's nets once and returns the crossing
-// nets (pins touching more than one leaf) in ascending net order, plus the
-// distinct pins of those nets in first-touch order — the partition's
-// boundary. Nets with more than MaxNetScan pins are skipped. It is the
-// shared seed scan of the boundary-localized FM worklist and of
-// flowrefine's pairwise corridor extraction; both orders are index-derived,
-// so the result is deterministic.
-func CollectBoundary(p *hierarchy.Partition) (crossing []hypergraph.NetID, nodes []int) {
-	mark := make([]bool, p.H.NumNodes())
+// newList starts a worklist: no node is marked on it yet.
+func (r *BoundaryRefiner) newList() uint32 {
+	if r.gen++; r.gen == 0 {
+		clear(r.mark)
+		r.gen = 1
+	}
+	return r.gen
+}
+
+// boundary fills the refiner's worklist with the distinct pins of the
+// partition's crossing nets (Crossing) in first-touch order, scanning nets
+// in ascending order, so the list is deterministic.
+func (r *BoundaryRefiner) boundary(p *hierarchy.Partition) []hypergraph.NodeID {
+	gen := r.newList()
+	work := r.work[:0]
 	for e := 0; e < p.H.NumNets(); e++ {
-		pins := p.H.Pins(hypergraph.NetID(e))
-		if len(pins) > MaxNetScan {
+		if !Crossing(p, hypergraph.NetID(e)) {
 			continue
 		}
-		first := p.LeafOf[pins[0]]
-		cross := false
-		for _, u := range pins[1:] {
-			if p.LeafOf[u] != first {
-				cross = true
-				break
-			}
-		}
-		if !cross {
-			continue
-		}
-		crossing = append(crossing, hypergraph.NetID(e))
-		for _, u := range pins {
-			if !mark[u] {
-				mark[u] = true
-				nodes = append(nodes, int(u))
+		for _, u := range p.H.Pins(hypergraph.NetID(e)) {
+			if r.mark[u] != gen {
+				r.mark[u] = gen
+				work = append(work, u)
 			}
 		}
 	}
-	return crossing, nodes
+	r.work = work
+	return work
+}
+
+// Crossing reports whether net e has at most MaxNetScan pins and they
+// touch more than one leaf. It is the shared seed test of the
+// boundary-localized FM worklist and of flowrefine's pair scan.
+func Crossing(p *hierarchy.Partition, e hypergraph.NetID) bool {
+	pins := p.H.Pins(e)
+	if len(pins) > MaxNetScan {
+		return false
+	}
+	first := p.LeafOf[pins[0]]
+	for _, u := range pins[1:] {
+		if p.LeafOf[u] != first {
+			return true
+		}
+	}
+	return false
+}
+
+// zeroed returns s resliced to n zero elements, allocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -1,6 +1,8 @@
 package fm
 
 import (
+	"slices"
+
 	"repro/internal/hierarchy"
 	"repro/internal/hypergraph"
 )
@@ -33,6 +35,13 @@ type mover struct {
 }
 
 func newMover(cs *hierarchy.CostState, maxNetScan int) *mover {
+	m := new(mover)
+	m.reset(cs, maxNetScan)
+	return m
+}
+
+// reset readies m for cs, reusing its arrays.
+func (m *mover) reset(cs *hierarchy.CostState, maxNetScan int) {
 	t := cs.P.Tree
 	leaves := 0
 	for q := 0; q < t.NumVertices(); q++ {
@@ -40,11 +49,10 @@ func newMover(cs *hierarchy.CostState, maxNetScan int) *mover {
 			leaves++
 		}
 	}
-	m := &mover{cs: cs, maxNetScan: maxNetScan, others: max(leaves-1, 0),
-		seen: make([]uint32, t.NumVertices())}
-	m.cands = make([]int32, 0, m.others)
-	m.deltas = make([]float64, m.others)
-	return m
+	m.cs, m.maxNetScan, m.others = cs, maxNetScan, max(leaves-1, 0)
+	m.seen, m.gen = zeroed(m.seen, t.NumVertices()), 0
+	m.cands = slices.Grow(m.cands[:0], m.others)
+	m.deltas = zeroed(m.deltas, m.others)
 }
 
 // best returns v's best improving move and its MoveDelta, or leaf -1 when no

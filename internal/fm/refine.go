@@ -42,7 +42,7 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // GFM+/RFM+/FLOW+. Each pass visits every node in random order and applies
 // the best capacity-feasible move among candidate leaves (the leaves holding
 // other pins of the node's nets, the natural K-way-FM candidate set), chosen
-// by the routine RefineBoundaryCtx shares (mover) with no net-scan cap.
+// by the routine BoundaryRefiner shares (mover) with no net-scan cap.
 // Passes repeat until one yields no improvement or maxRefinePasses is
 // reached.
 //

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/hypergraph"
 )
@@ -19,17 +20,26 @@ import (
 // its pins can ever touch, so the slots take O(pins × levels) memory
 // whatever the tree's width. The window's first win[e*top+l].live slots
 // hold a (block, pins of e in it) pair each, in no particular order.
+//
+// A CostState is an arena: Reset refills it for another partition and
+// allocates only where an array is too short, so a V-cycle that Reserves
+// it for its finest graph refills it at every level for free.
 type CostState struct {
 	P   *Partition
 	top int // root level
 
-	anc   [][]int32 // anc[leaf] = ancestor vertex at each level 0..top
-	slots []spanSlot
-	win   []spanWindow // win[e*top+l] = net e's window at level l
-	sizes []int64      // per-vertex assigned size
-	cost  float64
+	anc    [][]int32 // anc[leaf] = ancestor vertex at each level 0..top
+	ancBuf []int32   // the rows of anc, top+1 per tree vertex
+	slots  []spanSlot
+	win    []spanWindow // win[e*top+l] = net e's window at level l
+	sizes  []int64      // per-vertex assigned size
+	cost   float64
 
 	width []int32 // tree vertices per level below top
+
+	// Reset's scratch: at[q] is block q's slot while seen[q] holds 1 + the
+	// window being filled.
+	seen, at []int32
 
 	// MoveDeltas scratch: stamp[q] == gen marks block q as live in the
 	// window being scored.
@@ -45,19 +55,39 @@ type spanWindow struct{ start, live int32 }
 
 // NewCostState builds the incremental state; every node must be assigned.
 func NewCostState(p *Partition) *CostState {
-	top := p.Tree.Level(p.Tree.Root())
-	if top > p.Spec.Height() {
-		top = p.Spec.Height()
-	}
-	cs := &CostState{
-		P:     p,
-		top:   top,
-		anc:   make([][]int32, p.Tree.NumVertices()),
-		win:   make([]spanWindow, p.H.NumNets()*top),
-		sizes: make([]int64, p.Tree.NumVertices()),
-	}
-	for _, leaf := range p.Tree.Leaves() {
-		row := make([]int32, top+1)
+	cs := new(CostState)
+	cs.Reset(p)
+	return cs
+}
+
+// Reserve grows the arena so that Reset refills it without allocating for
+// a partition of h, or of any graph contracted from h, on a tree shaped
+// like t under spec; the arrays sized by the tree come with the first
+// Reset. Contraction never adds nets, and each coarse net has a first fine
+// net of its own that is at least as wide, so no level of a V-cycle needs
+// more windows or slots than its finest graph.
+func (cs *CostState) Reserve(h *hypergraph.Hypergraph, t *Tree, spec Spec) {
+	top := cs.shape(t, spec)
+	cs.win = slices.Grow(cs.win[:0], h.NumNets()*top)
+	cs.slots = slices.Grow(cs.slots[:0], slotCount(h, cs.width))
+}
+
+// Reset refills cs for p, reusing its arrays; every node must be
+// assigned. It runs the same arithmetic in the same order as a fresh
+// state, so the cost is the same float.
+func (cs *CostState) Reset(p *Partition) {
+	top := cs.shape(p.Tree, p.Spec)
+	nv := p.Tree.NumVertices()
+	cs.P, cs.cost = p, 0
+	cs.anc = zeroed(cs.anc, nv)
+	cs.ancBuf = zeroed(cs.ancBuf, nv*(top+1))
+	cs.win = zeroed(cs.win, p.H.NumNets()*top)
+	cs.sizes = zeroed(cs.sizes, nv)
+	for leaf := 0; leaf < nv; leaf++ {
+		if !p.Tree.IsLeaf(leaf) {
+			continue
+		}
+		row := cs.ancBuf[leaf*(top+1) : (leaf+1)*(top+1)]
 		q := leaf
 		for l := 0; l <= top; l++ {
 			row[l] = int32(q)
@@ -77,26 +107,9 @@ func NewCostState(p *Partition) *CostState {
 			cs.sizes[q] += s
 		}
 	}
-	cs.width = make([]int32, top)
-	for q := 0; q < p.Tree.NumVertices(); q++ {
-		if l := p.Tree.Level(q); l < top {
-			cs.width[l]++
-		}
-	}
-	total := 0
-	for e := 0; e < p.H.NumNets(); e++ {
-		card := len(p.H.Pins(hypergraph.NetID(e)))
-		for l := 0; l < top; l++ {
-			total += min(card, int(cs.width[l]))
-		}
-	}
-	if total > math.MaxInt32 {
-		panic("hierarchy: CostState span windows exceed int32 offsets")
-	}
-	cs.slots = make([]spanSlot, total)
-	// at[q] is block q's slot while seen[q] holds 1 + the window being filled.
-	seen := make([]int32, p.Tree.NumVertices())
-	at := make([]int32, p.Tree.NumVertices())
+	cs.slots = zeroed(cs.slots, slotCount(p.H, cs.width))
+	seen, at := zeroed(cs.seen, nv), zeroed(cs.at, nv)
+	cs.seen, cs.at = seen, at
 	start := 0
 	for e := 0; e < p.H.NumNets(); e++ {
 		pins := p.H.Pins(hypergraph.NetID(e))
@@ -118,7 +131,46 @@ func NewCostState(p *Partition) *CostState {
 			start += min(len(pins), int(cs.width[l]))
 		}
 	}
-	return cs
+	cs.stamp, cs.gen = zeroed(cs.stamp, nv), 0
+}
+
+// shape sets the root level and the level widths for tree t under spec,
+// and returns the root level.
+func (cs *CostState) shape(t *Tree, spec Spec) int {
+	cs.top = min(t.Level(t.Root()), spec.Height())
+	cs.width = zeroed(cs.width, cs.top)
+	for q := 0; q < t.NumVertices(); q++ {
+		if l := t.Level(q); l < cs.top {
+			cs.width[l]++
+		}
+	}
+	return cs.top
+}
+
+// slotCount is the length of the slot array: Σ_e Σ_l min(|e|, width[l]).
+func slotCount(h *hypergraph.Hypergraph, width []int32) int {
+	total := 0
+	for e := 0; e < h.NumNets(); e++ {
+		card := len(h.Pins(hypergraph.NetID(e)))
+		for _, w := range width {
+			total += min(card, int(w))
+		}
+	}
+	if total > math.MaxInt32 {
+		panic("hierarchy: CostState span windows exceed int32 offsets")
+	}
+	return total
+}
+
+// zeroed returns s resliced to n zero elements, allocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func spanValue(blocks int) float64 {
@@ -219,9 +271,6 @@ func (cs *CostState) MoveDeltas(v hypergraph.NodeID, to []int32, delta []float64
 	for i, t := range to {
 		depth = max(depth, cs.divergeLevel(from, t))
 		delta[i] = 0
-	}
-	if cs.stamp == nil {
-		cs.stamp = make([]uint32, cs.P.Tree.NumVertices())
 	}
 	stamp, gen := cs.stamp, cs.gen
 	ra, w := cs.anc[from], cs.P.Spec.Weight

@@ -121,3 +121,71 @@ func checkSpanWindows(t *testing.T, cs *CostState) {
 		}
 	}
 }
+
+// TestCostStateResetReusesArena refills one arena, reserved for a fine
+// graph, with partitions of that graph and of a graph contracted from it,
+// the way a V-cycle's descent does. Each refill must read exactly what a
+// fresh state reads (the same cost float, the same windows) and, once the
+// arena is warm, allocate nothing.
+func TestCostStateResetReusesArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const n = 64
+	b := hypergraph.NewBuilder()
+	b.AddUnitNodes(n)
+	for e := 0; e < 150; e++ {
+		perm := rng.Perm(n)[:2+rng.Intn(4)]
+		pins := make([]hypergraph.NodeID, len(perm))
+		for i, v := range perm {
+			pins[i] = hypergraph.NodeID(v)
+		}
+		b.AddNet("", float64(1+rng.Intn(3))/3, pins...)
+	}
+	fine := b.MustBuild()
+	clusterOf := make([]int, n)
+	for v := range clusterOf {
+		clusterOf[v] = v / 2
+	}
+	coarse, err := fine.ContractDedup(clusterOf, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Capacity: []int64{16, 40}, Weight: []float64{1, 2.5}, Branch: []int{4, 2}}
+	tr := NewTree(2)
+	var leaves []int
+	for _, parent := range []int{tr.AddChild(0), tr.AddChild(0)} {
+		for i := 0; i < 4; i++ {
+			leaves = append(leaves, tr.AddChild(parent))
+		}
+	}
+	cp := NewPartition(coarse, spec, tr)
+	for c := 0; c < coarse.NumNodes(); c++ {
+		cp.Assign(hypergraph.NodeID(c), leaves[c%len(leaves)])
+	}
+	fp := NewPartition(fine, spec, tr)
+	for v := 0; v < n; v++ {
+		fp.Assign(hypergraph.NodeID(v), int(cp.LeafOf[clusterOf[v]]))
+	}
+
+	var cs CostState
+	cs.Reserve(fine, tr, spec)
+	for _, p := range []*Partition{cp, fp, cp} {
+		cs.Reset(p)
+		if want := NewCostState(p).Cost(); math.Float64bits(cs.Cost()) != math.Float64bits(want) {
+			t.Fatalf("refilled cost %v, fresh state %v", cs.Cost(), want)
+		}
+		checkSpanWindows(t, &cs)
+		to := []int32{int32(leaves[1]), int32(leaves[6])}
+		got := make([]float64, len(to))
+		cs.MoveDeltas(3, to, got)
+		for i, leaf := range to {
+			if want := cs.MoveDelta(3, int(leaf)); got[i] != want {
+				t.Fatalf("MoveDeltas[%d] = %v after a refill, MoveDelta %v", i, got[i], want)
+			}
+		}
+	}
+	for _, p := range []*Partition{fp, cp} {
+		if allocs := testing.AllocsPerRun(20, func() { cs.Reset(p) }); allocs != 0 {
+			t.Fatalf("refilling a warm arena over %d nodes allocated %v times", p.H.NumNodes(), allocs)
+		}
+	}
+}

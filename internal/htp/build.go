@@ -186,36 +186,44 @@ func (b *builder) decompose(sub *hypergraph.Hypergraph, orig []hypergraph.NodeID
 }
 
 // tryDecompose runs one carving pass over the vertex: repeatedly separate a
-// piece within the size window and decompose it one level down.
+// piece within the size window and decompose it one level down. It copies
+// only what a level below reads: a piece that becomes a leaf gets no
+// subgraph or metric, a remainder that fits whole is handed down as it is,
+// and at level 1 a remainder that fits under C_0 — the last leaf — is not
+// built either.
 func (b *builder) tryDecompose(sub *hypergraph.Hypergraph, orig []hypergraph.NodeID, d []float64, level int) (*block, error) {
 	k := b.spec.Branch[level-1]
 	ub := b.spec.Capacity[level-1]
-	remaining, remOrig, remD := sub, orig, d
+	remaining, remOrig, remD, remSize := sub, orig, d, sub.TotalSize()
 	fixedLB := (sub.TotalSize() + int64(k) - 1) / int64(k)
 	blk := &block{}
+	var inPiece []bool // over remaining's nodes, false between splits
 
-	for slot := 0; remaining.NumNodes() > 0; slot++ {
+	for slot := 0; len(remOrig) > 0; slot++ {
 		if slot == k {
 			return nil, fmt.Errorf("htp: %d nodes unplaced after %d blocks at level %d: %w",
-				remaining.NumNodes(), k, level, errUnpackable)
+				len(remOrig), k, level, errUnpackable)
 		}
-		var piece []hypergraph.NodeID // in remaining's IDs
-		if remaining.TotalSize() <= ub {
-			piece = allNodes(remaining)
-		} else {
-			lb := fixedLB
-			if !b.opt.FixedLB {
-				slotsLeft := int64(k - slot)
-				if slotsLeft < 1 {
-					slotsLeft = 1
-				}
-				lb = (remaining.TotalSize() + slotsLeft - 1) / slotsLeft
+		if remSize <= ub {
+			child, err := b.decompose(remaining, remOrig, remD, level-1)
+			if err != nil {
+				return nil, err
 			}
-			if lb > ub {
-				lb = ub
-			}
-			piece = b.carve(remaining, remD, lb, ub)
+			blk.children = append(blk.children, child)
+			break
 		}
+		lb := fixedLB
+		if !b.opt.FixedLB {
+			slotsLeft := int64(k - slot)
+			if slotsLeft < 1 {
+				slotsLeft = 1
+			}
+			lb = (remSize + slotsLeft - 1) / slotsLeft
+		}
+		if lb > ub {
+			lb = ub
+		}
+		piece := b.carve(remaining, remD, lb, ub) // in remaining's IDs
 		if len(piece) == 0 {
 			// findCut returns nil when no single node fits under ub, and a
 			// custom engine may misbehave the same way. Recursing on an empty
@@ -228,8 +236,13 @@ func (b *builder) tryDecompose(sub *hypergraph.Hypergraph, orig []hypergraph.Nod
 		for i, v := range piece {
 			pieceOrig[i] = remOrig[v]
 		}
-		pieceSub, _, pieceNets := remaining.InducedSubgraph(piece)
-		pieceD := project(remD, pieceNets)
+		var pieceSub *hypergraph.Hypergraph
+		var pieceD []float64
+		if level > 1 {
+			var pieceNets []hypergraph.NetID
+			pieceSub, _, pieceNets = remaining.InducedSubgraph(piece)
+			pieceD = project(remD, pieceNets)
+		}
 		child, err := b.decompose(pieceSub, pieceOrig, pieceD, level-1)
 		if err != nil {
 			return nil, err
@@ -239,22 +252,33 @@ func (b *builder) tryDecompose(sub *hypergraph.Hypergraph, orig []hypergraph.Nod
 		if len(piece) == remaining.NumNodes() {
 			break
 		}
-		inPiece := make(map[hypergraph.NodeID]bool, len(piece))
+		if inPiece == nil {
+			inPiece = make([]bool, remaining.NumNodes())
+		}
 		for _, v := range piece {
 			inPiece[v] = true
 		}
 		keep := make([]hypergraph.NodeID, 0, remaining.NumNodes()-len(piece))
 		keepOrig := make([]hypergraph.NodeID, 0, cap(keep))
+		var keepSize int64
 		for v := 0; v < remaining.NumNodes(); v++ {
-			if !inPiece[hypergraph.NodeID(v)] {
+			if !inPiece[v] {
 				keep = append(keep, hypergraph.NodeID(v))
 				keepOrig = append(keepOrig, remOrig[v])
+				keepSize += remaining.NodeSize(hypergraph.NodeID(v))
 			}
 		}
-		var keepNets []hypergraph.NetID
-		remaining, _, keepNets = remaining.InducedSubgraph(keep)
-		remD = project(remD, keepNets)
-		remOrig = keepOrig
+		for _, v := range piece {
+			inPiece[v] = false
+		}
+		if level == 1 && keepSize <= ub {
+			remaining, remD = nil, nil
+		} else {
+			var keepNets []hypergraph.NetID
+			remaining, _, keepNets = remaining.InducedSubgraph(keep)
+			remD = project(remD, keepNets)
+		}
+		remOrig, remSize = keepOrig, keepSize
 	}
 	return blk, nil
 }
@@ -393,14 +417,6 @@ func project(d []float64, netMap []hypergraph.NetID) []float64 {
 	out := make([]float64, len(netMap))
 	for i, e := range netMap {
 		out[i] = d[e]
-	}
-	return out
-}
-
-func allNodes(h *hypergraph.Hypergraph) []hypergraph.NodeID {
-	out := make([]hypergraph.NodeID, h.NumNodes())
-	for i := range out {
-		out[i] = hypergraph.NodeID(i)
 	}
 	return out
 }

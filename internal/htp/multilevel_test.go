@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/anytime"
+	"repro/internal/circuits"
+	"repro/internal/flowrefine"
 	"repro/internal/hierarchy"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
@@ -77,6 +80,49 @@ func TestMultilevelDeterministicAcrossWorkers(t *testing.T) {
 	}
 	base := run(1)
 	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if math.Float64bits(got.Cost) != math.Float64bits(base.Cost) {
+			t.Fatalf("workers=%d: cost %v != workers=1 cost %v", workers, got.Cost, base.Cost)
+		}
+		for v := range base.Partition.LeafOf {
+			if got.Partition.LeafOf[v] != base.Partition.LeafOf[v] {
+				t.Fatalf("workers=%d: node %d leaf %d != %d",
+					workers, v, got.Partition.LeafOf[v], base.Partition.LeafOf[v])
+			}
+		}
+	}
+}
+
+// TestMultilevelFlowRefineWorkersShareNothing runs the flow-refined V-cycle
+// at several worker counts. Each pair worker cuts every pair it claims
+// through its own reused cut workspace, so the result must be bit for bit
+// the one-worker result; the repeated two-CPU race pass over the FLOW tests
+// runs it too, where a workspace shared between workers would show.
+func TestMultilevelFlowRefineWorkersShareNothing(t *testing.T) {
+	cs, err := circuits.ByName("c1355")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := circuits.Generate(cs, 1)
+	in := mlInstance{h: h, spec: binarySpec(t, h, 4)}
+	run := func(workers int) *Result {
+		var trace eventList
+		res, _, err := PipelineCtx(context.Background(), in.h, in.spec, Pipeline{
+			Seed: 5, Multilevel: &Multilevel{CoarsenTarget: 64, Workers: workers},
+			FlowRefine: &flowrefine.Options{}, Observer: &trace,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range trace.events {
+			if e.Phase == "flow-refine" && e.Kind == obs.KindSpan && strings.HasPrefix(e.Detail, "0 pairs") {
+				t.Fatalf("workers=%d: flow refinement cut no pair (%s)", workers, e.Detail)
+			}
+		}
+		return res
+	}
+	base := run(1)
+	for _, workers := range []int{2, 4} {
 		got := run(workers)
 		if math.Float64bits(got.Cost) != math.Float64bits(base.Cost) {
 			t.Fatalf("workers=%d: cost %v != workers=1 cost %v", workers, got.Cost, base.Cost)

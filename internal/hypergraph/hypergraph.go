@@ -29,7 +29,8 @@ type NetID int32
 // Pins and incidence live in two arenas indexed by offset arrays: net e's
 // pins are pins[pinOff[e]:pinOff[e+1]] and node v's nets are
 // incident[incOff[v]:incOff[v+1]]. pinOff is empty while there are no
-// nets.
+// nets. A name slice is nil while every name in it is empty, so an
+// unnamed netlist stores no names.
 type Hypergraph struct {
 	nodeNames []string
 	nodeSizes []int64
@@ -61,10 +62,33 @@ func (h *Hypergraph) TotalSize() int64 { return h.totalSize }
 func (h *Hypergraph) NetCapacity(e NetID) float64 { return h.netCaps[e] }
 
 // NodeName returns the name of v ("" if unnamed).
-func (h *Hypergraph) NodeName(v NodeID) string { return h.nodeNames[v] }
+func (h *Hypergraph) NodeName(v NodeID) string { return nameAt(h.nodeNames, int(v)) }
 
 // NetName returns the name of e ("" if unnamed).
-func (h *Hypergraph) NetName(e NetID) string { return h.netNames[e] }
+func (h *Hypergraph) NetName(e NetID) string { return nameAt(h.netNames, int(e)) }
+
+// nameAt reads entry i of a name slice that is nil when every name is
+// empty.
+func nameAt(names []string, i int) string {
+	if names == nil {
+		return ""
+	}
+	return names[i]
+}
+
+// addName appends entry i to a name slice that stays nil while every name
+// is empty. The first non-empty name fills in the empty ones before it, in
+// a slice as long as capHint (the capacity of the sizes or capacities
+// beside it), so a named graph's reserve still holds.
+func addName(names []string, i int, name string, capHint int) []string {
+	if names == nil {
+		if name == "" {
+			return nil
+		}
+		names = make([]string, i, max(capHint, i+1))
+	}
+	return append(names, name)
+}
 
 // Pins returns the nodes on net e. The slice is owned by the hypergraph and
 // must not be modified. Its capacity ends with the net, so an append to it
@@ -180,11 +204,9 @@ func NewBuilder() *Builder { return &Builder{} }
 
 // reserve makes room for nodes more nodes, nets more nets and pins more
 // pins, so a caller that knows upper bounds fills every array without
-// regrowing it.
+// regrowing it. Names take room only once one is non-empty (addName).
 func (b *Builder) reserve(nodes, nets, pins int) {
-	b.nodeNames = slices.Grow(b.nodeNames, nodes)
 	b.nodeSizes = slices.Grow(b.nodeSizes, nodes)
-	b.netNames = slices.Grow(b.netNames, nets)
 	b.netCaps = slices.Grow(b.netCaps, nets)
 	b.pinOff = slices.Grow(b.pinOff, nets+1)
 	b.pins = slices.Grow(b.pins, pins)
@@ -197,7 +219,7 @@ func (b *Builder) AddNode(name string, size int64) NodeID {
 		panic("hypergraph: node size must be positive")
 	}
 	id := NodeID(len(b.nodeSizes))
-	b.nodeNames = append(b.nodeNames, name)
+	b.nodeNames = addName(b.nodeNames, int(id), name, cap(b.nodeSizes))
 	b.nodeSizes = append(b.nodeSizes, size)
 	return id
 }
@@ -228,7 +250,7 @@ func (b *Builder) endNet(name string, capacity float64) NetID {
 		b.pinOff = append(b.pinOff, 0)
 	}
 	id := NetID(len(b.netCaps))
-	b.netNames = append(b.netNames, name)
+	b.netNames = addName(b.netNames, int(id), name, cap(b.netCaps))
 	b.netCaps = append(b.netCaps, capacity)
 	b.pinOff = append(b.pinOff, int32(len(b.pins)))
 	return id
@@ -336,9 +358,11 @@ func (h *Hypergraph) Components() [][]NodeID {
 
 // InducedSubgraph returns the subhypergraph induced by the given node set:
 // the nodes keep their sizes and names; each net is restricted to its pins
-// inside the set and kept only if at least 2 pins remain. It also returns
-// the mapping from new node IDs to original node IDs and from new net IDs to
-// original net IDs.
+// inside the set and kept only if at least 2 pins remain, with its name.
+// An unnamed input gives an unnamed subgraph, which stores no names. It
+// also returns the mapping from new node IDs to original node IDs and from
+// new net IDs to original net IDs. Each call builds a full copy, so
+// Algorithm 3's carve asks only for the pieces a level below reads.
 func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap []NodeID, netMap []NetID) {
 	inv := make([]NodeID, h.NumNodes()) // 1 + new ID, 0 outside the set
 	for i, v := range nodes {
@@ -365,7 +389,7 @@ func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap [
 	b.reserve(len(nodes), len(cand), candPins)
 	nodeMap = make([]NodeID, 0, len(nodes))
 	for _, v := range nodes {
-		b.AddNode(h.nodeNames[v], h.nodeSizes[v])
+		b.AddNode(h.NodeName(v), h.nodeSizes[v])
 		nodeMap = append(nodeMap, v)
 	}
 	var inside []NodeID
@@ -377,7 +401,7 @@ func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap [
 			}
 		}
 		if len(inside) >= 2 {
-			b.AddNet(h.netNames[e], h.netCaps[e], inside...)
+			b.AddNet(h.NetName(e), h.netCaps[e], inside...)
 			netMap = append(netMap, e)
 		}
 	}
@@ -408,9 +432,17 @@ func (h *Hypergraph) InducedSubgraph(nodes []NodeID) (sub *Hypergraph, nodeMap [
 // deep level stack multiplies that into an allocation blow-up (see the
 // regression test TestContractDedupPinShrink).
 //
-// The merged net keeps the first contributing net's name. Cluster pin order
+// The merged net keeps the first contributing net's name, and its
+// capacity sums the contributors in fine net order. Cluster pin order
 // within a net is ascending, and net order follows the first contributing
-// fine net, so the result is deterministic.
+// fine net, so the result is deterministic. Coarse nodes are unnamed.
+//
+// Identical cluster sets are found through an open-addressing table of
+// coarse net IDs keyed by a 64-bit hash of the sorted cluster list. A hash
+// hit is confirmed by comparing the candidate's pin window in the
+// builder's arena, so a collision costs a comparison, never a wrong merge.
+// A counting pass sizes the builder for the nets and pins that survive the
+// first reduction.
 func (h *Hypergraph) ContractDedup(clusterOf []int, k int) (*Hypergraph, error) {
 	if len(clusterOf) != h.NumNodes() {
 		return nil, fmt.Errorf("hypergraph: clusterOf has %d entries, want %d", len(clusterOf), h.NumNodes())
@@ -422,44 +454,96 @@ func (h *Hypergraph) ContractDedup(clusterOf []int, k int) (*Hypergraph, error) 
 		}
 		sizes[c] += h.nodeSizes[v]
 	}
+	// stamp[c] == e+1 marks cluster c as touched by net e.
+	stamp := make([]int32, k)
+	nets, pins := 0, 0
+	for e := 0; e < h.NumNets(); e++ {
+		distinct := 0
+		for _, v := range h.Pins(NetID(e)) {
+			if c := clusterOf[v]; stamp[c] != int32(e+1) {
+				stamp[c] = int32(e + 1)
+				distinct++
+			}
+		}
+		if distinct >= 2 {
+			nets++
+			pins += distinct
+		}
+	}
 	b := NewBuilder()
-	b.reserve(k, h.NumNets(), h.NumPins())
+	b.reserve(k, nets, pins)
 	for c := 0; c < k; c++ {
 		if sizes[c] == 0 {
 			return nil, fmt.Errorf("hypergraph: cluster %d is empty", c)
 		}
-		b.AddNode(fmt.Sprintf("cluster%d", c), sizes[c])
+		b.AddNode("", sizes[c])
 	}
-	mark := make([]bool, k)
-	index := make(map[string]NetID) // sorted cluster set -> coarse net
-	var key []byte
+	ix := newNetIndex(nets)
+	clear(stamp)
 	var touched []NodeID
 	for e := 0; e < h.NumNets(); e++ {
 		touched = touched[:0]
 		for _, v := range h.Pins(NetID(e)) {
-			c := clusterOf[v]
-			if !mark[c] {
-				mark[c] = true
+			if c := clusterOf[v]; stamp[c] != int32(e+1) {
+				stamp[c] = int32(e + 1)
 				touched = append(touched, NodeID(c))
 			}
-		}
-		for _, c := range touched {
-			mark[c] = false
 		}
 		if len(touched) < 2 {
 			continue
 		}
 		slices.Sort(touched)
-		key = key[:0]
-		for _, c := range touched {
-			key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		}
-		if id, ok := index[string(key)]; ok {
-			b.netCaps[id] += h.netCaps[e]
+		slot, hash := ix.find(b, touched)
+		if id := ix.ids[slot]; id != 0 {
+			b.netCaps[id-1] += h.netCaps[e]
 			continue
 		}
-		id := b.AddNet(h.netNames[e], h.netCaps[e], touched...)
-		index[string(key)] = id
+		ix.ids[slot] = int32(b.AddNet(h.NetName(NetID(e)), h.netCaps[e], touched...)) + 1
+		ix.hashes = append(ix.hashes, hash)
 	}
 	return b.Build()
+}
+
+// netIndex is ContractDedup's identical-net index: an open-addressing
+// table of 1 + coarse NetID (0 is an empty slot), probed linearly from the
+// top bits of a net's hash, and each coarse net's hash.
+type netIndex struct {
+	ids    []int32
+	hashes []uint64
+	shift  uint
+}
+
+// newNetIndex sizes the table at least twice the nets it will hold.
+func newNetIndex(nets int) *netIndex {
+	bits := uint(1)
+	for 1<<bits < 2*nets {
+		bits++
+	}
+	return &netIndex{ids: make([]int32, 1<<bits), hashes: make([]uint64, 0, nets), shift: 64 - bits}
+}
+
+// find returns the slot of the coarse net whose pins equal pins, or the
+// empty slot where it belongs, and the hash of pins.
+func (ix *netIndex) find(b *Builder, pins []NodeID) (slot int, hash uint64) {
+	hash = hashPins(pins)
+	mask := len(ix.ids) - 1
+	for slot = int((hash * 0x9e3779b97f4a7c15) >> ix.shift); ; slot = (slot + 1) & mask {
+		id := ix.ids[slot]
+		if id == 0 {
+			return slot, hash
+		}
+		if ix.hashes[id-1] == hash && slices.Equal(b.pins[b.pinOff[id-1]:b.pinOff[id]], pins) {
+			return slot, hash
+		}
+	}
+}
+
+// hashPins is 64-bit FNV-1a over a pin list, one 32-bit word per pin.
+func hashPins(pins []NodeID) uint64 {
+	hash := uint64(14695981039346656037)
+	for _, v := range pins {
+		hash ^= uint64(uint32(v))
+		hash *= 1099511628211
+	}
+	return hash
 }

@@ -439,3 +439,35 @@ func TestRandomRoundTripInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesStayNilUntilOneIsSet: an unnamed graph stores no name slices,
+// a name set after unnamed entries fills them in as empty, and an induced
+// subgraph keeps a named input's names.
+func TestNamesStayNilUntilOneIsSet(t *testing.T) {
+	b := NewBuilder()
+	b.AddUnitNodes(3)
+	b.AddNet("", 1, 0, 1)
+	h := b.MustBuild()
+	if h.nodeNames != nil || h.netNames != nil || h.NodeName(2) != "" || h.NetName(0) != "" {
+		t.Fatalf("unnamed graph stores names %q %q", h.nodeNames, h.netNames)
+	}
+
+	b = NewBuilder()
+	b.AddUnitNodes(2)
+	b.AddNode("c", 1)
+	b.AddNet("", 1, 0, 1)
+	b.AddNet("bc", 2, 1, 2)
+	h = b.MustBuild()
+	for v, want := range []string{"", "", "c"} {
+		if got := h.NodeName(NodeID(v)); got != want {
+			t.Fatalf("node %d named %q, want %q", v, got, want)
+		}
+	}
+	if h.NetName(0) != "" || h.NetName(1) != "bc" {
+		t.Fatalf("net names %q %q", h.NetName(0), h.NetName(1))
+	}
+	sub, _, _ := h.InducedSubgraph([]NodeID{2, 1})
+	if sub.NodeName(0) != "c" || sub.NodeName(1) != "" || sub.NetName(0) != "bc" {
+		t.Fatalf("induced subgraph names %q %q, net %q", sub.NodeName(0), sub.NodeName(1), sub.NetName(0))
+	}
+}

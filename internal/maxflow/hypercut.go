@@ -50,39 +50,63 @@ type RawNet struct {
 // Errors: a negative or NaN capacity, an out-of-range pin or terminal, a
 // vertex listed as both source and sink, or cancellation (the context is
 // threaded into Dinic's phases). On error the returned side is nil.
+//
+// CutRawCtx cuts through a fresh CutWorkspace; a caller that cuts many
+// instances keeps one workspace and calls its CutCtx instead.
 func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32) (capacity float64, sourceSide []bool, err error) {
-	isSrc := make([]bool, n)
-	isSnk := make([]bool, n)
+	return new(CutWorkspace).CutCtx(ctx, n, nets, sources, sinks)
+}
+
+// CutWorkspace is CutRawCtx's working memory: the terminal and dedup
+// marks, the kept nets' pins, the flow network with Dinic's level, iter
+// and queue arrays, and the returned side. Its arrays grow to the largest
+// instance cut through it and are reused, so a cut no larger than an
+// earlier one allocates nothing. The zero value is ready to use; cuts
+// through one workspace must not overlap.
+type CutWorkspace struct {
+	role     []uint8 // isSource or isSink per vertex, 0 when free
+	seen     []int32 // seen[v] == the net whose pins are being deduplicated
+	keepCap  []float64
+	keepOff  []int32 // kept net i's distinct pins are keepPins[keepOff[i]:keepOff[i+1]]
+	keepPins []int32
+	nw       Network
+}
+
+const (
+	isSource uint8 = 1 + iota
+	isSink
+)
+
+// CutCtx is CutRawCtx through w's arrays. The returned side belongs to w
+// and is valid until w's next cut.
+func (w *CutWorkspace) CutCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32) (capacity float64, sourceSide []bool, err error) {
+	w.role = zeroed(w.role, n)
 	for _, v := range sources {
 		if v < 0 || int(v) >= n {
 			return 0, nil, fmt.Errorf("maxflow: source %d out of range [0,%d)", v, n)
 		}
-		isSrc[v] = true
+		w.role[v] = isSource
 	}
 	for _, v := range sinks {
 		if v < 0 || int(v) >= n {
 			return 0, nil, fmt.Errorf("maxflow: sink %d out of range [0,%d)", v, n)
 		}
-		if isSrc[v] {
+		if w.role[v] == isSource {
 			return 0, nil, fmt.Errorf("maxflow: vertex %d is both source and sink", v)
 		}
-		isSnk[v] = true
+		w.role[v] = isSink
 	}
 
 	// Classification pass: dedup pins and keep only nets that can actually
-	// toggle between cut and uncut. seen carries first-use generation stamps
-	// so the dedup is O(pins) with no per-net clearing.
-	seen := make([]int32, n)
+	// toggle between cut and uncut. seen carries first-use net stamps so
+	// the dedup is O(pins) with no per-net clearing.
+	seen := zeroed(w.seen, n)
 	for i := range seen {
 		seen[i] = -1
 	}
-	type kept struct {
-		cap  float64
-		pins []int32
-	}
-	var keep []kept
+	w.seen = seen
+	w.keepCap, w.keepOff, w.keepPins = w.keepCap[:0], append(w.keepOff[:0], 0), w.keepPins[:0]
 	var constant float64
-	scratch := make([]int32, 0, 16)
 	for ei, e := range nets {
 		if e.Cap < 0 || math.IsNaN(e.Cap) {
 			return 0, nil, fmt.Errorf("maxflow: net %d has invalid capacity %g", ei, e.Cap)
@@ -90,7 +114,7 @@ func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32
 		if e.Cap == 0 {
 			continue
 		}
-		scratch = scratch[:0]
+		lo := len(w.keepPins)
 		hasSrc, hasSnk, hasFree := false, false, false
 		for _, v := range e.Pins {
 			if v < 0 || int(v) >= n {
@@ -100,18 +124,18 @@ func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32
 				continue
 			}
 			seen[v] = int32(ei)
-			scratch = append(scratch, v)
-			switch {
-			case isSrc[v]:
+			w.keepPins = append(w.keepPins, v)
+			switch w.role[v] {
+			case isSource:
 				hasSrc = true
-			case isSnk[v]:
+			case isSink:
 				hasSnk = true
 			default:
 				hasFree = true
 			}
 		}
 		switch {
-		case len(scratch) < 2:
+		case len(w.keepPins)-lo < 2:
 			// Single distinct pin (or none): never spans two sides.
 		case hasSrc && hasSnk:
 			// Pinned to both terminals: cut whatever the free pins do.
@@ -119,27 +143,33 @@ func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32
 		case !hasFree:
 			// All distinct pins on one terminal side: never cut.
 		default:
-			keep = append(keep, kept{cap: e.Cap, pins: append([]int32(nil), scratch...)})
+			w.keepCap = append(w.keepCap, e.Cap)
+			w.keepOff = append(w.keepOff, int32(len(w.keepPins)))
+			continue
 		}
+		w.keepPins = w.keepPins[:lo] // the net builds no arcs
 	}
 
 	// Layout: [0..n) vertices, then per kept net i the pair
 	// (in = n+2i, out = n+2i+1), then the super source and sink.
-	s := n + 2*len(keep)
+	kept := len(w.keepCap)
+	s := n + 2*kept
 	t := s + 1
-	nw := NewNetwork(t + 1)
-	for i, e := range keep {
+	nw := &w.nw
+	nw.reset(t + 1)
+	for i := 0; i < kept; i++ {
 		in, out := n+2*i, n+2*i+1
-		nw.AddArc(in, out, e.cap)
-		for _, v := range e.pins {
+		nw.AddArc(in, out, w.keepCap[i])
+		for _, v := range w.keepPins[w.keepOff[i]:w.keepOff[i+1]] {
 			nw.AddArc(int(v), in, Inf)
 			nw.AddArc(out, int(v), Inf)
 		}
 	}
 	for v := 0; v < n; v++ {
-		if isSrc[v] {
+		switch w.role[v] {
+		case isSource:
 			nw.AddArc(s, v, Inf)
-		} else if isSnk[v] {
+		case isSink:
 			nw.AddArc(v, t, Inf)
 		}
 	}
@@ -148,9 +178,7 @@ func CutRawCtx(ctx context.Context, n int, nets []RawNet, sources, sinks []int32
 		return 0, nil, err
 	}
 	side := nw.MinCutSide(s)
-	sourceSide = make([]bool, n)
-	copy(sourceSide, side[:n])
-	return constant + flow, sourceSide, nil
+	return constant + flow, side[:n:n], nil
 }
 
 // HyperCutCtx computes a minimum-capacity net cut separating the source

@@ -313,3 +313,78 @@ func TestCutRawAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// randomRawInstance draws a corridor-shaped min-cut instance: n vertices,
+// one or two terminals per side, and nets with duplicate pins, zero
+// capacities and pins folded onto the terminals.
+func randomRawInstance(rng *rand.Rand, n int) (nets []RawNet, sources, sinks []int32) {
+	perm := rng.Perm(n)
+	sources = []int32{int32(perm[0])}
+	sinks = []int32{int32(perm[1])}
+	if n > 4 && rng.Intn(2) == 0 {
+		sources = append(sources, int32(perm[2]))
+		sinks = append(sinks, int32(perm[3]))
+	}
+	for e := 2 * n; e > 0; e-- {
+		pins := make([]int32, 1+rng.Intn(5))
+		for i := range pins {
+			pins[i] = int32(rng.Intn(n))
+		}
+		c := float64(rng.Intn(6))
+		nets = append(nets, RawNet{Cap: c, Pins: pins})
+	}
+	return nets, sources, sinks
+}
+
+// TestCutWorkspaceReuseMatchesFresh runs one workspace over a sequence of
+// instances that grow and shrink, so every array it keeps holds a larger
+// instance's leftovers at some point. Each cut must return exactly the
+// capacity and side a fresh CutRawCtx returns.
+func TestCutWorkspaceReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var w CutWorkspace
+	for i := 0; i < 300; i++ {
+		n := 3 + rng.Intn(40)
+		if i%7 == 3 {
+			n += 120
+		}
+		nets, sources, sinks := randomRawInstance(rng, n)
+		wantCap, wantSide, err := CutRawCtx(context.Background(), n, nets, sources, sinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCap, gotSide, err := w.CutCtx(context.Background(), n, nets, sources, sinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotCap) != math.Float64bits(wantCap) {
+			t.Fatalf("instance %d (n=%d): reused workspace cut %v, fresh %v", i, n, gotCap, wantCap)
+		}
+		if len(gotSide) != n {
+			t.Fatalf("instance %d: side has %d entries for %d vertices", i, len(gotSide), n)
+		}
+		for v := range wantSide {
+			if gotSide[v] != wantSide[v] {
+				t.Fatalf("instance %d (n=%d): vertex %d on side %v, fresh cut says %v", i, n, v, gotSide[v], wantSide[v])
+			}
+		}
+	}
+}
+
+// TestCutWorkspaceWarmCutAllocatesNothing pins the reuse: once a workspace
+// has cut an instance, cutting it again allocates nothing.
+func TestCutWorkspaceWarmCutAllocatesNothing(t *testing.T) {
+	nets, sources, sinks := randomRawInstance(rand.New(rand.NewSource(5)), 60)
+	var w CutWorkspace
+	ctx := context.Background()
+	if _, _, err := w.CutCtx(ctx, 60, nets, sources, sinks); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := w.CutCtx(ctx, 60, nets, sources, sinks); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a cut through a warm workspace allocated %v times", allocs)
+	}
+}

@@ -82,6 +82,12 @@ func (s *Stack) Uncoarsen(ctx context.Context, cp *hierarchy.Partition, cost flo
 	rng := rand.New(rand.NewSource(opt.Seed))
 	p := cp
 	salvaged := 0
+	// One refiner serves every level. Project keeps the tree's shape, and
+	// no level needs more scratch than the finest graph.
+	var ref fm.BoundaryRefiner
+	if len(s.Levels) > 0 {
+		ref.Reserve(s.Fine, cp.Tree, cp.Spec)
+	}
 	for i := len(s.Levels) - 1; i >= 0; i-- {
 		var t0 time.Time
 		var lvlSpan obs.SpanID
@@ -101,7 +107,7 @@ func (s *Stack) Uncoarsen(ctx context.Context, cp *hierarchy.Partition, cost flo
 		if ctx.Err() != nil {
 			salvaged++
 		} else {
-			cost, _ = fm.RefineBoundaryCtx(ctx, p, fm.BoundaryOptions{
+			cost, _ = ref.RefineCtx(ctx, p, fm.BoundaryOptions{
 				MaxPasses: opt.MaxPasses,
 				Rng:       rand.New(rand.NewSource(seed)),
 				Observer:  opt.Observer,
