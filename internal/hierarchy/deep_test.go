@@ -79,7 +79,7 @@ func TestDeepSpans(t *testing.T) {
 		}
 	}
 	// Intra-leaf nets never contribute.
-	if p.Span(0, 0) != 0 || p.NetCost(0) != 0 {
+	if p.Span(0, 0) != 0 || p.NetCosts()[0] != 0 {
 		t.Fatal("intra-leaf net costs something")
 	}
 }

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/hypergraph"
@@ -128,36 +129,83 @@ func (p *Partition) Validate() error {
 // pins of net e, or 0 if all pins share one block. Unassigned pins are
 // ignored.
 func (p *Partition) Span(e hypergraph.NetID, level int) int {
-	seen := map[int]bool{}
+	var buf [stackMarks]uint32
+	c := p.newSpanCounter(&buf)
+	return p.span(e, level, &c)
+}
+
+// spanCounter marks the tree vertices one span count has seen with a
+// generation stamp, so a Cost, LevelCosts or NetCosts call counts every
+// (net, level) pair in one array instead of a set per pair.
+type spanCounter struct {
+	mark []uint32 // by tree vertex
+	gen  uint32
+}
+
+// stackMarks is the tree size whose stamps fit in a caller's stack buffer,
+// so that pricing a hierarchy of up to 64 vertices (height 5 in the binary
+// case) allocates nothing; larger trees get one array per call.
+const stackMarks = 64
+
+func (p *Partition) newSpanCounter(buf *[stackMarks]uint32) spanCounter {
+	if n := p.Tree.NumVertices(); n <= len(buf) {
+		return spanCounter{mark: buf[:n]}
+	}
+	return spanCounter{mark: make([]uint32, p.Tree.NumVertices())}
+}
+
+func (p *Partition) span(e hypergraph.NetID, level int, c *spanCounter) int {
+	if c.gen == math.MaxUint32 {
+		clear(c.mark)
+		c.gen = 0
+	}
+	c.gen++
+	n := 0
 	for _, v := range p.H.Pins(e) {
 		leaf := p.LeafOf[v]
 		if leaf < 0 {
 			continue
 		}
-		seen[p.Tree.AncestorAt(int(leaf), level)] = true
+		if q := p.Tree.AncestorAt(int(leaf), level); c.mark[q] != c.gen {
+			c.mark[q] = c.gen
+			n++
+		}
 	}
-	if len(seen) <= 1 {
+	if n <= 1 {
 		return 0
 	}
-	return len(seen)
+	return n
 }
 
-// NetCost returns cost(e) = Σ_{l=0}^{L'-1} w_l·span(e,l)·c(e), where L' is
-// the root level of the tree (crossings cannot occur at or above the root).
-func (p *Partition) NetCost(e hypergraph.NetID) float64 {
+// NetCosts returns cost(e) = Σ_{l=0}^{L'-1} w_l·span(e,l)·c(e) for every
+// net e, indexed by net, where L' is the root level of the tree (crossings
+// cannot occur at or above the root).
+func (p *Partition) NetCosts() []float64 {
+	var buf [stackMarks]uint32
+	c := p.newSpanCounter(&buf)
+	out := make([]float64, p.H.NumNets())
+	for e := range out {
+		out[e] = p.netCost(hypergraph.NetID(e), &c)
+	}
+	return out
+}
+
+func (p *Partition) netCost(e hypergraph.NetID, c *spanCounter) float64 {
 	top := p.Tree.Level(p.Tree.Root())
 	var cost float64
 	for l := 0; l < top && l < p.Spec.Height(); l++ {
-		cost += p.Spec.Weight[l] * float64(p.Span(e, l))
+		cost += p.Spec.Weight[l] * float64(p.span(e, l, c))
 	}
 	return cost * p.H.NetCapacity(e)
 }
 
 // Cost returns the total interconnection cost Σ_e cost(e).
 func (p *Partition) Cost() float64 {
+	var buf [stackMarks]uint32
+	c := p.newSpanCounter(&buf)
 	var total float64
 	for e := 0; e < p.H.NumNets(); e++ {
-		total += p.NetCost(hypergraph.NetID(e))
+		total += p.netCost(hypergraph.NetID(e), &c)
 	}
 	return total
 }
@@ -169,10 +217,12 @@ func (p *Partition) LevelCosts() []float64 {
 	if top > p.Spec.Height() {
 		top = p.Spec.Height()
 	}
+	var buf [stackMarks]uint32
+	c := p.newSpanCounter(&buf)
 	out := make([]float64, top)
 	for e := 0; e < p.H.NumNets(); e++ {
 		for l := 0; l < top; l++ {
-			out[l] += p.Spec.Weight[l] * float64(p.Span(hypergraph.NetID(e), l)) * p.H.NetCapacity(hypergraph.NetID(e))
+			out[l] += p.Spec.Weight[l] * float64(p.span(hypergraph.NetID(e), l, &c)) * p.H.NetCapacity(hypergraph.NetID(e))
 		}
 	}
 	return out

@@ -72,10 +72,10 @@ func TestNetCostAndTotal(t *testing.T) {
 		1 * (3 + 2*2), // wide
 	}
 	var total float64
+	costs := p.NetCosts()
 	for e, w := range wantNet {
-		got := p.NetCost(hypergraph.NetID(e))
-		if math.Abs(got-w) > 1e-12 {
-			t.Errorf("NetCost(%d) = %g, want %g", e, got, w)
+		if got := costs[e]; math.Abs(got-w) > 1e-12 {
+			t.Errorf("NetCosts()[%d] = %g, want %g", e, got, w)
 		}
 		total += w
 	}
@@ -264,6 +264,107 @@ func TestCostStateRandomizedAgainstBatch(t *testing.T) {
 					t.Fatalf("trial %d: size mismatch at vertex %d", trial, q)
 				}
 			}
+		}
+	}
+}
+
+// mapSpan counts span(e, l) with a set per call: the reference that the
+// stamp-array count is checked against.
+func mapSpan(p *Partition, e hypergraph.NetID, level int) int {
+	seen := map[int]bool{}
+	for _, v := range p.H.Pins(e) {
+		if leaf := p.LeafOf[v]; leaf >= 0 {
+			seen[p.Tree.AncestorAt(int(leaf), level)] = true
+		}
+	}
+	if len(seen) <= 1 {
+		return 0
+	}
+	return len(seen)
+}
+
+// TestCostCountsSpansInOneArray prices partitions of a contracted graph,
+// as the V-cycle's coarse FLOW solve does, on a 33-vertex tree whose
+// stamps fit on the stack and on an 81-vertex one, each also with an
+// unassigned node. Every span, net cost, Cost and LevelCosts must read
+// what set-per-pair counting summed in the same order reads, bit for bit,
+// and Cost must allocate nothing on the small tree and one stamp array on
+// the large one: nothing per net or level.
+func TestCostCountsSpansInOneArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 96
+	b := hypergraph.NewBuilder()
+	b.AddUnitNodes(n)
+	for e := 0; e < 400; e++ {
+		perm := rng.Perm(n)[:2+rng.Intn(12)]
+		pins := make([]hypergraph.NodeID, len(perm))
+		for i, v := range perm {
+			pins[i] = hypergraph.NodeID(v)
+		}
+		b.AddNet("", float64(1+rng.Intn(3))/3, pins...)
+	}
+	clusterOf := make([]int, n)
+	for v := range clusterOf {
+		clusterOf[v] = v / 3
+	}
+	coarse, err := b.MustBuild().ContractDedup(clusterOf, n/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lows, leaves int
+		allocs       float64
+	}{{3, 4, 0}, {3, 12, 1}} {
+		spec := Spec{Capacity: []int64{6, 20, 40}, Weight: []float64{1, 2.5, 4}, Branch: []int{tc.leaves, tc.lows, 2}}
+		tr := NewTree(3)
+		var leaves []int
+		for i := 0; i < 2; i++ {
+			mid := tr.AddChild(0)
+			for j := 0; j < tc.lows; j++ {
+				low := tr.AddChild(mid)
+				for k := 0; k < tc.leaves; k++ {
+					leaves = append(leaves, tr.AddChild(low))
+				}
+			}
+		}
+		p := NewPartition(coarse, spec, tr)
+		for v := 0; v < coarse.NumNodes(); v++ {
+			p.Assign(hypergraph.NodeID(v), leaves[rng.Intn(len(leaves))])
+		}
+		partial := p.Clone()
+		partial.LeafOf[5] = -1
+		for _, q := range []*Partition{p, partial} {
+			var cost float64
+			levels := make([]float64, 3)
+			netCosts := q.NetCosts()
+			for e := 0; e < q.H.NumNets(); e++ {
+				net := hypergraph.NetID(e)
+				var netCost float64
+				for l := 0; l < 3; l++ {
+					s := mapSpan(q, net, l)
+					if got := q.Span(net, l); got != s {
+						t.Fatalf("%d vertices: Span(%d, %d) = %d, a set counts %d", tr.NumVertices(), e, l, got, s)
+					}
+					netCost += spec.Weight[l] * float64(s)
+					levels[l] += spec.Weight[l] * float64(s) * q.H.NetCapacity(net)
+				}
+				netCost *= q.H.NetCapacity(net)
+				if math.Float64bits(netCosts[e]) != math.Float64bits(netCost) {
+					t.Fatalf("%d vertices: NetCosts()[%d] = %v, set counting %v", tr.NumVertices(), e, netCosts[e], netCost)
+				}
+				cost += netCost
+			}
+			if got := q.Cost(); math.Float64bits(got) != math.Float64bits(cost) {
+				t.Fatalf("%d vertices: Cost() = %v, set counting %v", tr.NumVertices(), got, cost)
+			}
+			for l, got := range q.LevelCosts() {
+				if math.Float64bits(got) != math.Float64bits(levels[l]) {
+					t.Fatalf("%d vertices: LevelCosts()[%d] = %v, set counting %v", tr.NumVertices(), l, got, levels[l])
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.Cost() }); allocs != tc.allocs {
+			t.Fatalf("Cost over %d nets on %d tree vertices allocated %v times, want %v", coarse.NumNets(), tr.NumVertices(), allocs, tc.allocs)
 		}
 	}
 }

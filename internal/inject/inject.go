@@ -253,7 +253,9 @@ type engine struct {
 	total       int64     // s(V), the size of the whole design
 	gX          float64   // g(total), the largest bound any prefix faces
 	active      []hypergraph.NodeID
-	uniform     bool // every node has the same size: retirements may come from Settle
+	uniform     bool                     // every node has the same size: retirements may come from Settle
+	fell        bool                     // a relength lowered a length, so no snapshot bounds the lengths
+	snap        *shortest.LengthSnapshot // the growers' lower bound on every later length; nil until refreshSnapshot builds it
 	st          Stats
 	interrupted bool
 	t0          time.Time // start of the run; zero when no observer
@@ -311,7 +313,39 @@ func (g *engine) relength(e hypergraph.NetID) {
 	if x > maxExponent {
 		x = maxExponent
 	}
-	g.m.D[e] = math.Exp(x) - 1
+	d := math.Exp(x) - 1
+	if d < g.m.D[e] {
+		// A negative Alpha or Delta makes lengths fall, and so can
+		// math.Exp, which is not monotone between adjacent floats.
+		g.fell = true
+	}
+	g.m.D[e] = d
+}
+
+// refreshSnapshot runs between rounds, while no growth runs. It takes
+// the length snapshot the growers read incidence by length from (see
+// shortest.LengthSnapshot) when the round before read more incidence
+// entries under a finite ceiling than the incidence arena holds: a refresh
+// costs about one pass over the arena. A snapshot stays exact until its
+// next refresh because lengths only grow: f(e) only rises, and with it
+// exp(α·f(e)/c(e)) − 1. If one ever falls, relength notes it, and from
+// then on no grower reads a snapshot. The batched engine's workers share
+// the one snapshot read-only.
+func (g *engine) refreshSnapshot(ws ...*grower) {
+	scans := 0
+	for _, w := range ws {
+		scans += w.spt.TakeScans()
+	}
+	if g.fell || scans <= g.h.NumPins() {
+		return
+	}
+	if g.snap == nil {
+		g.snap = shortest.NewLengthSnapshot(g.h)
+		for _, w := range ws {
+			w.spt.UseSnapshot(g.snap)
+		}
+	}
+	g.snap.Refresh(g.m.D)
 }
 
 // grower is the scratch of one sequence of tree growths (the sequential
@@ -386,6 +420,9 @@ func (g *engine) extend(p *prefix, v hypergraph.NodeID, dist float64) bool {
 // then runs Grow to collect its tree, whose tied nodes and nets only Grow
 // decides. After an injection the grower goes straight to Grow, so roots
 // that mostly inject do not pay for both passes.
+//
+// Grow reads incidence by length from the engine's snapshot, which
+// refreshSnapshot hands every grower, until a length falls.
 func (g *engine) grow(w *grower, root hypergraph.NodeID, stop *atomic.Bool) (violated, aborted bool) {
 	halt := func() bool {
 		w.visits++
@@ -403,6 +440,9 @@ func (g *engine) grow(w *grower, root hypergraph.NodeID, stop *atomic.Bool) (vio
 		if aborted || !p.violated {
 			return false, aborted
 		}
+	}
+	if g.fell {
+		w.spt.UseSnapshot(nil)
 	}
 	var p prefix
 	off := len(w.nets)
@@ -436,6 +476,7 @@ func (g *engine) runSequential() {
 	w := g.newGrower(64)
 	var stop atomic.Bool
 	for g.st.Rounds = 0; g.st.Rounds < opt.MaxRounds && len(g.active) > 0 && !g.interrupted; g.st.Rounds++ {
+		g.refreshSnapshot(w)
 		opt.Rng.Shuffle(len(g.active), func(i, j int) {
 			g.active[i], g.active[j] = g.active[j], g.active[i]
 		})
@@ -535,6 +576,7 @@ func (g *engine) runParallel() {
 	}
 
 	for g.st.Rounds = 0; g.st.Rounds < opt.MaxRounds && len(g.active) > 0 && !g.interrupted; g.st.Rounds++ {
+		g.refreshSnapshot(scratch...)
 		// One seed per round from the caller's source; the shuffle runs on a
 		// round-local rng so the shared *rand.Rand never crosses goroutines
 		// and the permutation stream is independent of worker count.

@@ -53,11 +53,12 @@ func (m *Metric) Clone() *Metric {
 // d(e) = cost(e)/c(e) (zero-capacity nets get d = 0; they contribute no
 // cost either way).
 func FromPartition(p *hierarchy.Partition) *Metric {
-	m := New(p.H)
-	for e := 0; e < p.H.NumNets(); e++ {
-		c := p.H.NetCapacity(hypergraph.NetID(e))
-		if c > 0 {
-			m.D[e] = p.NetCost(hypergraph.NetID(e)) / c
+	m := &Metric{H: p.H, D: p.NetCosts()}
+	for e, cost := range m.D {
+		if c := p.H.NetCapacity(hypergraph.NetID(e)); c > 0 {
+			m.D[e] = cost / c
+		} else {
+			m.D[e] = 0
 		}
 	}
 	return m

@@ -21,6 +21,7 @@ package multilevel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -143,13 +144,14 @@ func Coarsen(ctx context.Context, h *hypergraph.Hypergraph, opt CoarsenOptions) 
 	opt = opt.withDefaults(h)
 	s := &Stack{Fine: h}
 	rng := rand.New(rand.NewSource(opt.Seed))
+	sc := newCoarsenScratch(h.NumNodes(), opt.Workers)
 	cur := h
 	for len(s.Levels) < maxLevels && cur.NumNodes() > opt.TargetNodes && ctx.Err() == nil {
 		var t0 time.Time
 		if opt.Observer != nil {
 			t0 = time.Now()
 		}
-		clusterOf, k, err := coarsenLevel(cur, opt, rng)
+		clusterOf, k, err := coarsenLevel(cur, opt, rng, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -189,10 +191,54 @@ func newRatingScratch(n int) *ratingScratch {
 	return &ratingScratch{score: make([]float64, n), stamp: make([]int32, n)}
 }
 
+// coarsenScratch is the per-node scratch of every level, allocated once
+// per Coarsen for the finest graph: levels only shrink, so each takes a
+// prefix. Each rating worker allocates its own scratch on its first level
+// (on its own goroutine, so two workers' generation counters do not share
+// a cache line), and the sequential phase reuses worker 0's, whose stamps
+// stay valid across levels because its generation only grows.
+type coarsenScratch struct {
+	pref   []int32
+	order  []int
+	sizes  []int64 // cluster sizes, appended in formation order
+	raters []*ratingScratch
+}
+
+func newCoarsenScratch(n, workers int) *coarsenScratch {
+	return &coarsenScratch{
+		pref:   make([]int32, n),
+		order:  make([]int, n),
+		sizes:  make([]int64, 0, n),
+		raters: make([]*ratingScratch, workers),
+	}
+}
+
+// rater returns rating worker id's scratch, allocating it on first use.
+func (sc *coarsenScratch) rater(id int) *ratingScratch {
+	if sc.raters[id] == nil {
+		sc.raters[id] = newRatingScratch(len(sc.pref))
+	}
+	return sc.raters[id]
+}
+
+// permInto fills m with the permutation rng.Perm(len(m)) returns, making
+// the same draws.
+func permInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+}
+
 // rate fills sc with the heavy-edge scores of v's neighbors and returns the
 // touched list in deterministic (incidence-order) sequence. Nets above
 // ratingNetCap pins are skipped.
 func rate(h *hypergraph.Hypergraph, v hypergraph.NodeID, sc *ratingScratch) []hypergraph.NodeID {
+	if sc.gen == math.MaxInt32 {
+		clear(sc.stamp)
+		sc.gen = 0
+	}
 	sc.gen++
 	sc.touched = sc.touched[:0]
 	for _, e := range h.Incident(v) {
@@ -216,11 +262,12 @@ func rate(h *hypergraph.Hypergraph, v hypergraph.NodeID, sc *ratingScratch) []hy
 	return sc.touched
 }
 
-// coarsenLevel computes one level's cluster assignment. The returned
-// clusterOf is dense over 0..k-1 with no empty clusters.
-func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand) (clusterOf []int, k int, err error) {
+// coarsenLevel computes one level's cluster assignment in scratch sized
+// for at least h's nodes. The returned clusterOf is dense over 0..k-1 with
+// no empty clusters.
+func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand, scratch *coarsenScratch) (clusterOf []int, k int, err error) {
 	n := h.NumNodes()
-	pref := make([]int32, n)
+	pref := scratch.pref[:n]
 
 	// Phase 1 (parallel, pure): pref[v] = argmax_u r(u,v) among neighbors
 	// with size(v)+size(u) within the cluster bound; ties break to the
@@ -241,7 +288,7 @@ func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand) 
 				panics[id] = fmt.Errorf("multilevel: rating worker panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		sc := newRatingScratch(n)
+		sc := scratch.rater(id)
 		//htpvet:allow ctxpoll -- batch-claim loop off a monotone atomic counter: exits after at most ceil(n/batch) claims; Coarsen's level loop polls ctx between levels
 		for {
 			lo := int(next.Add(batch)) - batch
@@ -291,13 +338,14 @@ func coarsenLevel(h *hypergraph.Hypergraph, opt CoarsenOptions, rng *rand.Rand) 
 	for i := range clusterOf {
 		clusterOf[i] = -1
 	}
-	var clusterSizes []int64
-	sc := newRatingScratch(n)
+	clusterSizes := scratch.sizes[:0]
+	sc := scratch.rater(0)
 	join := func(vi int, target int, sv int64) {
 		clusterOf[vi] = target
 		clusterSizes[target] += sv
 	}
-	order := rng.Perm(n)
+	order := scratch.order[:n]
+	permInto(rng, order)
 	for _, vi := range order {
 		if clusterOf[vi] >= 0 {
 			continue

@@ -51,6 +51,9 @@ type HyperSPT struct {
 	heap   *pqueue.IndexedMinHeap // Grow's frontier
 	radix  netQueue               // Settle's frontier, allocated by the first Settle
 	touch  []hypergraph.NodeID    // nodes whose key must be reset before the next growth
+
+	walker *walker // nil: every settled node reads its whole incidence list
+	scans  int     // incidence entries read under a finite ceiling, for TakeScans
 }
 
 // Visit describes one settled node during SPT growth.
@@ -87,7 +90,9 @@ func NewHyperSPT(h *hypergraph.Hypergraph) *HyperSPT {
 // lengths must hold one finite entry per net, and stay unmodified for the
 // duration of the call. Negative entries are accepted: the growth is then
 // no longer a shortest-path computation, but it stays deterministic and
-// never revisits a settled node.
+// never revisits a settled node. With a length snapshot (UseSnapshot),
+// lengths must be at least the snapshot's, entry by entry; the visits are
+// the same as without it.
 func (s *HyperSPT) Grow(root hypergraph.NodeID, lengths []float64, visit func(Visit) bool) int {
 	s.reset()
 	s.gen++
@@ -107,6 +112,8 @@ func (s *HyperSPT) Grow(root hypergraph.NodeID, lengths []float64, visit func(Vi
 	// pins are not read. ceil is first taken when the last node is touched
 	// (ceilLen starts above any 2·Len) and re-taken only once the heap has
 	// halved since, so the O(Len) scans sum to at most 2n per growth.
+	// With a snapshot, a node settled under a finite ceil reads only the
+	// nets whose snapshot offer is below it (see UseSnapshot).
 	ceil, ceilLen := inf, 2*n+2
 	settled := 0
 	//htpvet:allow ctxpoll -- each iteration settles a node, so the loop is bounded by reached nodes; cancellation is the callers' visit callback returning false (inject polls ctx there with a masked counter)
@@ -120,7 +127,14 @@ func (s *HyperSPT) Grow(root hypergraph.NodeID, lengths []float64, visit func(Vi
 		if len(s.touch) == n && 2*heap.Len() <= ceilLen {
 			ceil, ceilLen = heap.MaxKey(), heap.Len()
 		}
-		for _, e := range incident[incOff[vi]:incOff[vi+1]] {
+		nets := incident[incOff[vi]:incOff[vi+1]]
+		if ceil < inf {
+			if s.walker != nil {
+				nets = s.walker.walk(hypergraph.NodeID(vi), dv, ceil)
+			}
+			s.scans += len(nets)
+		}
+		for _, e := range nets {
 			// The first settled pin of a net offers the minimal distance
 			// through it (later-settled pins only have larger distances),
 			// so each net needs scanning exactly once.
